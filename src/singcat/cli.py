@@ -32,6 +32,18 @@ def _read(path: str) -> str:
         ) from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SingcatError(
+            f"cannot write {path}: {exc.strerror or exc}",
+            precondition="output path is writable",
+            witness={"path": path},
+        ) from None
+
+
 def _load_presentation(path: str):
     return parse_presentation(_read(path))
 
@@ -524,37 +536,20 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         payload, text, code = args.handler(args)
+        rendered = (
+            json.dumps(payload, ensure_ascii=False, indent=2)
+            if args.format == "json"
+            else text
+        )
+        if args.out:
+            _write(args.out, rendered + "\n")
+        else:
+            print(rendered)
     except SingcatError as err:
         sys.stderr.write(
             json.dumps({"error": err.diagnostic()}, ensure_ascii=False) + "\n"
         )
         return 1
-    rendered = (
-        json.dumps(payload, ensure_ascii=False, indent=2)
-        if args.format == "json"
-        else text
-    )
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(rendered + "\n")
-        except OSError as exc:
-            sys.stderr.write(
-                json.dumps(
-                    {
-                        "error": {
-                            "message": f"cannot write {args.out}: {exc.strerror or exc}",
-                            "precondition": "output path is writable",
-                            "witness": {"path": args.out},
-                        }
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-            return 1
-    else:
-        print(rendered)
     return code
 
 

@@ -78,8 +78,19 @@ class GradedQuiver:
     broken: tuple[Arrow, ...]
     translation: dict[str, str]
 
+    def __post_init__(self):
+        # Index solid arrows by source and by (source, target), keeping
+        # declaration order, and invert the translation, once per quiver.
+        by_source, by_ends = {}, {}
+        for a in self.solid:
+            by_source.setdefault(a.source, []).append(a)
+            by_ends.setdefault((a.source, a.target), []).append(a)
+        object.__setattr__(self, "_solid_from", by_source)
+        object.__setattr__(self, "_solid_between", by_ends)
+        object.__setattr__(self, "_untranslate", {v: k for k, v in self.translation.items()})
+
     def solid_from(self, vertex: str) -> list[Arrow]:
-        return [a for a in self.solid if a.source == vertex]
+        return list(self._solid_from.get(vertex, ()))
 
 
 def _alpha(i: int) -> str:
@@ -289,13 +300,10 @@ def mesh_image(quiver: GradedQuiver, vertex: str) -> tuple[tuple[str, str], ...]
             precondition="vertex belongs to the quiver",
             witness={"vertex": vertex},
         )
-    inverse = {v: k for k, v in quiver.translation.items()}
-    target = inverse[vertex]
+    target = quiver._untranslate[vertex]
     terms = []
-    for a in quiver.solid_from(vertex):
-        partners = [
-            b for b in quiver.solid if b.source == a.target and b.target == target
-        ]
+    for a in quiver._solid_from.get(vertex, ()):
+        partners = quiver._solid_between.get((a.target, target), ())
         if len(partners) != 1:
             raise DGAError(
                 f"mesh at {vertex} is not uniquely completable through "

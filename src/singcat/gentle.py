@@ -30,6 +30,10 @@ class GentleReport:
     violations: tuple[GentleViolation, ...]
 
 
+def _multiple(condition: str, label: str, kind: str, labels: list[str]) -> GentleViolation:
+    return GentleViolation(condition, label, f"multiple {kind} of {label}: {labels}")
+
+
 def check_gentle(pres: Presentation) -> GentleReport:
     """Check the gentle conditions and report every violation found.
 
@@ -44,50 +48,32 @@ def check_gentle(pres: Presentation) -> GentleReport:
     """
     violations: list[GentleViolation] = []
     for v in pres.vertices:
-        outs = [a.label for a in pres.arrows_from(v)]
-        ins = [a.label for a in pres.arrows_into(v)]
-        if len(outs) > 2:
-            violations.append(
-                GentleViolation("G1", v, f"{len(outs)} arrows leave {v}: {outs}")
-            )
-        if len(ins) > 2:
-            violations.append(
-                GentleViolation("G1", v, f"{len(ins)} arrows enter {v}: {ins}")
-            )
-    rel = pres.relation_set
+        for arrows, verb in ((pres.outgoing[v], "leave"), (pres.incoming[v], "enter")):
+            if len(arrows) > 2:
+                labels = [a.label for a in arrows]
+                violations.append(
+                    GentleViolation("G1", v, f"{len(arrows)} arrows {verb} {v}: {labels}")
+                )
     for a in pres.arrows:
-        succ_in = [b.label for b in pres.arrows_from(a.target) if (a.label, b.label) in rel]
-        pred_in = [b.label for b in pres.arrows_into(a.source) if (b.label, a.label) in rel]
-        succ_out = [b.label for b in pres.arrows_from(a.target) if (a.label, b.label) not in rel]
-        pred_out = [b.label for b in pres.arrows_into(a.source) if (b.label, a.label) not in rel]
-        if len(succ_in) > 1:
-            violations.append(
-                GentleViolation(
-                    "G3", a.label, f"multiple relation successors of {a.label}: {succ_in}"
-                )
-            )
-        if len(pred_in) > 1:
-            violations.append(
-                GentleViolation(
-                    "G3", a.label, f"multiple relation predecessors of {a.label}: {pred_in}"
-                )
-            )
-        if len(succ_out) > 1:
-            violations.append(
-                GentleViolation(
-                    "G4",
-                    a.label,
-                    f"multiple relation-free successors of {a.label}: {succ_out}",
-                )
-            )
-        if len(pred_out) > 1:
-            violations.append(
-                GentleViolation(
-                    "G4",
-                    a.label,
-                    f"multiple relation-free predecessors of {a.label}: {pred_out}",
-                )
-            )
+        lab = a.label
+        succ = pres.successors.get(lab, ())
+        pred = pres.predecessors.get(lab, ())
+        after = pres.outgoing[a.target]
+        before = pres.incoming[a.source]
+        # Relation partners of an arrow are composable with it, so each list
+        # below filters the neighbouring arrows, keeping declaration order.
+        if len(succ) > 1:
+            labels = [b.label for b in after if b.label in succ]
+            violations.append(_multiple("G3", lab, "relation successors", labels))
+        if len(pred) > 1:
+            labels = [b.label for b in before if b.label in pred]
+            violations.append(_multiple("G3", lab, "relation predecessors", labels))
+        if len(after) - len(succ) > 1:
+            labels = [b.label for b in after if b.label not in succ]
+            violations.append(_multiple("G4", lab, "relation-free successors", labels))
+        if len(before) - len(pred) > 1:
+            labels = [b.label for b in before if b.label not in pred]
+            violations.append(_multiple("G4", lab, "relation-free predecessors", labels))
     return GentleReport(not violations, tuple(violations))
 
 
@@ -141,22 +127,21 @@ def _canonical_rotation(arrows: tuple[str, ...]) -> tuple[str, ...]:
 def critical_cycles(pres: Presentation) -> list[CriticalCycle]:
     """All critical cycles, sorted by (length, display tuple)."""
     _require_gentle(pres)
-    successor: dict[str, str] = {a: b for a, b in pres.relations}
-    seen: set[frozenset[str]] = set()
+    # G3 makes the relation successor map a partial bijection, so its orbits
+    # are disjoint chains and cycles: one walk per unvisited arrow finds all.
+    visited: set[str] = set()
     cycles: list[CriticalCycle] = []
     for start in (a.label for a in pres.arrows):
-        chain = [start]
-        cur = successor.get(start)
-        while cur is not None and cur != start and len(chain) <= len(pres.arrows):
+        if start in visited:
+            continue
+        chain = []
+        cur = start
+        while cur is not None and cur not in visited:
+            visited.add(cur)
             chain.append(cur)
-            cur = successor.get(cur)
-        if cur != start:
-            continue
-        key = frozenset(chain)
-        if key in seen:
-            continue
-        seen.add(key)
-        cycles.append(CriticalCycle(_canonical_rotation(tuple(chain))))
+            cur = pres.successors.get(cur, (None,))[0]
+        if cur == start:
+            cycles.append(CriticalCycle(_canonical_rotation(tuple(chain))))
     cycles.sort(key=lambda c: (c.length, c.display))
     return cycles
 
@@ -177,14 +162,13 @@ def _radical_walk(pres: Presentation, cycle: CriticalCycle, first: str) -> Strin
     """Walk the unique relation-free continuation of the cycle arrow ``first``."""
     rel = pres.relation_set
     prev = first
-    at = pres.target(first)
     walk: list[str] = []
     used: set[str] = set()
     while True:
-        nxt = [b.label for b in pres.arrows_from(at) if (prev, b.label) not in rel]
-        if not nxt:
+        after = pres.outgoing[pres.target(prev)]
+        step = next((b.label for b in after if (prev, b.label) not in rel), None)
+        if step is None:
             break
-        step = nxt[0]
         if step in used:
             raise QuiverError(
                 "the algebra is infinite dimensional: the relation-free walk "
@@ -195,7 +179,6 @@ def _radical_walk(pres: Presentation, cycle: CriticalCycle, first: str) -> Strin
         used.add(step)
         walk.append(step)
         prev = step
-        at = pres.target(step)
     return StringModule(pres.target(first), tuple(walk))
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 _NAME_RE = re.compile(r"^[^\s;:#]+$")
 
@@ -100,17 +100,37 @@ class Path:
         return "".join(reversed(self.arrows))
 
 
-def _check_name(name: str, kind: str, where=None):
-    if not _NAME_RE.match(name) or name == "->":
+def _check_name(name: str, kind: str):
+    if isinstance(name, str) and _NAME_RE.match(name) and name != "->":
+        return
+    is_str = isinstance(name, str)
+    raise QuiverError(
+        f"invalid {kind} name {name!r}",
+        precondition="names contain no whitespace, ';', ':' or '#' and are not '->'"
+        if is_str else f"{kind} names are strings",
+        witness={kind: name if is_str else repr(name)},
+    )
+
+
+def _field(build, field: str, shape: str) -> tuple:
+    """Run ``build`` and report a malformed constructor argument by name."""
+    try:
+        return build()
+    except (TypeError, ValueError):
         raise QuiverError(
-            f"invalid {kind} name {name!r}",
-            precondition="names contain no whitespace, ';', ':' or '#' and are not '->'",
-            witness={kind: name} if where is None else where,
-        )
+            f"{field} is not a sequence of {shape}",
+            precondition=f"{field} is a sequence of {shape}",
+            witness={"field": field},
+        ) from None
 
 
 class Presentation:
-    """Immutable quiver presentation with length-two relations."""
+    """Immutable quiver presentation with length-two relations.
+
+    Construction indexes it once: ``outgoing``/``incoming`` hold each vertex's
+    arrows in declaration order, ``successors``/``predecessors`` each arrow's
+    relation partners (labels in relation order; absent when there are none).
+    """
 
     def __init__(
         self,
@@ -118,52 +138,58 @@ class Presentation:
         arrows: Iterable[Arrow | tuple[str, str, str]],
         relations: Iterable[tuple[str, str]] = (),
     ):
-        self.vertices: tuple[str, ...] = tuple(vertices)
-        self.arrows: tuple[Arrow, ...] = tuple(
-            a if isinstance(a, Arrow) else Arrow(*a) for a in arrows
+        self.vertices: tuple[str, ...] = _field(
+            lambda: tuple(vertices), "vertices", "vertex names"
         )
-        self.relations: tuple[tuple[str, str], ...] = tuple(
-            (str(a), str(b)) for a, b in relations
+        self.arrows: tuple[Arrow, ...] = _field(
+            lambda: tuple(a if isinstance(a, Arrow) else Arrow(*a) for a in arrows),
+            "arrows", "(label, source, target) triples",
+        )
+        self.relations: tuple[tuple[str, str], ...] = _field(
+            lambda: tuple((str(a), str(b)) for a, b in relations),
+            "relations", "arrow label pairs",
         )
         self._validate()
-        self._by_label = {a.label: a for a in self.arrows}
-        self.relation_set = frozenset(self.relations)
 
     def _validate(self):
-        seen = set()
+        """Check every precondition and build the indices in the same pass."""
+        outgoing: dict[str, list[Arrow]] = {}
+        incoming: dict[str, list[Arrow]] = {}
         for v in self.vertices:
             _check_name(v, "vertex")
-            if v in seen:
+            if v in outgoing:
                 raise QuiverError(
                     f"duplicate vertex {v!r}",
                     precondition="vertex names are distinct",
                     witness={"vertex": v},
                 )
-            seen.add(v)
-        vset = seen
-        labels = set()
-        by_label = {}
+            outgoing[v] = []
+            incoming[v] = []
+        by_label: dict[str, Arrow] = {}
         for a in self.arrows:
             _check_name(a.label, "arrow")
-            if a.label in labels:
+            if a.label in by_label:
                 raise QuiverError(
                     f"duplicate arrow label {a.label!r}",
                     precondition="arrow labels are distinct",
                     witness={"arrow": a.label},
                 )
-            labels.add(a.label)
             by_label[a.label] = a
             for v in (a.source, a.target):
-                if v not in vset:
+                if not isinstance(v, str) or v not in outgoing:
                     raise QuiverError(
                         f"arrow {a.label!r} uses undeclared vertex {v!r}",
                         precondition="arrow endpoints are declared vertices",
                         witness={"arrow": a.label, "vertex": v},
                     )
-        seen_rel = set()
+            outgoing[a.source].append(a)
+            incoming[a.target].append(a)
+        relation_set: set[tuple[str, str]] = set()
+        successors: dict[str, tuple[str, ...]] = {}
+        predecessors: dict[str, tuple[str, ...]] = {}
         for first, second in self.relations:
             for lab in (first, second):
-                if lab not in labels:
+                if lab not in by_label:
                     raise QuiverError(
                         f"relation uses undeclared arrow {lab!r}",
                         precondition="relations reference declared arrows",
@@ -175,13 +201,21 @@ class Presentation:
                     precondition="relation arrows compose head to tail",
                     witness={"first": first, "second": second},
                 )
-            if (first, second) in seen_rel:
+            if (first, second) in relation_set:
                 raise QuiverError(
                     f"duplicate relation ({first!r}, {second!r})",
                     precondition="relations are distinct",
                     witness={"first": first, "second": second},
                 )
-            seen_rel.add((first, second))
+            relation_set.add((first, second))
+            successors[first] = successors.get(first, ()) + (second,)
+            predecessors[second] = predecessors.get(second, ()) + (first,)
+        self._by_label = by_label
+        self.outgoing = {v: tuple(arrs) for v, arrs in outgoing.items()}
+        self.incoming = {v: tuple(arrs) for v, arrs in incoming.items()}
+        self.successors = successors
+        self.predecessors = predecessors
+        self.relation_set = frozenset(relation_set)
 
     def __eq__(self, other):
         return (
@@ -217,10 +251,10 @@ class Presentation:
         return self.arrow(label).target
 
     def arrows_from(self, vertex: str) -> list[Arrow]:
-        return [a for a in self.arrows if a.source == vertex]
+        return list(self.outgoing.get(vertex, ()))
 
     def arrows_into(self, vertex: str) -> list[Arrow]:
-        return [a for a in self.arrows if a.target == vertex]
+        return list(self.incoming.get(vertex, ()))
 
     def lazy_path(self, vertex: str) -> Path:
         if vertex not in self.vertices:
@@ -282,40 +316,33 @@ def path_in_ideal(path: Path, pres: Presentation) -> bool:
 # text format
 
 
-def _scan(text: str):
-    """Scanner proper: yields ('tok', value, line, col) and (';', line, col)."""
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == ";":
-            yield (";", ";", line, col)
-            i += 1
-            col += 1
-            continue
-        start_line, start_col = line, col
-        j = i
-        while j < n and text[j] not in " \t\r\n;#":
-            j += 1
-        yield ("tok", text[i:j], start_line, start_col)
-        col += j - i
-        i = j
+_TOKEN_RE = re.compile(r"#[^\n]*|;|[^ \t\r\n;#]+")
 
 
-def _split_relation_token(token: str, labels: set[str]):
+def _statements(text: str) -> list[list[tuple[str, int, int]]]:
+    """Split text into ';'-terminated statements of (token, line, column)."""
+    statements, current = [], []
+    line, line_start, last = 1, 0, 0
+    for m in _TOKEN_RE.finditer(text):
+        pos = m.start()
+        newlines = text.count("\n", last, pos)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", last, pos) + 1
+        last = pos
+        token = m.group()
+        if token == ";":
+            if current:
+                statements.append(current)
+                current = []
+        elif token[0] != "#":
+            current.append((token, line, pos - line_start + 1))
+    if current:
+        raise ParseError("statement is not terminated by ';'", *current[0][1:])
+    return statements
+
+
+def _split_relation_token(token: str, labels: Container[str]):
     """All ways to split a juxtaposed display token into two declared labels."""
     out = []
     for cut in range(1, len(token)):
@@ -326,29 +353,17 @@ def _split_relation_token(token: str, labels: set[str]):
 
 
 def parse_presentation(text: str) -> Presentation:
-    statements = []
-    current = []
-    for kind, value, line, col in _scan(text):
-        if kind == ";":
-            if current:
-                statements.append(current)
-                current = []
-            continue
-        current.append((value, line, col))
-    if current:
-        tok, line, col = current[0]
-        raise ParseError("statement is not terminated by ';'", line, col)
-
     vertices: list[str] = []
     arrows: list[Arrow] = []
     relations: list[tuple[str, str]] = []
+    relation_set: set[tuple[str, str]] = set()
     vset: set[str] = set()
     labels: dict[str, Arrow] = {}
 
     def err(msg, at):
         raise ParseError(msg, at[1], at[2])
 
-    for stmt in statements:
+    for stmt in _statements(text):
         head = stmt[0]
         if head[0] in ("arrows", "relations") and len(stmt) == 1:
             continue  # bare section headers declare nothing
@@ -388,7 +403,7 @@ def parse_presentation(text: str) -> Presentation:
             rest = stmt[1:]
             if len(rest) == 1:
                 tok = rest[0]
-                splits = _split_relation_token(tok[0], set(labels))
+                splits = _split_relation_token(tok[0], labels)
                 if not splits:
                     err(
                         f"relation token {tok[0]!r} does not split into two "
@@ -421,8 +436,9 @@ def parse_presentation(text: str) -> Presentation:
                     f"{second_applied!r} starts at {a2.source!r}",
                     rest[0],
                 )
-            if (first_applied, second_applied) in relations:
+            if (first_applied, second_applied) in relation_set:
                 err(f"duplicate relation {disp_first} {disp_second}", rest[0])
+            relation_set.add((first_applied, second_applied))
             relations.append((first_applied, second_applied))
         else:
             err(f"unknown statement {head[0]!r}", head)
@@ -435,10 +451,9 @@ def serialize_presentation(pres: Presentation) -> str:
     lines.append("vertices " + " ".join(pres.vertices) + ";")
     for a in pres.arrows:
         lines.append(f"arrow {a.label}: {a.source} -> {a.target};")
-    labels = {a.label for a in pres.arrows}
     for first, second in pres.relations:
         joined = second + first
-        if _split_relation_token(joined, labels) == [(second, first)]:
+        if _split_relation_token(joined, pres._by_label) == [(second, first)]:
             lines.append(f"relation {joined};")
         else:
             lines.append(f"relation {second} {first};")
@@ -458,10 +473,9 @@ def presentation_to_json(pres: Presentation) -> dict:
 
 def presentation_from_json(data: dict) -> Presentation:
     try:
-        vertices = data["vertices"]
+        vertices, relations = data["vertices"], data["relations"]
         arrows = [Arrow(d["label"], d["source"], d["target"]) for d in data["arrows"]]
-        relations = [(a, b) for a, b in data["relations"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise QuiverError(
             f"malformed presentation JSON: {exc}",
             precondition="JSON has vertices, arrows and relations fields",

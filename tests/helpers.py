@@ -173,6 +173,92 @@ def brute_force_critical_cycles(pres: Presentation) -> set[frozenset[str]]:
 
 
 # ---------------------------------------------------------------------------
+# brute-force scans mirroring the indexed quiver lookups
+#
+# These rescan every arrow on each query, as the package did before it
+# indexed presentations and graded quivers at construction.
+
+
+def scan_arrows_from(pres: Presentation, vertex: str) -> list:
+    return [a for a in pres.arrows if a.source == vertex]
+
+
+def scan_arrows_into(pres: Presentation, vertex: str) -> list:
+    return [a for a in pres.arrows if a.target == vertex]
+
+
+def scan_gentle_violations(pres: Presentation) -> tuple[tuple[str, str, str], ...]:
+    """(condition, location, detail) of every gentle violation, in report order.
+
+    G1 per vertex (leaving, then entering arrows), then per arrow in
+    declaration order: G3 successors, G3 predecessors, G4 successors, G4
+    predecessors.  Label lists keep declaration order.
+    """
+    rel = set(pres.relations)
+    found = []
+    for v in pres.vertices:
+        for verb, scan in (("leave", scan_arrows_from), ("enter", scan_arrows_into)):
+            labels = [a.label for a in scan(pres, v)]
+            if len(labels) > 2:
+                found.append(("G1", v, f"{len(labels)} arrows {verb} {v}: {labels}"))
+    for a in pres.arrows:
+        after = [b.label for b in scan_arrows_from(pres, a.target)]
+        before = [b.label for b in scan_arrows_into(pres, a.source)]
+        for condition, kind, labels in (
+            ("G3", "relation successors", [b for b in after if (a.label, b) in rel]),
+            ("G3", "relation predecessors", [b for b in before if (b, a.label) in rel]),
+            ("G4", "relation-free successors", [b for b in after if (a.label, b) not in rel]),
+            ("G4", "relation-free predecessors", [b for b in before if (b, a.label) not in rel]),
+        ):
+            if len(labels) > 1:
+                found.append((condition, a.label, f"multiple {kind} of {a.label}: {labels}"))
+    return tuple(found)
+
+
+def _mesh_label_key(label: str) -> tuple[int, int]:
+    """α_k sorts by (k, 0), α_k* by (k, 1), any other label last."""
+    body = label[2:]
+    starred = body.endswith("*")
+    digits = body[:-1] if starred else body
+    if label.startswith("α_") and digits.isdecimal():
+        return (int(digits), int(starred))
+    return (10**9, 0)
+
+
+def _mesh_term_key(term: tuple[str, str]):
+    """Display order: 2-cycles α_k α_k* first, by k; then the rest."""
+    (ka, sa), (kb, sb) = _mesh_label_key(term[0]), _mesh_label_key(term[1])
+    if ka == kb and sa != sb:
+        return (0, ka, sa)
+    return (1, ka, sa, kb, sb)
+
+
+def scan_mesh_differential(quiver) -> dict[str, tuple[tuple[str, str], ...]]:
+    """Mesh differential of every broken arrow by scanning all solid arrows.
+
+    The summand for a solid a: i -> j is (a, b) with b the unique solid
+    arrow from j to the vertex whose translate is i.
+    """
+    result = {}
+    for rho in quiver.broken:
+        untranslated = [k for k, v in quiver.translation.items() if v == rho.source]
+        terms = []
+        for a in quiver.solid:
+            if a.source != rho.source:
+                continue
+            partners = [
+                b.label
+                for b in quiver.solid
+                if b.source == a.target and b.target == untranslated[-1]
+            ]
+            if len(partners) != 1:
+                raise ValueError(f"mesh at {rho.source} through {a.label}: {partners}")
+            terms.append((a.label, partners[0]))
+        result[rho.label] = tuple(sorted(terms, key=_mesh_term_key))
+    return result
+
+
+# ---------------------------------------------------------------------------
 # Hom dimension oracle for the nodal block
 #
 # Objects are plain tuples: ("P", s, p) is the shifted projective with sign

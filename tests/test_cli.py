@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from singcat.cli import run, run_corpus
 from singcat.quiver import SingcatError
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+README = CORPUS.parent / "README.md"
 
 ILLUSTRATIVE_CYCLES = {
     "cycles": [
@@ -160,6 +163,17 @@ class TestOutFlag:
         code, _, err = invoke(capsys, argv)
         assert code == 1
         assert "cannot write" in stderr_error(err)["message"]
+
+    def test_unwritable_out_path_diagnostic_is_pinned(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["nodal", "hom", "P+", "P-[-1]", "--out", "missing-dir/hom.json"]
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            '{"error": {"message": "cannot write missing-dir/hom.json: No such file '
+            'or directory", "precondition": "output path is writable", '
+            '"witness": {"path": "missing-dir/hom.json"}}}\n'
+        )
 
 
 class TestHomTable:
@@ -338,6 +352,52 @@ class TestShippedCorpus:
         code, out, _ = invoke(capsys, ["corpus", str(CORPUS), "--format", "text"])
         assert code == 0
         assert out.rstrip("\n").splitlines()[-1] == "16 passed, 0 failed"
+
+
+def readme_commands():
+    """(line, printed text, printed JSON subset) for each README command.
+
+    Every ``singcat`` line of the README's sh blocks is listed.  An untagged
+    block right after an sh block shows what that block's last command
+    prints; a trailing ``# {...}`` comment shows keys of a command's JSON
+    output, with ``, ...`` standing for the keys left out.
+    """
+    text = README.read_text(encoding="utf-8")
+    blocks = list(re.finditer(r"^```(\w*)\n(.*?)^```$", text, re.M | re.S))
+    cases = []
+    for block, following in zip(blocks, blocks[1:] + [None]):
+        if block.group(1) != "sh":
+            continue
+        lines = [ln for ln in block.group(2).splitlines() if ln.startswith("singcat ")]
+        printed = None
+        if (
+            following is not None
+            and following.group(1) == ""
+            and not text[block.end():following.start()].strip()
+        ):
+            printed = following.group(2).rstrip("\n")
+        for i, line in enumerate(lines):
+            comment = re.search(r"#\s*(\{.*\})\s*$", line)
+            subset = json.loads(comment.group(1).replace(", ...}", "}")) if comment else None
+            cases.append((line, printed if i == len(lines) - 1 else None, subset))
+    return cases
+
+
+README_COMMANDS = readme_commands()
+
+
+@pytest.mark.parametrize(
+    "line, printed, subset", README_COMMANDS, ids=[case[0] for case in README_COMMANDS]
+)
+def test_readme_command_runs_as_printed(line, printed, subset, monkeypatch, capsys):
+    monkeypatch.chdir(README.parent)
+    code, out, err = invoke(capsys, shlex.split(line, comments=True)[1:])
+    assert code == 0, err
+    if printed is not None:
+        assert out.rstrip("\n") == printed
+    if subset is not None:
+        payload = json.loads(out)
+        assert {key: payload[key] for key in subset} == subset
 
 
 def test_module_invocation_round_trip():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+import helpers
 from singcat.dg_auslander import (
     DGAError,
     check_ade_type,
@@ -136,6 +137,22 @@ class TestStructuralInvariants:
 def rendered(family, rank, parity) -> dict[str, str]:
     q = dg_auslander(ADEType(family, rank), parity)
     return {rho: render_sum(terms) for rho, terms in differential(q).items()}
+
+
+ORACLE_INSTANCES = [
+    (family, rank, parity)
+    for family, ranks in (("A", range(1, 21)), ("D", range(4, 21)), ("E", (6, 7, 8)))
+    for rank in ranks
+    for parity in ("even", "odd")
+]
+
+
+@pytest.mark.parametrize("family, rank, parity", ORACLE_INSTANCES)
+def test_indexed_mesh_matches_a_full_scan(family, rank, parity):
+    q = dg_auslander(ADEType(family, rank), parity)
+    assert differential(q) == helpers.scan_mesh_differential(q)
+    for v in q.vertices:
+        assert q.solid_from(v) == [a for a in q.solid if a.source == v]
 
 
 class TestPinnedDifferentials:

@@ -66,6 +66,79 @@ class TestGentleConditions:
         assert len(info.value.witness) >= 2
 
 
+def _violation_tuples(pres):
+    report = check_gentle(pres)
+    return tuple((v.condition, v.location, v.detail) for v in report.violations)
+
+
+def _three_cycles(k: int):
+    """k disjoint 3-cycles with every composite zero (gentle)."""
+    vertices, arrows, relations = [], [], []
+    for i in range(k):
+        vs = [f"{i}.{j}" for j in range(3)]
+        labs = [f"c{i}_{j}" for j in range(3)]
+        vertices += vs
+        arrows += [(labs[j], vs[j], vs[(j + 1) % 3]) for j in range(3)]
+        relations += [(labs[j], labs[(j + 1) % 3]) for j in range(3)]
+    return vertices, arrows, relations
+
+
+def _planted(kind: str, k: int) -> Presentation:
+    """k disjoint 3-cycles with one violation of the named kind planted."""
+    vertices, arrows, relations = _three_cycles(k)
+    if kind == "G1":
+        arrows += [(f"p{j}", "0.0", f"{k - 1}.{j}") for j in range(2)]
+    elif kind == "G3":
+        arrows.append(("p", "0.1", "0.1"))
+        relations.append(("c0_0", "p"))
+    else:  # G4: r continues freely by c0_1 and p; p follows c0_0 and r freely
+        vertices += ["x", "y"]
+        arrows += [("p", "0.1", "x"), ("r", "y", "0.1")]
+    return Presentation(vertices, arrows, relations)
+
+
+class TestGentleOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_presentations_match_the_scan(self, data):
+        n_vertices = data.draw(st.integers(1, 6), label="vertices")
+        vertices = [str(i) for i in range(n_vertices)]
+        ends = st.sampled_from(vertices)
+        arrows = [
+            Arrow(f"x{i}", data.draw(ends), data.draw(ends))
+            for i in range(data.draw(st.integers(0, 10), label="arrows"))
+        ]
+        composable = [
+            (a.label, b.label) for a in arrows for b in arrows if a.target == b.source
+        ]
+        relations = []
+        if composable:
+            relations = data.draw(
+                st.lists(st.sampled_from(composable), unique=True, max_size=8),
+                label="relations",
+            )
+        pres = Presentation(vertices, arrows, relations)
+        assert _violation_tuples(pres) == helpers.scan_gentle_violations(pres)
+
+    @pytest.mark.parametrize("kind", ["G1", "G3", "G4"])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_planted_violations_match_the_scan(self, kind, k):
+        pres = _planted(kind, k)
+        got = _violation_tuples(pres)
+        assert got == helpers.scan_gentle_violations(pres)
+        assert kind in {condition for condition, _, _ in got}
+
+    def test_fixtures_match_the_scan(self):
+        for pres in (
+            helpers.illustrative(),
+            helpers.two_loops_all_relations(),
+            helpers.two_loops_mixed(),
+            helpers.parallel_triple(),
+            Presentation(*_three_cycles(5)),
+        ):
+            assert _violation_tuples(pres) == helpers.scan_gentle_violations(pres)
+
+
 class TestCriticalCycles:
     def test_illustrative_cycles(self):
         cycles = critical_cycles(helpers.illustrative())

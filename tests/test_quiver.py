@@ -135,6 +135,26 @@ class TestTextFormat:
         with pytest.raises(QuiverError, match="malformed"):
             presentation_from_json({"vertices": ["1"]})
 
+    @pytest.mark.parametrize(
+        "data, precondition",
+        [
+            ({"vertices": 1, "arrows": [], "relations": []},
+             "vertices is a sequence of vertex names"),
+            ({"vertices": None, "arrows": [], "relations": []},
+             "vertices is a sequence of vertex names"),
+            ({"vertices": [1], "arrows": [], "relations": []},
+             "vertex names are strings"),
+            ({"vertices": ["1", "2"],
+              "arrows": [{"label": 2, "source": "1", "target": "2"}],
+              "relations": []},
+             "arrow names are strings"),
+        ],
+    )
+    def test_json_with_wrong_field_types_names_the_field(self, data, precondition):
+        with pytest.raises(QuiverError) as info:
+            presentation_from_json(data)
+        assert info.value.precondition == precondition
+
 
 class TestParseErrors:
     def test_unterminated_statement(self):
@@ -188,6 +208,10 @@ class TestParseErrors:
         assert info.value.witness == {"line": 3, "column": 1}
 
 
+TRIPLES = "(label, source, target) triples"
+PAIRS = "arrow label pairs"
+
+
 class TestPresentationValidation:
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(QuiverError, match="duplicate vertex"):
@@ -220,6 +244,36 @@ class TestPresentationValidation:
     def test_duplicate_relation(self):
         with pytest.raises(QuiverError, match="duplicate relation"):
             Presentation(["1"], [("a", "1", "1")], [("a", "a"), ("a", "a")])
+
+    @pytest.mark.parametrize(
+        "vertices, arrows, relations, precondition",
+        [
+            (["1"], [("a", "1")], [], f"arrows is a sequence of {TRIPLES}"),
+            (["1"], [7], [], f"arrows is a sequence of {TRIPLES}"),
+            (["1"], [("a", "1", "1")], [("a",)], f"relations is a sequence of {PAIRS}"),
+            (["1"], [("a", "1", ["1"])], [], "arrow endpoints are declared vertices"),
+        ],
+    )
+    def test_malformed_fields_raise_quiver_errors(
+        self, vertices, arrows, relations, precondition
+    ):
+        with pytest.raises(QuiverError) as info:
+            Presentation(vertices, arrows, relations)
+        assert info.value.precondition == precondition
+
+
+class TestIndex:
+    @settings(max_examples=120, deadline=None)
+    @given(presentations())
+    def test_arrow_lookups_match_a_full_scan(self, pres):
+        for v in pres.vertices + ("undeclared",):
+            assert pres.arrows_from(v) == helpers.scan_arrows_from(pres, v)
+            assert pres.arrows_into(v) == helpers.scan_arrows_into(pres, v)
+
+    def test_lookups_return_fresh_lists(self):
+        pres = helpers.illustrative()
+        pres.arrows_from("2").clear()
+        assert [a.label for a in pres.arrows_from("2")] == ["b", "f"]
 
 
 def _paths_up_to(pres: Presentation, max_len: int) -> list[Path]:

@@ -1,0 +1,96 @@
+"""Malformed input to any text or JSON entry point raises a SingcatError.
+
+Each entry point is fed random text, token soups close to its grammar and,
+for JSON, arbitrary values in and around the expected fields.  Whatever
+comes back must be a result or a SingcatError, never a raw Python
+exception.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from singcat.dg_auslander import dg_auslander
+from singcat.nodal import parse_object
+from singcat.quiver import SingcatError, parse_presentation, presentation_from_json
+from singcat.surface import parse_dual_graph
+
+FUZZ = settings(max_examples=150, deadline=None)
+
+
+def soup(tokens):
+    return st.lists(st.sampled_from(tokens), max_size=24).map(" ".join)
+
+
+def accepts_or_refuses(call, *args):
+    try:
+        call(*args)
+    except SingcatError:
+        pass
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+names = st.sampled_from(["1", "2", "a", "b", "", "a b", "->"]) | json_values
+arrow_records = st.dictionaries(
+    st.sampled_from(["label", "source", "target"]), names, max_size=3
+)
+presentation_json = st.fixed_dictionaries(
+    {
+        "vertices": st.lists(names, max_size=4) | json_values,
+        "arrows": st.lists(arrow_records | json_values, max_size=4) | json_values,
+        "relations": st.lists(st.lists(names, max_size=3) | json_values, max_size=4)
+        | json_values,
+    }
+)
+
+
+@FUZZ
+@given(
+    st.text(max_size=60)
+    | soup(["vertices", "arrow", "relation", "arrows", "1", "2", "a", "b", "ab",
+            "a:", ":", "->", ";", "#", "\n"])
+)
+def test_parse_presentation(text):
+    accepts_or_refuses(parse_presentation, text)
+
+
+@FUZZ
+@given(presentation_json | json_values)
+def test_presentation_from_json(data):
+    accepts_or_refuses(presentation_from_json, data)
+
+
+@FUZZ
+@given(
+    st.text(max_size=60)
+    | soup(["vertex", "edge", "1", "2", "3", "x", "-1", "-2", "-3", "0", "7", ";", "#", "\n"])
+)
+def test_parse_dual_graph(text):
+    accepts_or_refuses(parse_dual_graph, text)
+
+
+@FUZZ
+@given(
+    st.text(max_size=30)
+    | soup(["P+", "P-", "P", "S+(2)", "S-(0)", "S(3)", "P1", "P2", "P*", "[1]",
+            "[-1]", "[", "]", "(", ")", ",", "+", "0"])
+)
+def test_parse_object(text):
+    accepts_or_refuses(parse_object, text)
+
+
+@FUZZ
+@given(
+    # at most three characters keep a well-formed rank below 100
+    st.text(max_size=3)
+    | st.builds("{}{}".format, st.sampled_from("ADEX"), st.integers(-2, 30)),
+    st.sampled_from(["even", "odd"]) | st.text(max_size=5),
+)
+def test_dg_auslander(ade, parity):
+    accepts_or_refuses(dg_auslander, ade, parity)
