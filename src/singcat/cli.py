@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
+import re
 import sys
 
 from . import dg_auslander as dga
 from . import gentle, nodal, surface
-from .quiver import SingcatError, parse_presentation
+from .quiver import INT_DIGITS, SingcatError, parse_presentation
 
 
 def _read(path: str) -> str:
@@ -149,17 +151,25 @@ def _cmd_nodal_hom(args):
     return {"dim": dim}, str(dim), 0
 
 
-def _parse_shifts(window: str) -> tuple[int, int]:
-    import re
+_WINDOW_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
-    m = re.match(r"^(-?\d+)\.\.(-?\d+)$", window)
+
+def _parse_shifts(window: str) -> tuple[int, int]:
+    m = _WINDOW_RE.match(window)
     if not m:
         raise SingcatError(
             f"cannot parse shift window {window!r}",
             precondition="window looks like -4..4",
             witness={"shifts": window},
         )
-    lo, hi = int(m.group(1)), int(m.group(2))
+    try:
+        lo, hi = int(m.group(1)), int(m.group(2))
+    except ValueError:
+        raise SingcatError(
+            "a bound of the shift window has too many digits",
+            precondition=INT_DIGITS,
+            witness={"shifts": window},
+        ) from None
     if lo > hi:
         raise SingcatError(
             f"empty shift window {window!r}",
@@ -441,6 +451,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Return a fresh parser for the ``singcat`` command line.
+
+    ``run()`` does not call this per request: it reuses one parser per
+    process (``_parser()``).  Parsing keeps no state on the parser, since
+    every ``parse_args`` call builds a new namespace and writes usage and
+    errors to the ``sys.stdout``/``sys.stderr`` of the moment.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "text"), default="json", help="output format"
@@ -528,10 +545,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
+def _join_shift_windows(argv: list[str]) -> list[str]:
+    """Rewrite ``--shifts -2..2`` as ``--shifts=-2..2``, up to a ``--``.
+
+    argparse reads a separate token that starts with ``-`` and is no plain
+    negative number as an option, so the window needs the ``=`` form.
+    """
+    joined: list[str] = []
+    for i, token in enumerate(argv):
+        if token == "--":
+            return joined + argv[i:]
+        if joined and joined[-1] == "--shifts" and _WINDOW_RE.match(token):
+            joined[-1] = f"--shifts={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parser().parse_args(_join_shift_windows(list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

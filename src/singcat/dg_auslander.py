@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .quiver import Arrow, SingcatError
+from .quiver import INT_DIGITS, Arrow, SingcatError
 from .surface import ADEType
 
 
@@ -50,8 +50,24 @@ def check_ade_type(ade) -> ADEType:
                 precondition="type looks like A7, D4 or E8",
                 witness={"type": ade},
             )
-        ade = ADEType(m.group(1), int(m.group(2)))
-    family, rank = ade
+        try:
+            ade = ADEType(m.group(1), int(m.group(2)))
+        except ValueError:
+            raise DGAError(
+                "the rank of the ADE type has too many digits",
+                precondition=INT_DIGITS,
+                witness={"type": ade},
+            ) from None
+    try:
+        family, rank = ade
+    except (TypeError, ValueError):
+        family = rank = None
+    if not isinstance(family, str) or not isinstance(rank, int):
+        raise DGAError(
+            f"cannot read ADE type {ade!r}",
+            precondition="type is a string like A7 or a (family, rank) pair",
+            witness={"type": repr(ade)},
+        )
     ok = (
         (family == "A" and rank >= 1)
         or (family == "D" and rank >= 4)

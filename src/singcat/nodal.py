@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
-from .quiver import Arrow, Path, Presentation, SingcatError, compose
+from .quiver import INT_DIGITS, Arrow, Path, Presentation, SingcatError, compose
 
 PLUS = "+"
 MINUS = "-"
@@ -482,6 +482,17 @@ _S_ZERO_RE = re.compile(r"^S\((\d+)\)(?:\[(-?\d+)\])?$")
 _P_STAR_RE = re.compile(r"^P\*(?:\[(-?\d+)\])?$")
 
 
+def _integer(digits: str | None, part: str) -> int:
+    try:
+        return int(digits or 0)
+    except ValueError:
+        raise NodalError(
+            f"an integer in object {part!r} has too many digits",
+            precondition=INT_DIGITS,
+            witness={"object": part},
+        ) from None
+
+
 def parse_object(text: str) -> list:
     """Parse object notation into a list of indecomposable summands.
 
@@ -506,23 +517,27 @@ def parse_object(text: str) -> list:
             continue
         m = _P_NODAL_RE.match(part)
         if m:
-            summands.append(NodalProjective(m.group(1), int(m.group(2) or 0)))
+            summands.append(NodalProjective(m.group(1), _integer(m.group(2), part)))
             continue
         m = _S_NODAL_RE.match(part)
         if m:
             summands.append(
-                NodalString(m.group(1), int(m.group(2)), int(m.group(3) or 0))
+                NodalString(
+                    m.group(1), _integer(m.group(2), part), _integer(m.group(3), part)
+                )
             )
             continue
         m = _P_ZERO_RE.match(part)
         if m:
             if m.group(1) == "1":
                 continue
-            summands.append(ZeroProjective(int(m.group(2) or 0)))
+            summands.append(ZeroProjective(_integer(m.group(2), part)))
             continue
         m = _S_ZERO_RE.match(part)
         if m:
-            summands.append(ZeroString(int(m.group(1)), int(m.group(2) or 0)))
+            summands.append(
+                ZeroString(_integer(m.group(1), part), _integer(m.group(2), part))
+            )
             continue
         raise NodalError(
             f"cannot parse object {part!r}",

@@ -56,11 +56,22 @@ class QuiverError(SingcatError):
     pass
 
 
+# Precondition of every integer read from text: ``int()`` refuses decimal
+# strings longer than Python's conversion limit (4,300 digits by default).
+INT_DIGITS = "integer fits Python's string conversion limit"
+
+
 class ParseError(QuiverError):
-    def __init__(self, message: str, line: int, column: int):
+    def __init__(
+        self,
+        message: str,
+        line: int,
+        column: int,
+        precondition: str = "well-formed presentation text",
+    ):
         super().__init__(
             f"{message} (line {line}, column {column})",
-            precondition="well-formed presentation text",
+            precondition=precondition,
             witness={"line": line, "column": column},
         )
         self.line = line

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .quiver import ParseError, SingcatError
+from .quiver import INT_DIGITS, ParseError, SingcatError
 
 
 class SurfaceError(SingcatError):
@@ -209,9 +209,17 @@ def _laufer(
     adjacency: Mapping[str, Sequence[str]],
     weights: Mapping[str, int],
     rng: random.Random | None,
+    guard: bool = True,
 ) -> dict[str, int]:
+    """Laufer's increment loop from Z = (1, ..., 1).
+
+    On unvalidated input the loop may diverge, so by default it gives up
+    after 64·n + 64 increments.  Callers holding a ``DualGraph`` pass
+    ``guard=False``: its form is negative definite, so the loop terminates,
+    and a near-degenerate form can need far more increments than that.
+    """
     z = {v: 1 for v in vertices}
-    bound = 64 * len(vertices) + 64
+    bound = 64 * len(vertices) + 64 if guard else None
     steps = 0
     while True:
         violators = [
@@ -224,7 +232,7 @@ def _laufer(
         pick = violators[0] if rng is None else rng.choice(violators)
         z[pick] += 1
         steps += 1
-        if steps > bound:
+        if bound is not None and steps > bound:
             raise SurfaceError(
                 "cycle computation did not stabilize; the intersection form "
                 "is not negative definite",
@@ -240,7 +248,7 @@ def fundamental_cycle(graph: DualGraph, seed: int | None = None) -> dict[str, in
     randomizes that choice so callers can confirm it.
     """
     rng = None if seed is None else random.Random(seed)
-    return _laufer(graph.vertices, graph.adjacency, graph.weights, rng)
+    return _laufer(graph.vertices, graph.adjacency, graph.weights, rng, guard=False)
 
 
 def special_ranks(graph: DualGraph) -> dict[str, int]:
@@ -512,7 +520,16 @@ def parse_dual_graph(text: str) -> DualGraph:
         for stmt in filter(None, (s.strip() for s in line.split(";"))):
             m = _VERTEX_RE.match(stmt)
             if m:
-                name, w = m.group(1), int(m.group(2))
+                name = m.group(1)
+                try:
+                    w = int(m.group(2))
+                except ValueError:
+                    raise ParseError(
+                        f"weight of vertex {name!r} has too many digits",
+                        line_no,
+                        1,
+                        precondition=INT_DIGITS,
+                    ) from None
                 if name in weights:
                     raise ParseError(f"duplicate vertex {name!r}", line_no, 1)
                 vertices.append(name)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -11,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from singcat import nodal
+from singcat import cli, nodal
 from singcat.cli import run, run_corpus
-from singcat.quiver import SingcatError
+from singcat.quiver import INT_DIGITS, SingcatError
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 README = CORPUS.parent / "README.md"
@@ -207,6 +210,32 @@ class TestHomTable:
         assert code == 1
         assert needle in stderr_error(err)["message"]
 
+    @pytest.mark.parametrize("window", ["-2..2", "-2..-1", "0..1"])
+    def test_window_as_separate_token_or_joined(self, window, capsys):
+        spaced = invoke(
+            capsys, ["nodal", "table", "--shifts", window, "--maxlen", "3"]
+        )
+        joined = invoke(
+            capsys, ["nodal", "table", f"--shifts={window}", "--maxlen", "3"]
+        )
+        assert spaced[0] == 0, spaced[2]
+        assert spaced == joined
+
+    def test_only_windows_are_joined(self, capsys):
+        code, out, err = invoke(
+            capsys, ["nodal", "table", "--shifts", "-x", "--maxlen", "3"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "--shifts: expected one argument" in err
+
+    def test_window_bound_beyond_the_digit_limit(self, capsys):
+        argv = ["nodal", "table", f"--shifts=-{'9' * 5000}..2", "--maxlen", "1"]
+        code, out, err = invoke(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert stderr_error(err)["precondition"] == INT_DIGITS
+
     def test_maxlen_must_be_positive(self, capsys):
         argv = ["nodal", "table", "--shifts", "0..1", "--maxlen", "0"]
         code, _, err = invoke(capsys, argv)
@@ -346,12 +375,12 @@ class TestShippedCorpus:
         payload, code = run_corpus(str(CORPUS))
         assert code == 0
         assert payload["failed"] == 0
-        assert len(payload["cases"]) == 16
+        assert len(payload["cases"]) == 17
 
     def test_text_summary_line(self, capsys):
         code, out, _ = invoke(capsys, ["corpus", str(CORPUS), "--format", "text"])
         assert code == 0
-        assert out.rstrip("\n").splitlines()[-1] == "16 passed, 0 failed"
+        assert out.rstrip("\n").splitlines()[-1] == "17 passed, 0 failed"
 
 
 def readme_commands():
@@ -409,3 +438,88 @@ def test_module_invocation_round_trip():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout) == ILLUSTRATIVE_CYCLES
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+@pytest.fixture
+def fresh_parser_cache():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def corpus_argvs():
+    return [
+        json.loads(path.read_text(encoding="utf-8"))["argv"]
+        for path in sorted(CORPUS.glob("*.json"))
+    ]
+
+
+def replay_requests():
+    """(working directory, argv): every corpus argv and README command in
+    order, with a usage error, ``--help`` and a domain error mixed in."""
+    requests = [(CORPUS, argv) for argv in corpus_argvs()]
+    requests += [
+        (README.parent, shlex.split(line, comments=True)[1:])
+        for line, _, _ in README_COMMANDS
+    ]
+    requests[3:3] = [
+        (CORPUS, ["nodal", "table", "--maxlen", "x"]),
+        (CORPUS, ["nodal", "table", "--shifts", "-2..2", "--maxlen", "3"]),
+        (CORPUS, ["surface", "--help"]),
+        (CORPUS, ["gentle", "cycles", "illustrative.q"]),
+        (CORPUS, ["nodal", "hom", "P+", "P2"]),
+        (CORPUS, ["nodal", "hom", "P+", "P-[-1]", "--format", "text"]),
+        (CORPUS, ["bogus"]),
+        (CORPUS, ["surface", "decompose", "g2719.graph", "--contract", "2"]),
+    ]
+    requests.append((README.parent, ["corpus", str(CORPUS), "--format", "text"]))
+    return requests
+
+
+def replay(requests):
+    """Exit code, stdout and stderr of each request, captured in memory."""
+    results = []
+    prev = os.getcwd()
+    try:
+        for cwd, argv in requests:
+            os.chdir(cwd)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            results.append((argv, code, out.getvalue(), err.getvalue()))
+    finally:
+        os.chdir(prev)
+    return results
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_run(self, fresh_parser_cache, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        results = replay((replay_requests() * 2)[:50] + [(CORPUS, ["corpus", "."])])
+        assert {code for _, code, _, _ in results} == {0, 1, 2}
+        assert results[-1][1] == 0
+        assert len(built) == 1
+
+    def test_reuse_matches_a_fresh_parser_per_call(
+        self, fresh_parser_cache, monkeypatch
+    ):
+        requests = replay_requests()
+        reused = replay(requests)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", cli.build_parser)
+            # in reverse, so that each request follows a different one
+            fresh = replay(requests[::-1])[::-1]
+        assert reused == fresh
+        assert {code for _, code, _, _ in reused} == {0, 1, 2}
+        assert (["surface", "--help"], 0) in [(argv, code) for argv, code, _, _ in reused]

@@ -270,6 +270,14 @@ class TestTypeHandling:
         with pytest.raises(DGAError):
             check_ade_type(bad)
 
+    @pytest.mark.parametrize("bad", [5, ("A", "x"), ("A",), (1, 7), None])
+    def test_malformed_type_objects(self, bad):
+        with pytest.raises(DGAError) as info:
+            dg_auslander(bad, "odd")
+        assert info.value.precondition == (
+            "type is a string like A7 or a (family, rank) pair"
+        )
+
     def test_unknown_parity(self):
         with pytest.raises(DGAError, match="unknown parity"):
             dg_auslander("A2", "mixed")

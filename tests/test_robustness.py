@@ -8,12 +8,19 @@ exception.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singcat.dg_auslander import dg_auslander
-from singcat.nodal import parse_object
-from singcat.quiver import SingcatError, parse_presentation, presentation_from_json
+from singcat.dg_auslander import DGAError, dg_auslander
+from singcat.nodal import NodalError, parse_object
+from singcat.quiver import (
+    INT_DIGITS,
+    ParseError,
+    SingcatError,
+    parse_presentation,
+    presentation_from_json,
+)
 from singcat.surface import parse_dual_graph
 
 FUZZ = settings(max_examples=150, deadline=None)
@@ -94,3 +101,35 @@ def test_parse_object(text):
 )
 def test_dg_auslander(ade, parity):
     accepts_or_refuses(dg_auslander, ade, parity)
+
+
+# More digits than Python converts to int by default (4,300).
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [(f"vertex 0 -{NINES};", 1), (f"vertex 0 -2;\nvertex 1 {NINES}; edge 0 1;", 2)],
+)
+def test_dual_graph_weight_beyond_the_digit_limit(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_dual_graph(text)
+    assert info.value.precondition == INT_DIGITS
+    assert (info.value.line, info.value.column) == (line, 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"S+({NINES})", f"S-(2)[-{NINES}]", f"P+[{NINES}]", f"P2[{NINES}]",
+     f"S({NINES})", f"P-, S({NINES})[1]"],
+)
+def test_object_integer_beyond_the_digit_limit(text):
+    with pytest.raises(NodalError) as info:
+        parse_object(text)
+    assert info.value.precondition == INT_DIGITS
+
+
+def test_ade_rank_beyond_the_digit_limit():
+    with pytest.raises(DGAError) as info:
+        dg_auslander(f"A{NINES}", "odd")
+    assert info.value.precondition == INT_DIGITS

@@ -43,6 +43,15 @@ from singcat.surface import (
 
 SWEEP_WEIGHTS = (-2, -3, -4)
 
+# Nearly degenerate 10-vertex tree (leading minors -2, 3, -4, ..., -1289, 4):
+# its fundamental cycle needs 719 increments, more than 64·n + 64 = 704.
+LAUFER_WITNESS = """\
+vertex 0 -2; vertex 1 -2; vertex 2 -2; vertex 3 -3; vertex 4 -4;
+vertex 5 -3; vertex 6 -3; vertex 7 -4; vertex 8 -3; vertex 9 -2;
+edge 1 0; edge 2 1; edge 3 2; edge 4 1; edge 5 0;
+edge 6 3; edge 7 5; edge 8 4; edge 9 1;
+"""
+
 
 @st.composite
 def weighted_trees(draw):
@@ -152,6 +161,23 @@ class TestLauferAlgorithm:
         adjacency = helpers.adjacency_of(vertices, edges)
         with pytest.raises(SurfaceError, match="did not stabilize"):
             _laufer(vertices, adjacency, weights, None)
+
+    def test_near_degenerate_witness_is_not_capped(self):
+        g = parse_dual_graph(LAUFER_WITNESS)
+        z = fundamental_cycle(g)
+        assert [z[str(i)] for i in range(10)] == [
+            121, 198, 122, 46, 54, 44, 16, 11, 18, 99
+        ]
+        assert sum(z.values()) - len(z) > 64 * len(z) + 64
+        assert not helpers.violates_anti_nef(z, g.vertices, g.adjacency, g.weights)
+        for v in g.vertices:
+            lowered = dict(z)
+            lowered[v] -= 1
+            assert helpers.violates_anti_nef(
+                lowered, g.vertices, g.adjacency, g.weights
+            )
+        assert special_ranks(g) == z
+        assert fundamental_cycle(g, seed=7) == z
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_minus_two_chain_gives_all_ones(self, n):
