@@ -550,18 +550,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _is_shifts_flag(token: str) -> bool:
+    """``--shifts`` or an abbreviation argparse resolves to it alone
+    (``--sh`` and longer; ``--s`` also abbreviates ``--seed``)."""
+    return len(token) > 3 and "--shifts".startswith(token)
+
+
 def _join_shift_windows(argv: list[str]) -> list[str]:
     """Rewrite ``--shifts -2..2`` as ``--shifts=-2..2``, up to a ``--``.
 
     argparse reads a separate token that starts with ``-`` and is no plain
-    negative number as an option, so the window needs the ``=`` form.
+    negative number as an option, so the window needs the ``=`` form.  The
+    flag is kept as typed, so ``--shift -2..2`` becomes ``--shift=-2..2``.
     """
     joined: list[str] = []
     for i, token in enumerate(argv):
         if token == "--":
             return joined + argv[i:]
-        if joined and joined[-1] == "--shifts" and _WINDOW_RE.match(token):
-            joined[-1] = f"--shifts={token}"
+        if joined and _is_shifts_flag(joined[-1]) and _WINDOW_RE.match(token):
+            joined[-1] = f"{joined[-1]}={token}"
         else:
             joined.append(token)
     return joined

@@ -104,6 +104,9 @@ class GradedQuiver:
         object.__setattr__(self, "_solid_from", by_source)
         object.__setattr__(self, "_solid_between", by_ends)
         object.__setattr__(self, "_untranslate", {v: k for k, v in self.translation.items()})
+        # filled by the first ``differential`` call, so a mesh that does not
+        # complete uniquely is reported there, not here
+        object.__setattr__(self, "_differential", None)
 
     def solid_from(self, vertex: str) -> list[Arrow]:
         return list(self._solid_from.get(vertex, ()))
@@ -337,8 +340,16 @@ def mesh_image(quiver: GradedQuiver, vertex: str) -> tuple[tuple[str, str], ...]
 
 
 def differential(quiver: GradedQuiver) -> dict[str, tuple[tuple[str, str], ...]]:
-    """d of every broken arrow, keyed by its label, in vertex order."""
-    return {rho.label: mesh_image(quiver, rho.source) for rho in quiver.broken}
+    """d of every broken arrow, keyed by its label, in vertex order.
+
+    The mesh images are computed once per quiver; each call returns a new
+    dict over them, so a caller may change its copy.
+    """
+    diff = quiver._differential
+    if diff is None:
+        diff = {rho.label: mesh_image(quiver, rho.source) for rho in quiver.broken}
+        object.__setattr__(quiver, "_differential", diff)
+    return dict(diff)
 
 
 def render_term(term: tuple[str, str]) -> str:

@@ -327,30 +327,19 @@ def path_in_ideal(path: Path, pres: Presentation) -> bool:
 # text format
 
 
-_TOKEN_RE = re.compile(r"#[^\n]*|;|[^ \t\r\n;#]+")
+_COMMENT_RE = re.compile(r"#[^\n]*")
+_WORD_RE = re.compile(r"[^ \t\r\n]+")
+_ARROW_SHAPE = "expected 'arrow <label>: <src> -> <tgt>'"
 
 
-def _statements(text: str) -> list[list[tuple[str, int, int]]]:
-    """Split text into ';'-terminated statements of (token, line, column)."""
-    statements, current = [], []
-    line, line_start, last = 1, 0, 0
-    for m in _TOKEN_RE.finditer(text):
-        pos = m.start()
-        newlines = text.count("\n", last, pos)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", last, pos) + 1
-        last = pos
-        token = m.group()
-        if token == ";":
-            if current:
-                statements.append(current)
-                current = []
-        elif token[0] != "#":
-            current.append((token, line, pos - line_start + 1))
-    if current:
-        raise ParseError("statement is not terminated by ';'", *current[0][1:])
-    return statements
+def _blank(comment: re.Match) -> str:
+    return " " * len(comment.group())
+
+
+def _parse_error(message: str, text: str, pos: int) -> ParseError:
+    """ParseError at offset ``pos``; lines end at '\n', columns count from 1."""
+    line_start = text.rfind("\n", 0, pos) + 1
+    return ParseError(message, text.count("\n", 0, line_start) + 1, pos - line_start + 1)
 
 
 def _split_relation_token(token: str, labels: Container[str]):
@@ -364,6 +353,11 @@ def _split_relation_token(token: str, labels: Container[str]):
 
 
 def parse_presentation(text: str) -> Presentation:
+    """Read the text format statement by statement.
+
+    Comments are blanked in place, so every offset into the cleaned text is
+    an offset into ``text``; positions are worked out only for an error.
+    """
     vertices: list[str] = []
     arrows: list[Arrow] = []
     relations: list[tuple[str, str]] = []
@@ -371,70 +365,78 @@ def parse_presentation(text: str) -> Presentation:
     vset: set[str] = set()
     labels: dict[str, Arrow] = {}
 
-    def err(msg, at):
-        raise ParseError(msg, at[1], at[2])
+    clean = _COMMENT_RE.sub(_blank, text)
+    *bodies, tail = clean.split(";")
+    # an unterminated final statement is reported before anything else
+    word = _WORD_RE.search(tail)
+    if word:
+        raise _parse_error(
+            "statement is not terminated by ';'", text, len(clean) - len(tail) + word.start()
+        )
 
-    for stmt in _statements(text):
-        head = stmt[0]
-        if head[0] in ("arrows", "relations") and len(stmt) == 1:
+    def err(msg, index):
+        # reads the loop's current statement: the index-th word of bodies[number]
+        start = sum(len(body) + 1 for body in bodies[:number])
+        match = list(_WORD_RE.finditer(bodies[number]))[index]
+        raise _parse_error(msg, text, start + match.start())
+
+    for number, body in enumerate(bodies):
+        words = _WORD_RE.findall(body)
+        if not words:
+            continue
+        head = words[0]
+        if head in ("arrows", "relations") and len(words) == 1:
             continue  # bare section headers declare nothing
-        if head[0] == "vertices":
-            if len(stmt) < 2:
-                err("'vertices' expects at least one name", head)
-            for tok in stmt[1:]:
-                if tok[0] in vset:
-                    err(f"duplicate vertex {tok[0]!r}", tok)
-                if tok[0] == "->":
-                    err("'->' is not a valid vertex name", tok)
-                vset.add(tok[0])
-                vertices.append(tok[0])
-        elif head[0] == "arrow":
-            rest = list(stmt[1:])
-            # accept both "a:" and "a :"
-            if rest and rest[0][0].endswith(":") and rest[0][0] != ":":
-                lab = rest[0]
-                rest[0] = (lab[0][:-1], lab[1], lab[2])
-            elif len(rest) >= 2 and rest[1][0] == ":":
-                del rest[1]
+        if head == "vertices":
+            if len(words) < 2:
+                err("'vertices' expects at least one name", 0)
+            for i, name in enumerate(words[1:], 1):
+                if name in vset:
+                    err(f"duplicate vertex {name!r}", i)
+                if name == "->":
+                    err("'->' is not a valid vertex name", i)
+                vset.add(name)
+                vertices.append(name)
+        elif head == "arrow":
+            # accept both "a:" and "a :"; i indexes the source vertex
+            if len(words) > 1 and words[1].endswith(":") and words[1] != ":":
+                label, i = words[1][:-1], 2
+            elif len(words) > 2 and words[2] == ":":
+                label, i = words[1], 3
             else:
-                err("expected 'arrow <label>: <src> -> <tgt>'", head)
-            if len(rest) != 4 or rest[2][0] != "->":
-                err("expected 'arrow <label>: <src> -> <tgt>'", head)
-            (lab, src, _, tgt) = rest
-            if not lab[0]:
-                err("empty arrow label", lab)
-            if lab[0] in labels:
-                err(f"duplicate arrow label {lab[0]!r}", lab)
-            for tok in (src, tgt):
-                if tok[0] not in vset:
-                    err(f"undeclared vertex {tok[0]!r}", tok)
-            arrows.append(Arrow(lab[0], src[0], tgt[0]))
-            labels[lab[0]] = arrows[-1]
-        elif head[0] == "relation":
-            rest = stmt[1:]
-            if len(rest) == 1:
-                tok = rest[0]
-                splits = _split_relation_token(tok[0], labels)
+                err(_ARROW_SHAPE, 0)
+            if len(words) != i + 3 or words[i + 1] != "->":
+                err(_ARROW_SHAPE, 0)
+            if label in labels:
+                err(f"duplicate arrow label {label!r}", 1)
+            for j in (i, i + 2):
+                if words[j] not in vset:
+                    err(f"undeclared vertex {words[j]!r}", j)
+            arrows.append(Arrow(label, words[i], words[i + 2]))
+            labels[label] = arrows[-1]
+        elif head == "relation":
+            if len(words) == 2:
+                splits = _split_relation_token(words[1], labels)
                 if not splits:
                     err(
-                        f"relation token {tok[0]!r} does not split into two "
+                        f"relation token {words[1]!r} does not split into two "
                         "declared arrow labels",
-                        tok,
+                        1,
                     )
                 if len(splits) > 1:
                     err(
-                        f"relation token {tok[0]!r} splits ambiguously; "
+                        f"relation token {words[1]!r} splits ambiguously; "
                         "write the two labels separated by a space",
-                        tok,
+                        1,
                     )
                 disp_first, disp_second = splits[0]
-            elif len(rest) == 2:
-                disp_first, disp_second = rest[0][0], rest[1][0]
-                for tok in rest:
-                    if tok[0] not in labels:
-                        err(f"undeclared arrow {tok[0]!r} in relation", tok)
+            elif len(words) == 3:
+                disp_first, disp_second = words[1], words[2]
+                for i in (1, 2):
+                    if words[i] not in labels:
+                        err(f"undeclared arrow {words[i]!r} in relation", i)
             else:
-                err("'relation' expects one juxtaposed token or two labels", head)
+                err("'relation' expects one juxtaposed token or two labels", 0)
             # display order is right to left: the first displayed label is
             # applied second.
             first_applied, second_applied = disp_second, disp_first
@@ -445,14 +447,14 @@ def parse_presentation(text: str) -> Presentation:
                     f"relation {disp_first}{disp_second} is not composable: "
                     f"{first_applied!r} ends at {a1.target!r} but "
                     f"{second_applied!r} starts at {a2.source!r}",
-                    rest[0],
+                    1,
                 )
             if (first_applied, second_applied) in relation_set:
-                err(f"duplicate relation {disp_first} {disp_second}", rest[0])
+                err(f"duplicate relation {disp_first} {disp_second}", 1)
             relation_set.add((first_applied, second_applied))
             relations.append((first_applied, second_applied))
         else:
-            err(f"unknown statement {head[0]!r}", head)
+            err(f"unknown statement {head!r}", 0)
 
     return Presentation(vertices, arrows, relations)
 

@@ -221,6 +221,23 @@ class TestHomTable:
         assert spaced[0] == 0, spaced[2]
         assert spaced == joined
 
+    @pytest.mark.parametrize("flag", ["--sh", "--shi", "--shif", "--shift"])
+    def test_unique_abbreviations_join_a_window(self, flag, capsys):
+        spaced = invoke(capsys, ["nodal", "table", flag, "-2..2", "--maxlen", "1"])
+        joined = invoke(capsys, ["nodal", "table", "--shifts=-2..2", "--maxlen", "1"])
+        assert spaced[0] == 0, spaced[2]
+        assert spaced == joined
+
+    def test_ambiguous_abbreviation_is_left_to_argparse(self, capsys):
+        argv = ["nodal", "table", "--s", "-2..2", "--maxlen", "1"]
+        code, out, err = invoke(capsys, argv)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        assert (code, out, err) == (exit_info.value.code, expected.out, expected.err)
+        assert code == 2
+        assert "ambiguous option: --s could match --seed, --shifts" in err
+
     def test_only_windows_are_joined(self, capsys):
         code, out, err = invoke(
             capsys, ["nodal", "table", "--shifts", "-x", "--maxlen", "3"]

@@ -13,6 +13,7 @@ import pytest
 import helpers
 from singcat.dg_auslander import (
     DGAError,
+    GradedQuiver,
     check_ade_type,
     dg_auslander,
     differential,
@@ -24,6 +25,7 @@ from singcat.dg_auslander import (
     render_term,
     serialize_graded_quiver,
 )
+from singcat.quiver import Arrow
 from singcat.surface import ADEType
 
 ALL_TYPES = (
@@ -257,6 +259,44 @@ class TestRendering:
         payload = graded_quiver_to_json(dg_auslander("A2", "even"))
         # stored application-order pair (α_1*, α_1) flips for display
         assert payload["differential"]["ρ_2"] == [["α_1", "α_1*"]]
+
+
+class TestDifferentialMemo:
+    def test_repeated_calls_agree_and_are_fresh_dicts(self):
+        q = dg_auslander("D6", "odd")
+        first, second = differential(q), differential(q)
+        assert first == second == helpers.scan_mesh_differential(q)
+        assert first is not second
+
+    def test_mutating_a_result_changes_nothing_later(self):
+        q = dg_auslander("E7", "odd")
+        pristine = dg_auslander("E7", "odd")
+        got = differential(q)
+        got["ρ_1"] = ()
+        del got["ρ_2"]
+        got["extra"] = (("x", "y"),)
+        assert differential(q) == differential(pristine)
+        assert graded_quiver_to_json(q) == graded_quiver_to_json(pristine)
+        assert serialize_graded_quiver(q) == serialize_graded_quiver(pristine)
+        differential(q).clear()
+        assert serialize_graded_quiver(q) == serialize_graded_quiver(pristine)
+
+    def test_a_mesh_without_a_unique_partner_fails_on_use_not_construction(self):
+        # mesh at 1 runs through a: 1 -> 2 and needs one arrow 2 -> 1; there are two
+        q = GradedQuiver(
+            "A", 2, "even", ("1", "2"),
+            (Arrow("a", "1", "2"), Arrow("b", "2", "1"), Arrow("c", "2", "1")),
+            (Arrow("ρ_1", "1", "1"), Arrow("ρ_2", "2", "2")),
+            {"1": "1", "2": "2"},
+        )
+        for _ in range(2):
+            with pytest.raises(DGAError, match="not uniquely completable") as info:
+                differential(q)
+            assert info.value.witness == {"vertex": "1", "arrow": "a", "candidates": ["b", "c"]}
+            with pytest.raises(DGAError, match="not uniquely completable"):
+                mesh_image(q, "1")
+        with pytest.raises(DGAError, match="not uniquely completable"):
+            graded_quiver_to_json(q)
 
 
 class TestTypeHandling:

@@ -208,6 +208,93 @@ class TestParseErrors:
         assert info.value.witness == {"line": 3, "column": 1}
 
 
+# (text, message without its position, line, column): every diagnostic of
+# parse_presentation, placed behind comments, tabs, CRLF and line breaks
+# inside statements.
+PARSE_ERRORS = [
+    ("vertices 1;\narrow a: 1 -> 1",
+     "statement is not terminated by ';'", 2, 1),
+    ("widget;\nvertices 1 1;\n  arrow a",
+     "statement is not terminated by ';'", 3, 3),
+    ("vertices 1; # a; b;\n\tarrow",
+     "statement is not terminated by ';'", 2, 2),
+    ("# header; not a statement\n  vertices ;",
+     "'vertices' expects at least one name", 2, 3),
+    ("vertices 1\t2\t1;",
+     "duplicate vertex '1'", 1, 14),
+    ("vertices 1\r\n ->;",
+     "'->' is not a valid vertex name", 2, 2),
+    ("vertices 1;\narrow a 1 -> 1;",
+     "expected 'arrow <label>: <src> -> <tgt>'", 2, 1),
+    ("vertices 1; arrow a: 1 1;",
+     "expected 'arrow <label>: <src> -> <tgt>'", 1, 13),
+    ("vertices 1;\r\narrow a : 1 -> 1 -> 1;",
+     "expected 'arrow <label>: <src> -> <tgt>'", 2, 1),
+    ("vertices 1; arrow a: 1 -> 1;\narrow a : 1 -> 1;",
+     "duplicate arrow label 'a'", 2, 7),
+    ("vertices 1; arrow a: 3 -> 1;",
+     "undeclared vertex '3'", 1, 22),
+    ("vertices 1;\narrow a:\n  1 ->\n\t2;",
+     "undeclared vertex '2'", 4, 2),
+    ("vertices 1; arrow a: 1 -> 1; relation qa;",
+     "relation token 'qa' does not split into two declared arrow labels", 1, 39),
+    ("vertices 1; arrow a: 1 -> 1; arrow aa: 1 -> 1;\nrelation  aaa;",
+     "relation token 'aaa' splits ambiguously; write the two labels "
+     "separated by a space", 2, 11),
+    ("vertices 1; arrow a: 1 -> 1;\nrelation a\tq;",
+     "undeclared arrow 'q' in relation", 2, 12),
+    ("vertices 1; arrow a: 1 -> 1; relation a a a;",
+     "'relation' expects one juxtaposed token or two labels", 1, 30),
+    ("vertices 1; arrow a: 1 -> 1; # relation a;\n relation;",
+     "'relation' expects one juxtaposed token or two labels", 2, 2),
+    ("vertices 1 2; arrow a: 1 -> 2; arrow b: 1 -> 2;\n  relation ba;",
+     "relation ba is not composable: 'a' ends at '2' but 'b' starts at '1'", 2, 12),
+    ("vertices 1; arrow a: 1 -> 1; relation aa; # again\nrelation a a;",
+     "duplicate relation a a", 2, 10),
+    ("vertices 1; # widget; more\nwidget;",
+     "unknown statement 'widget'", 2, 1),
+    ("vertices 1;\r\n\r\n  vertex 2;",
+     "unknown statement 'vertex'", 3, 3),
+]
+
+
+class TestParseErrorPositions:
+    @pytest.mark.parametrize("text, message, line, column", PARSE_ERRORS)
+    def test_message_line_and_column(self, text, message, line, column):
+        with pytest.raises(ParseError) as info:
+            parse_presentation(text)
+        error = info.value
+        assert error.message == f"{message} (line {line}, column {column})"
+        assert (error.line, error.column) == (line, column)
+        assert error.precondition == "well-formed presentation text"
+        assert error.witness == {"line": line, "column": column}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([
+                "vertices", "arrow", "relation", "relations", "1", "2", "a", "b",
+                "ab", "a:", ":", "->", ";", "# c; d\n", "#", " ", "  ", "\t",
+                "\n", "\r\n", "\xa0",
+            ]),
+            max_size=30,
+        ).map("".join)
+    )
+    def test_position_is_the_start_of_a_token(self, text):
+        try:
+            parse_presentation(text)
+        except ParseError as error:
+            lines = text.split("\n")
+            assert 1 <= error.line <= len(lines)
+            before = lines[error.line - 1][: error.column - 1]
+            rest = lines[error.line - 1][error.column - 1:]
+            assert "#" not in before, "position lies inside a comment"
+            assert rest and rest[0] not in " \t\r;#"
+            assert not before or before[-1] in " \t\r;"
+        except QuiverError:
+            pass
+
+
 TRIPLES = "(label, source, target) triples"
 PAIRS = "arrow label pairs"
 
