@@ -111,14 +111,16 @@ class Path:
         return "".join(reversed(self.arrows))
 
 
+_NAME_RULE = "names contain no whitespace, ';', ':' or '#' and are not '->'"
+
+
 def _check_name(name: str, kind: str):
     if isinstance(name, str) and _NAME_RE.match(name) and name != "->":
         return
     is_str = isinstance(name, str)
     raise QuiverError(
         f"invalid {kind} name {name!r}",
-        precondition="names contain no whitespace, ';', ':' or '#' and are not '->'"
-        if is_str else f"{kind} names are strings",
+        precondition=_NAME_RULE if is_str else f"{kind} names are strings",
         witness={kind: name if is_str else repr(name)},
     )
 
@@ -196,8 +198,8 @@ class Presentation:
             outgoing[a.source].append(a)
             incoming[a.target].append(a)
         relation_set: set[tuple[str, str]] = set()
-        successors: dict[str, tuple[str, ...]] = {}
-        predecessors: dict[str, tuple[str, ...]] = {}
+        successors: dict[str, list[str]] = {}
+        predecessors: dict[str, list[str]] = {}
         for first, second in self.relations:
             for lab in (first, second):
                 if lab not in by_label:
@@ -219,13 +221,13 @@ class Presentation:
                     witness={"first": first, "second": second},
                 )
             relation_set.add((first, second))
-            successors[first] = successors.get(first, ()) + (second,)
-            predecessors[second] = predecessors.get(second, ()) + (first,)
+            successors.setdefault(first, []).append(second)
+            predecessors.setdefault(second, []).append(first)
         self._by_label = by_label
         self.outgoing = {v: tuple(arrs) for v, arrs in outgoing.items()}
         self.incoming = {v: tuple(arrs) for v, arrs in incoming.items()}
-        self.successors = successors
-        self.predecessors = predecessors
+        self.successors = {a: tuple(bs) for a, bs in successors.items()}
+        self.predecessors = {a: tuple(bs) for a, bs in predecessors.items()}
         self.relation_set = frozenset(relation_set)
 
     def __eq__(self, other):
@@ -336,10 +338,11 @@ def _blank(comment: re.Match) -> str:
     return " " * len(comment.group())
 
 
-def _parse_error(message: str, text: str, pos: int) -> ParseError:
+def _parse_error(message: str, text: str, pos: int, **kw) -> ParseError:
     """ParseError at offset ``pos``; lines end at '\n', columns count from 1."""
     line_start = text.rfind("\n", 0, pos) + 1
-    return ParseError(message, text.count("\n", 0, line_start) + 1, pos - line_start + 1)
+    line = text.count("\n", 0, line_start) + 1
+    return ParseError(message, line, pos - line_start + 1, **kw)
 
 
 def _split_relation_token(token: str, labels: Container[str]):
@@ -362,8 +365,9 @@ def parse_presentation(text: str) -> Presentation:
     arrows: list[Arrow] = []
     relations: list[tuple[str, str]] = []
     relation_set: set[tuple[str, str]] = set()
-    vset: set[str] = set()
+    vertex_at: dict[str, tuple[int, int]] = {}  # name -> (statement, word) declaring it
     labels: dict[str, Arrow] = {}
+    label_at: dict[str, int] = {}  # label -> statement declaring it
 
     clean = _COMMENT_RE.sub(_blank, text)
     *bodies, tail = clean.split(";")
@@ -374,11 +378,11 @@ def parse_presentation(text: str) -> Presentation:
             "statement is not terminated by ';'", text, len(clean) - len(tail) + word.start()
         )
 
-    def err(msg, index):
-        # reads the loop's current statement: the index-th word of bodies[number]
+    def err(msg, index, **kw):
+        # the index-th word of bodies[number], the statement in hand
         start = sum(len(body) + 1 for body in bodies[:number])
         match = list(_WORD_RE.finditer(bodies[number]))[index]
-        raise _parse_error(msg, text, start + match.start())
+        raise _parse_error(msg, text, start + match.start(), **kw)
 
     for number, body in enumerate(bodies):
         words = _WORD_RE.findall(body)
@@ -391,11 +395,11 @@ def parse_presentation(text: str) -> Presentation:
             if len(words) < 2:
                 err("'vertices' expects at least one name", 0)
             for i, name in enumerate(words[1:], 1):
-                if name in vset:
+                if name in vertex_at:
                     err(f"duplicate vertex {name!r}", i)
                 if name == "->":
                     err("'->' is not a valid vertex name", i)
-                vset.add(name)
+                vertex_at[name] = number, i
                 vertices.append(name)
         elif head == "arrow":
             # accept both "a:" and "a :"; i indexes the source vertex
@@ -410,10 +414,11 @@ def parse_presentation(text: str) -> Presentation:
             if label in labels:
                 err(f"duplicate arrow label {label!r}", 1)
             for j in (i, i + 2):
-                if words[j] not in vset:
+                if words[j] not in vertex_at:
                     err(f"undeclared vertex {words[j]!r}", j)
             arrows.append(Arrow(label, words[i], words[i + 2]))
             labels[label] = arrows[-1]
+            label_at[label] = number
         elif head == "relation":
             if len(words) == 2:
                 splits = _split_relation_token(words[1], labels)
@@ -456,7 +461,16 @@ def parse_presentation(text: str) -> Presentation:
         else:
             err(f"unknown statement {head!r}", 0)
 
-    return Presentation(vertices, arrows, relations)
+    try:
+        return Presentation(vertices, arrows, relations)
+    except QuiverError as bad:
+        # the statements passed every other check above, so Presentation can
+        # only refuse a name: report it at the word that declares it
+        if bad.precondition != _NAME_RULE:
+            raise
+        ((kind, name),) = bad.witness.items()
+        number, index = vertex_at[name] if kind == "vertex" else (label_at[name], 1)
+        err(bad.message, index, precondition=bad.precondition)
 
 
 def serialize_presentation(pres: Presentation) -> str:

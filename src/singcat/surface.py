@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .quiver import INT_DIGITS, ParseError, SingcatError
 
@@ -85,8 +85,25 @@ def is_negative_definite(
     return True
 
 
+def _component(start: str, nbrs: Mapping, inside: Container | None = None) -> set[str]:
+    """Vertices reachable from ``start`` through ``nbrs``, stepping only onto
+    vertices in ``inside`` when it is given."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in nbrs[stack.pop()]:
+            if w not in seen and (inside is None or w in inside):
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 class DualGraph:
-    """Validated resolution graph: a weighted negative definite tree."""
+    """Validated resolution graph: a weighted negative definite tree.
+
+    ``adjacency`` maps each vertex, in vertex order, to the tuple of its
+    neighbours in edge order; it is built during validation.
+    """
 
     def __init__(
         self,
@@ -100,12 +117,6 @@ class DualGraph:
         )
         self.weights: dict[str, int] = {str(v): int(w) for v, w in weights.items()}
         self._validate()
-        self.adjacency: dict[str, tuple[str, ...]] = {v: () for v in self.vertices}
-        nbrs: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        self.adjacency = {v: tuple(ns) for v, ns in nbrs.items()}
 
     def _validate(self):
         vset = set(self.vertices)
@@ -121,6 +132,7 @@ class DualGraph:
                 precondition="at least one exceptional curve",
             )
         seen = set()
+        nbrs: dict[str, list[str]] = {v: [] for v in self.vertices}
         for u, v in self.edges:
             if u not in vset or v not in vset:
                 raise SurfaceError(
@@ -142,16 +154,17 @@ class DualGraph:
                     witness={"edge": [u, v]},
                 )
             seen.add(key)
+            nbrs[u].append(v)
+            nbrs[v].append(u)
         # tree: connected with |V| - 1 edges
-        if len(self.edges) != len(self.vertices) - 1 or not self._connected():
+        n = len(self.vertices)
+        if len(self.edges) != n - 1 or len(_component(self.vertices[0], nbrs)) != n:
             raise SurfaceError(
                 "the dual graph is not a tree",
                 precondition="the graph is connected and acyclic",
-                witness={
-                    "vertices": len(self.vertices),
-                    "edges": len(self.edges),
-                },
+                witness={"vertices": n, "edges": len(self.edges)},
             )
+        self.adjacency = {v: tuple(ns) for v, ns in nbrs.items()}
         if set(self.weights) != vset:
             raise SurfaceError(
                 "weights do not cover the vertex set exactly",
@@ -173,20 +186,6 @@ class DualGraph:
                     "weights": {v: self.weights[v] for v in sorted(self.weights)}
                 },
             )
-
-    def _connected(self) -> bool:
-        nbrs: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        stack = [self.vertices[0]]
-        seen = {self.vertices[0]}
-        while stack:
-            for w in nbrs[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
 
     def __eq__(self, other):
         return (
@@ -384,42 +383,31 @@ def ade_recognize(
             precondition="the component is a tree",
             witness={"vertices": n, "edges": len(edges)},
         )
-    stack, seen = [vertices[0]], {vertices[0]}
-    while stack:
-        for w in nbrs[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n:
+    reached = len(_component(vertices[0], nbrs))
+    if reached != n:
         raise SurfaceError(
             "shape is not connected",
             precondition="the component is connected",
-            witness={"reached": len(seen), "vertices": n},
+            witness={"reached": reached, "vertices": n},
         )
+    return _ade_shape(vertices, nbrs)
 
-    degrees = {v: len(nbrs[v]) for v in vertices}
-    branch = [v for v in vertices if degrees[v] >= 3]
+
+def _ade_shape(vertices: Sequence[str], nbrs: Mapping[str, Sequence[str]]) -> ADEType:
+    """Dynkin type of a tree, from its degrees and its branch vertex's arms."""
+    branch = [v for v in vertices if len(nbrs[v]) >= 3]
     if not branch:
-        return ADEType("A", n)
-    if len(branch) > 1 or degrees[branch[0]] > 3:
+        return ADEType("A", len(vertices))
+    if len(branch) > 1 or len(nbrs[branch[0]]) > 3:
         raise SurfaceError(
             "not ADE: the tree is not a path or a single three-armed star",
             precondition="ADE shape",
             witness={"branch_vertices": sorted(branch)},
         )
     center = branch[0]
-    arms = []
-    for first in nbrs[center]:
-        length = 1
-        prev, cur = center, first
-        while True:
-            nxt = [w for w in nbrs[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
+    # without the centre, each arm is a path component of the tree
+    rest = set(vertices) - {center}
+    arms = sorted(len(_component(first, nbrs, rest)) for first in nbrs[center])
     a, b, c = arms
     if (a, b) == (1, 1):
         return ADEType("D", c + 3)
@@ -469,25 +457,20 @@ def decompose(graph: DualGraph, contracted: Iterable[str]) -> Decomposition:
                 precondition="contracted vertices have weight -2",
                 witness={"vertex": v, "weight": graph.weights[v]},
             )
-    remaining = [v for v in graph.vertices if v in sset]
-    seen: set[str] = set()
-    pieces: list[tuple[ADEType, tuple[str, ...]]] = []
-    for start in remaining:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            for w in graph.adjacency[stack.pop()]:
-                if w in sset and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comp_vertices = tuple(v for v in graph.vertices if v in comp)
-        comp_edges = [
-            (u, v) for u, v in graph.edges if u in comp and v in comp
-        ]
-        pieces.append((ade_recognize(comp_vertices, comp_edges), comp_vertices))
+    # one pass in graph order; a component opens at its first vertex
+    component_of: dict[str, list[str]] = {}
+    components: list[list[str]] = []
+    for v in graph.vertices:
+        if v in sset:
+            if v not in component_of:
+                components.append([])
+                for w in _component(v, graph.adjacency, sset):
+                    component_of[w] = components[-1]
+            component_of[v].append(v)
+    pieces = []
+    for comp in components:
+        nbrs = {v: [w for w in graph.adjacency[v] if w in sset] for v in comp}
+        pieces.append((_ade_shape(comp, nbrs), tuple(comp)))
     pieces.sort(key=lambda p: (p[0].family, p[0].rank, p[1]))
     return Decomposition(
         blocks=tuple(p[0] for p in pieces),

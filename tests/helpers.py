@@ -364,6 +364,27 @@ def adjacency_of(vertices, edges) -> dict:
     return nbrs
 
 
+def induced_components(vertices, edges, inside) -> list[tuple]:
+    """Components of the subgraph induced on ``inside``, by breadth-first
+    search; each lists its vertices in the order of ``vertices``."""
+    nbrs = adjacency_of(vertices, edges)
+    root = {}
+    for start in vertices:
+        if start in inside and start not in root:
+            root[start] = start
+            queue = [start]
+            for u in queue:
+                for w in nbrs[u]:
+                    if w in inside and w not in root:
+                        root[w] = start
+                        queue.append(w)
+    return [
+        tuple(v for v in vertices if root.get(v) == r)
+        for r in vertices
+        if root.get(r) == r
+    ]
+
+
 def violates_anti_nef(z, vertices, adjacency, weights) -> bool:
     """True when some curve meets the cycle positively."""
     return any(

@@ -28,6 +28,12 @@ ILLUSTRATIVE_CYCLES = {
     ]
 }
 
+EXIT_ZERO_CASES = [
+    path.name
+    for path in sorted(CORPUS.glob("*.json"))
+    if json.loads(path.read_text(encoding="utf-8")).get("exit", 0) == 0
+]
+
 NON_GENTLE = "vertices 1 2;\narrow a: 1 -> 2;\narrow b: 1 -> 2;\narrow c: 1 -> 2;\n"
 
 
@@ -398,6 +404,15 @@ class TestShippedCorpus:
         code, out, _ = invoke(capsys, ["corpus", str(CORPUS), "--format", "text"])
         assert code == 0
         assert out.rstrip("\n").splitlines()[-1] == "17 passed, 0 failed"
+
+    @pytest.mark.parametrize("name", EXIT_ZERO_CASES)
+    def test_stdout_is_the_expectation_byte_for_byte(self, name, monkeypatch, capsys):
+        # run_corpus compares parsed JSON, which cannot see key order
+        case = json.loads((CORPUS / name).read_text(encoding="utf-8"))
+        monkeypatch.chdir(CORPUS)
+        code, out, _ = invoke(capsys, case["argv"])
+        assert code == 0
+        assert out == json.dumps(case["expect"], ensure_ascii=False, indent=2) + "\n"
 
 
 def readme_commands():

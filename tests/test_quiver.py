@@ -255,7 +255,17 @@ PARSE_ERRORS = [
      "unknown statement 'widget'", 2, 1),
     ("vertices 1;\r\n\r\n  vertex 2;",
      "unknown statement 'vertex'", 3, 3),
+    # names Presentation refuses keep its message and precondition
+    ("vertices 1 a:b;",
+     "invalid vertex name 'a:b'", 1, 12),
+    ("# names\nvertices 1\ta\xa0b;",
+     "invalid vertex name 'a\\xa0b'", 2, 12),
+    ("vertices 1 2; arrow a:: 1 -> 2;",
+     "invalid arrow name 'a:'", 1, 21),
+    ("vertices 1 2;\r\n  arrow a\xa0b: 1 -> 2;",
+     "invalid arrow name 'a\\xa0b'", 2, 9),
 ]
+NAME_RULE = "names contain no whitespace, ';', ':' or '#' and are not '->'"
 
 
 class TestParseErrorPositions:
@@ -266,7 +276,9 @@ class TestParseErrorPositions:
         error = info.value
         assert error.message == f"{message} (line {line}, column {column})"
         assert (error.line, error.column) == (line, column)
-        assert error.precondition == "well-formed presentation text"
+        well_formed = "well-formed presentation text"
+        rule = NAME_RULE if message.startswith("invalid ") else well_formed
+        assert error.precondition == rule
         assert error.witness == {"line": line, "column": column}
 
     @settings(max_examples=300, deadline=None)

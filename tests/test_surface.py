@@ -512,6 +512,37 @@ class TestDecompose:
             decompose(g, ["3"])
 
 
+class TestDecomposeMatchesRecognition:
+    def test_every_contraction_of_small_definite_trees(self):
+        """On every definite tree with n <= 6 and weights in {-2, -3}, and
+        every set of its (-2)-curves, decompose finds the components a plain
+        breadth-first search finds and types each as ade_recognize does."""
+        contractions = 0
+        for n in range(1, 7):
+            for shape in helpers.tree_shapes(n):
+                # graph order runs against name order
+                vertices = [str(i) for i in reversed(range(n))]
+                edges = [(str(u), str(v)) for u, v in shape]
+                for values in itertools.product((-2, -3), repeat=n):
+                    weights = dict(zip(vertices, values))
+                    matrix = intersection_matrix(vertices, edges, weights)
+                    if not helpers.oracle_negative_definite(matrix):
+                        continue
+                    graph = DualGraph(vertices, edges, weights)
+                    minus_two = [v for v in vertices if weights[v] == -2]
+                    for k in range(len(minus_two) + 1):
+                        for subset in itertools.combinations(minus_two, k):
+                            contractions += 1
+                            dec = decompose(graph, subset)
+                            assert sorted(dec.component_vertices) == sorted(
+                                helpers.induced_components(vertices, edges, subset)
+                            )
+                            for block, comp in zip(dec.blocks, dec.component_vertices):
+                                induced = [e for e in edges if set(e) <= set(comp)]
+                                assert block == ade_recognize(comp, induced)
+        assert contractions == 4552
+
+
 class TestADEMatchesDefiniteness:
     def test_minus_two_trees_up_to_nine_vertices(self):
         """A (-2)-tree is negative definite exactly when its shape is ADE."""
