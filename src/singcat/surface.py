@@ -210,26 +210,41 @@ def _laufer(
     rng: random.Random | None,
     guard: bool = True,
 ) -> dict[str, int]:
-    """Laufer's increment loop from Z = (1, ..., 1).
+    """Laufer's increment loop from Z = (1, ..., 1), driven by a worklist.
 
-    On unvalidated input the loop may diverge, so by default it gives up
-    after 64·n + 64 increments.  Callers holding a ``DualGraph`` pass
-    ``guard=False``: its form is negative definite, so the loop terminates,
-    and a near-degenerate form can need far more increments than that.
+    ``excess[v]`` is Z·E_v for the current Z, and ``pending`` lists exactly
+    the curves with ``excess > 0``.  A step raises one pending curve v by 1,
+    which adds w_v to its own excess and 1 to each neighbour's, so only v
+    and its neighbours can change state: a step costs O(deg v).  ``rng``
+    picks the curve uniformly from ``pending``, a list built in vertex and
+    adjacency order, so a seed gives the same run whatever the hash seed.
+    ``adjacency`` lists each curve's neighbours in a loop-free graph.
+
+    Every order of raises reaches the same Z (the minimal anti-nef cycle)
+    after Σz − n steps, so the step count does not depend on ``rng``.  On
+    unvalidated input the loop may diverge, so by default it gives up after
+    64·n + 64 steps.  Callers holding a ``DualGraph`` pass ``guard=False``:
+    its form is negative definite, so the loop terminates, and a
+    near-degenerate form can need far more steps than that.
     """
     z = {v: 1 for v in vertices}
+    excess = {v: weights[v] + len(adjacency[v]) for v in vertices}
+    pending = [v for v in vertices if excess[v] > 0]
     bound = 64 * len(vertices) + 64 if guard else None
     steps = 0
-    while True:
-        violators = [
-            v
-            for v in vertices
-            if weights[v] * z[v] + sum(z[u] for u in adjacency[v]) > 0
-        ]
-        if not violators:
-            return z
-        pick = violators[0] if rng is None else rng.choice(violators)
-        z[pick] += 1
+    while pending:
+        if rng is not None:
+            i = rng.randrange(len(pending))
+            pending[i], pending[-1] = pending[-1], pending[i]
+        v = pending.pop()
+        z[v] += 1
+        excess[v] += weights[v]
+        for u in adjacency[v]:
+            excess[u] += 1
+            if excess[u] == 1:
+                pending.append(u)
+        if excess[v] > 0:
+            pending.append(v)
         steps += 1
         if bound is not None and steps > bound:
             raise SurfaceError(
@@ -238,6 +253,7 @@ def _laufer(
                 precondition="negative definite intersection form",
                 witness={"iterations": steps},
             )
+    return z
 
 
 def fundamental_cycle(graph: DualGraph, seed: int | None = None) -> dict[str, int]:
@@ -365,15 +381,31 @@ def ade_recognize(
     """
     vertices = [str(v) for v in vertices]
     edges = [(str(u), str(v)) for u, v in edges]
-    vset = set(vertices)
-    nbrs: dict[str, list[str]] = {v: [] for v in vertices}
+    nbrs: dict[str, list[str]] = {}
+    for v in vertices:
+        if v in nbrs:
+            raise SurfaceError(
+                f"duplicate vertex {v}",
+                precondition="vertex names are distinct",
+                witness={"vertex": v},
+            )
+        nbrs[v] = []
+    seen = set()
     for u, v in edges:
-        if u not in vset or v not in vset or u == v:
+        if u not in nbrs or v not in nbrs or u == v:
             raise SurfaceError(
                 f"bad edge ({u}, {v})",
                 precondition="edges join distinct declared vertices",
                 witness={"edge": [u, v]},
             )
+        key = frozenset((u, v))
+        if key in seen:
+            raise SurfaceError(
+                f"duplicate edge ({u}, {v})",
+                precondition="the dual graph is a simple tree",
+                witness={"edge": [u, v]},
+            )
+        seen.add(key)
         nbrs[u].append(v)
         nbrs[v].append(u)
     n = len(vertices)

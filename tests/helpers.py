@@ -392,6 +392,35 @@ def violates_anti_nef(z, vertices, adjacency, weights) -> bool:
     )
 
 
+class OracleDiverged(Exception):
+    """``oracle_laufer`` took more than its step bound."""
+
+    def __init__(self, iterations: int):
+        super().__init__(f"no anti-nef cycle after {iterations} increments")
+        self.iterations = iterations
+
+
+def oracle_laufer(vertices, adjacency, weights, bound=None) -> dict:
+    """Laufer's loop by rescanning: from Z = (1, ..., 1), recompute Z·E_v
+    for every curve after each increment and raise the first violator in
+    vertex order.  Raises ``OracleDiverged`` once more than ``bound``
+    increments were needed."""
+    z = {v: 1 for v in vertices}
+    steps = 0
+    while True:
+        violators = [
+            v
+            for v in vertices
+            if weights[v] * z[v] + sum(z[u] for u in adjacency[v]) > 0
+        ]
+        if not violators:
+            return z
+        z[violators[0]] += 1
+        steps += 1
+        if bound is not None and steps > bound:
+            raise OracleDiverged(steps)
+
+
 # ---------------------------------------------------------------------------
 # dual graph fixtures
 

@@ -277,6 +277,103 @@ class TestLauferAlgorithm:
                         ), (weights, edges, w, z)
 
 
+def _guarded_outcomes(vertices, adjacency, weights, seeds):
+    """Under the 64·n + 64 step guard: the oracle's outcome, then
+    ``_laufer``'s without a seed and with each seed.  An outcome is the
+    cycle's items in key order, or the witness of the step count at which
+    the loop gave up."""
+    bound = 64 * len(vertices) + 64
+    try:
+        z = helpers.oracle_laufer(vertices, adjacency, weights, bound)
+        outcomes = [list(z.items())]
+    except helpers.OracleDiverged as exc:
+        outcomes = [{"iterations": exc.iterations}]
+    for rng in [None] + [random.Random(seed) for seed in seeds]:
+        try:
+            outcomes.append(list(_laufer(vertices, adjacency, weights, rng).items()))
+        except SurfaceError as exc:
+            outcomes.append(exc.witness)
+    return outcomes
+
+
+class TestLauferMatchesOracle:
+    """The worklist loop against the rescanning ``helpers.oracle_laufer``."""
+
+    def test_every_small_definite_sweep_candidate(self):
+        definite = 0
+        for n in range(1, 7):
+            for shape in helpers.tree_shapes(n):
+                vertices = [str(i) for i in range(n)]
+                edges = [(str(u), str(v)) for u, v in shape]
+                adjacency = helpers.adjacency_of(vertices, edges)
+                for values in itertools.product(SWEEP_WEIGHTS, repeat=n):
+                    weights = dict(zip(vertices, values))
+                    if not is_negative_definite(vertices, edges, weights):
+                        continue
+                    definite += 1
+                    expected = helpers.oracle_laufer(vertices, adjacency, weights)
+                    for rng in (None, random.Random(definite)):
+                        z = _laufer(vertices, adjacency, weights, rng)
+                        assert list(z.items()) == list(expected.items())
+        assert definite > 0
+
+    def test_corpus_witness(self):
+        g = parse_dual_graph(LAUFER_WITNESS)
+        expected = helpers.oracle_laufer(g.vertices, g.adjacency, g.weights)
+        assert list(fundamental_cycle(g).items()) == list(expected.items())
+        for seed in range(20):
+            assert fundamental_cycle(g, seed=seed) == expected
+
+    @pytest.mark.parametrize("tree_seed", range(40))
+    def test_random_trees(self, tree_seed):
+        rng = random.Random(tree_seed)
+        n = rng.randint(1, 40)
+        vertices = [f"v{i}" for i in range(n)]
+        edges = [(vertices[rng.randrange(i)], vertices[i]) for i in range(1, n)]
+        weights = {v: rng.randint(-5, -2) for v in vertices}
+        adjacency = helpers.adjacency_of(vertices, edges)
+        outcomes = _guarded_outcomes(vertices, adjacency, weights, range(20))
+        assert all(outcome == outcomes[0] for outcome in outcomes)
+
+    @pytest.mark.parametrize(
+        "leaves, expected",
+        [
+            (4, [("c", 2), ("l1", 1), ("l2", 1), ("l3", 1), ("l4", 1)]),
+            (6, {"iterations": 64 * 7 + 65}),
+        ],
+    )
+    def test_affine_and_divergent_stars(self, leaves, expected):
+        vertices, edges, weights = helpers.star_parts(-2, leaves)
+        adjacency = helpers.adjacency_of(vertices, edges)
+        outcomes = _guarded_outcomes(vertices, adjacency, weights, range(20))
+        assert outcomes == [expected] * len(outcomes)
+
+
+class TestLauferScale:
+    """Closed forms at n = 2,000, called on raw adjacencies: building a
+    ``DualGraph`` would spend its time in the cubic definiteness check."""
+
+    N = 2000
+
+    def test_d_n(self):
+        # chain 0 - 1 - ... - (n-2) with a second leaf n-1 on vertex n-3
+        n = self.N
+        vertices = [str(i) for i in range(n)]
+        edges = [(str(i), str(i + 1)) for i in range(n - 2)]
+        edges.append((str(n - 3), str(n - 1)))
+        adjacency = helpers.adjacency_of(vertices, edges)
+        z = _laufer(vertices, adjacency, dict.fromkeys(vertices, -2), None, guard=False)
+        assert [z[v] for v in vertices] == [1] + [2] * (n - 3) + [1, 1]
+
+    def test_a_n(self):
+        n = self.N
+        vertices = [str(i) for i in range(n)]
+        edges = [(str(i), str(i + 1)) for i in range(n - 1)]
+        adjacency = helpers.adjacency_of(vertices, edges)
+        z = _laufer(vertices, adjacency, dict.fromkeys(vertices, -2), None, guard=False)
+        assert z == dict.fromkeys(vertices, 1)
+
+
 class TestSpecialModules:
     def test_ranks_follow_the_fundamental_cycle(self):
         for graph in (helpers.m25_graph(), helpers.g2719_graph()):
@@ -448,9 +545,27 @@ class TestADERecognition:
             )
 
     def test_not_connected(self):
-        # right edge count, but one edge repeated leaves vertex 3 unreached
+        # right edge count, but a triangle leaves vertex 4 unreached
         with pytest.raises(SurfaceError, match="not connected"):
-            ade_recognize(["1", "2", "3"], [("1", "2"), ("1", "2")])
+            ade_recognize(
+                ["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "1")]
+            )
+
+    def test_duplicate_vertex(self):
+        with pytest.raises(SurfaceError, match="duplicate vertex a") as info:
+            ade_recognize(["a", "a", "b"], [("a", "b"), ("a", "b")])
+        assert info.value.precondition == "vertex names are distinct"
+        assert info.value.witness == {"vertex": "a"}
+
+    @pytest.mark.parametrize(
+        "edges", [[("a", "b"), ("a", "b")], [("a", "b"), ("b", "a")]]
+    )
+    def test_duplicate_edge(self, edges):
+        u, v = edges[1]
+        with pytest.raises(SurfaceError, match="duplicate edge") as info:
+            ade_recognize(["a", "b", "c"], edges)
+        assert info.value.precondition == "the dual graph is a simple tree"
+        assert info.value.witness == {"edge": [u, v]}
 
     def test_bad_edges(self):
         with pytest.raises(SurfaceError, match="bad edge"):
