@@ -5,9 +5,11 @@ is a graded quiver: solid arrows in degree 0, one broken arrow of degree -1
 out of every vertex i, ending at the translate of i.  The differential of a
 broken arrow is the mesh sum at its source, with all coefficients 1: for
 every solid arrow a: i -> j it contains the composite b a, where b is the
-unique solid arrow from j to the translate of i.  The quiver tables are
-stored as data (vertex count, solid arrows, translation); differentials are
-always recomputed from the mesh rule.
+unique solid arrow from j to the vertex whose translate is i.  Every
+translation built here is an involution, so that vertex is also the
+translate of i.  The quiver tables are stored as data (vertex count, solid
+arrows, translation); differentials are always recomputed from the mesh
+rule.
 
 Odd parity quivers depend on the family in an irregular way (halved ranks,
 ladders with a folded tail); even parity quivers are plain double quivers of
@@ -310,7 +312,9 @@ def mesh_image(quiver: GradedQuiver, vertex: str) -> tuple[tuple[str, str], ...]
     """Mesh sum at a vertex: application-order label pairs, sorted for display.
 
     For each solid a: vertex -> j the summand is (a, b) with b the unique
-    solid arrow j -> translate(vertex); coefficients are all 1.
+    solid arrow from j to the vertex whose translate is ``vertex`` (the
+    translate itself, as every translation here is an involution);
+    coefficients are all 1.
     """
     vertex = str(vertex)
     if vertex not in quiver.translation:

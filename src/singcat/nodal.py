@@ -17,7 +17,7 @@ block) parse to the empty sum, so Hom against them is 0.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence, Union
 
 from .quiver import INT_DIGITS, Arrow, Path, Presentation, SingcatError, compose
@@ -68,60 +68,71 @@ def delta(n: int, sign: str) -> str:
     return _check_sign(sign) if n % 2 == 0 else flip(sign)
 
 
+def _check_int(name: str, value) -> None:
+    # type(), not isinstance: a bool is not a length or a shift
+    if type(value) is not int:
+        raise NodalError(
+            f"{name} must be an integer, got {value!r}",
+            precondition=f"{name} is an int",
+            witness={name: repr(value)},
+        )
+
+
+def _check_length(length) -> None:
+    _check_int("length", length)
+    if length < 1:
+        raise NodalError(
+            f"string length must be positive, got {length}",
+            precondition="length >= 1",
+            witness={"length": length},
+        )
+
+
+class _Shiftable:
+    def shifted(self, k: int):
+        """The same object with its shift raised by k."""
+        _check_int("shift", k)
+        return replace(self, shift=self.shift + k)
+
+
 @dataclass(frozen=True)
-class NodalProjective:
+class NodalProjective(_Shiftable):
     sign: str
     shift: int = 0
 
     def __post_init__(self):
         _check_sign(self.sign)
-
-    def shifted(self, k: int) -> "NodalProjective":
-        return NodalProjective(self.sign, self.shift + k)
+        _check_int("shift", self.shift)
 
 
 @dataclass(frozen=True)
-class NodalString:
+class NodalString(_Shiftable):
     sign: str
     length: int
     shift: int = 0
 
     def __post_init__(self):
         _check_sign(self.sign)
-        if self.length < 1:
-            raise NodalError(
-                f"string length must be positive, got {self.length}",
-                precondition="length >= 1",
-                witness={"length": self.length},
-            )
-
-    def shifted(self, k: int) -> "NodalString":
-        return NodalString(self.sign, self.length, self.shift + k)
+        _check_length(self.length)
+        _check_int("shift", self.shift)
 
 
 @dataclass(frozen=True)
-class ZeroProjective:
+class ZeroProjective(_Shiftable):
     shift: int = 0
 
-    def shifted(self, k: int) -> "ZeroProjective":
-        return ZeroProjective(self.shift + k)
+    def __post_init__(self):
+        _check_int("shift", self.shift)
 
 
 @dataclass(frozen=True)
-class ZeroString:
+class ZeroString(_Shiftable):
     length: int
     shift: int = 0
 
     def __post_init__(self):
-        if self.length < 1:
-            raise NodalError(
-                f"string length must be positive, got {self.length}",
-                precondition="length >= 1",
-                witness={"length": self.length},
-            )
-
-    def shifted(self, k: int) -> "ZeroString":
-        return ZeroString(self.length, self.shift + k)
+        _check_length(self.length)
+        _check_int("shift", self.shift)
 
 
 NodalIndecomposable = Union[NodalProjective, NodalString]
@@ -232,8 +243,7 @@ class StringComplex:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        l = len(self.terms) - 2
-        return tuple(range(-(l + 1), 1))
+        return tuple(range(1 - len(self.terms), 1))
 
 
 def _nodal_path(display: str) -> Path:
@@ -248,33 +258,20 @@ def minimal_string_complex(sign: str, length: int) -> StringComplex:
     sign for odd l.
     """
     tau = _check_sign(sign)
+    _check_length(length)
     l = length
-    if l < 1:
-        raise NodalError(
-            f"string length must be positive, got {l}",
-            precondition="length >= 1",
-            witness={"length": l},
-        )
     sigma = tau if l % 2 == 0 else flip(tau)
     terms = (f"P{sigma}",) + ("P*",) * l + (f"P{tau}",)
-    diffs: list[str] = [""] * (l + 1)
-    diffs[l] = "γ" if tau == PLUS else "α"
-    pair = "αβ" if tau == PLUS else "γδ"
-    for j in range(l - 1, 0, -1):
-        diffs[j] = pair
-        pair = "γδ" if pair == "αβ" else "αβ"
-    diffs[0] = "δ" if sigma == PLUS else "β"
+    # the maps between P_* terms alternate, counted from the right end
+    pairs = ("αβ", "γδ") if tau == PLUS else ("γδ", "αβ")
+    middle = [pairs[(l - 1 - j) % 2] for j in range(1, l)]
+    diffs = ["δ" if sigma == PLUS else "β", *middle, "γ" if tau == PLUS else "α"]
     return StringComplex(terms, tuple(_nodal_path(d) for d in diffs))
 
 
 def zero_string_complex(length: int) -> StringComplex:
     """Projective presentation of S(length) in the zero-dimensional block."""
-    if length < 1:
-        raise NodalError(
-            f"string length must be positive, got {length}",
-            precondition="length >= 1",
-            witness={"length": length},
-        )
+    _check_length(length)
     terms = ("P2",) + ("P1",) * length + ("P2",)
     displays = ["a"] + ["ba"] * (length - 1) + ["b"]
     paths = tuple(
@@ -311,37 +308,30 @@ class K0Class(NamedTuple):
         return K0Class(self.plus + other[0], self.minus + other[1])
 
 
-def _sign_of_degree(deg: int) -> int:
-    return 1 if deg % 2 == 0 else -1
-
-
 def k0_class(obj) -> K0Class:
-    """Class in K0 of the nodal block, basis ([P_+], [P_-])."""
+    """Class in K0 of the nodal block, basis ([P_+], [P_-]).
+
+    A shift by n multiplies a class by (-1)^n.  S_tau(l) is read off its
+    minimal complex: the l middle terms P_* have class 0, and the end terms
+    P_sigma (degree -(l+1)) and P_tau (degree 0) give (-1)^(l+1)[P_sigma] +
+    [P_tau].  For odd l, sigma is the opposite sign, so the class is
+    [P_+] + [P_-] = (1, 1); for even l, sigma = tau and the ends cancel.
+    """
     if isinstance(obj, (list, tuple)):
         total = K0Class(0, 0)
         for summand in obj:
             total = total + k0_class(summand)
         return total
-    if isinstance(obj, NodalProjective):
-        s = _sign_of_degree(obj.shift)
-        return K0Class(s, 0) if obj.sign == PLUS else K0Class(0, s)
+    if not isinstance(obj, (NodalProjective, NodalString)):
+        raise NodalError(
+            f"no K0 class for {obj!r}",
+            precondition="object is a nodal indecomposable or a list of them",
+            witness={"object": repr(obj)},
+        )
+    s = -1 if obj.shift % 2 else 1
     if isinstance(obj, NodalString):
-        cx = minimal_string_complex(obj.sign, obj.length)
-        total = K0Class(0, 0)
-        for j, term in enumerate(cx.terms):
-            deg = -(obj.length + 1) + j
-            s = _sign_of_degree(deg)
-            if term == "P+":
-                total = total + K0Class(s, 0)
-            elif term == "P-":
-                total = total + K0Class(0, s)
-        s = _sign_of_degree(obj.shift)
-        return K0Class(s * total.plus, s * total.minus)
-    raise NodalError(
-        f"no K0 class for {obj!r}",
-        precondition="object is a nodal indecomposable or a list of them",
-        witness={"object": repr(obj)},
-    )
+        return K0Class(s, s) if obj.length % 2 else K0Class(0, 0)
+    return K0Class(s, 0) if obj.sign == PLUS else K0Class(0, s)
 
 
 # ---------------------------------------------------------------------------
@@ -403,21 +393,10 @@ def ar_window(
     comp_sign = PLUS if component.endswith("plus") else MINUS
 
     if component.startswith("projective"):
-        members = [
-            NodalProjective(delta(n, comp_sign), n) for n in range(lo, hi + 1)
+        names = [
+            _with_shift(f"P{delta(n, comp_sign)}", n) for n in range(lo, hi + 1)
         ]
-        inside = {(m.sign, m.shift) for m in members}
-        solid = [
-            (format_object(m), format_object(NodalProjective(flip(m.sign), m.shift - 1)))
-            for m in members
-            if (flip(m.sign), m.shift - 1) in inside
-        ]
-        return ARWindow(
-            component,
-            tuple(format_object(m) for m in members),
-            tuple(solid),
-            (),
-        )
+        return ARWindow(component, tuple(names), tuple(zip(names[1:], names)), ())
 
     if maxlen is None or maxlen < 1:
         raise NodalError(
@@ -426,39 +405,21 @@ def ar_window(
             precondition="maxlen >= 1 for string components",
             witness={"maxlen": maxlen},
         )
-    members = [
-        NodalString(delta(n, comp_sign), l, n)
+    # the member at (l, n) has sign delta_n(comp_sign), so an arrow stays in
+    # the component exactly when its other end's (l, n) is in the grid
+    grid = {
+        (l, n): _with_shift(f"S{delta(n, comp_sign)}({l})", n)
         for n in range(lo, hi + 1)
         for l in range(1, maxlen + 1)
-    ]
-    inside = {(m.sign, m.length, m.shift) for m in members}
+    }
     solid: list[tuple[str, str]] = []
     dashed: list[tuple[str, str]] = []
-    for m in members:
-        if m.length >= 2 and (m.sign, m.length - 1, m.shift) in inside:
-            solid.append(
-                (format_object(m), format_object(NodalString(m.sign, m.length - 1, m.shift)))
-            )
-        if (flip(m.sign), m.length + 1, m.shift - 1) in inside:
-            solid.append(
-                (
-                    format_object(m),
-                    format_object(NodalString(flip(m.sign), m.length + 1, m.shift - 1)),
-                )
-            )
-        if (flip(m.sign), m.length, m.shift + 1) in inside:
-            dashed.append(
-                (
-                    format_object(m),
-                    format_object(NodalString(flip(m.sign), m.length, m.shift + 1)),
-                )
-            )
-    return ARWindow(
-        component,
-        tuple(format_object(m) for m in members),
-        tuple(solid),
-        tuple(dashed),
-    )
+    for (l, n), name in grid.items():
+        ends = (((l - 1, n), solid), ((l + 1, n - 1), solid), ((l, n + 1), dashed))
+        for end, arrows in ends:
+            if end in grid:
+                arrows.append((name, grid[end]))
+    return ARWindow(component, tuple(grid.values()), tuple(solid), tuple(dashed))
 
 
 def ar_translate(obj: NodalIndecomposable) -> NodalIndecomposable:
@@ -475,11 +436,7 @@ def ar_translate(obj: NodalIndecomposable) -> NodalIndecomposable:
 # ---------------------------------------------------------------------------
 # object notation
 
-_P_NODAL_RE = re.compile(r"^P([+-])(?:\[(-?\d+)\])?$")
-_S_NODAL_RE = re.compile(r"^S([+-])\((\d+)\)(?:\[(-?\d+)\])?$")
-_P_ZERO_RE = re.compile(r"^P([12])(?:\[(-?\d+)\])?$")
-_S_ZERO_RE = re.compile(r"^S\((\d+)\)(?:\[(-?\d+)\])?$")
-_P_STAR_RE = re.compile(r"^P\*(?:\[(-?\d+)\])?$")
+_OBJECT_RE = re.compile(r"^(?:P([+\-12*])|S([+-]?)\((\d+)\))(?:\[(-?\d+)\])?$")
 
 
 def _integer(digits: str | None, part: str) -> int:
@@ -513,37 +470,25 @@ def parse_object(text: str) -> list:
                 precondition="summands are non-empty",
                 witness={"object": text},
             )
-        if _P_STAR_RE.match(part):
-            continue
-        m = _P_NODAL_RE.match(part)
-        if m:
-            summands.append(NodalProjective(m.group(1), _integer(m.group(2), part)))
-            continue
-        m = _S_NODAL_RE.match(part)
-        if m:
-            summands.append(
-                NodalString(
-                    m.group(1), _integer(m.group(2), part), _integer(m.group(3), part)
-                )
+        m = _OBJECT_RE.match(part)
+        if not m:
+            raise NodalError(
+                f"cannot parse object {part!r}",
+                precondition="objects look like P+[n], S-(l)[n], P2[n] or S(l)[n]",
+                witness={"object": part},
             )
+        projective, sign, length, shift = m.groups()
+        if projective in ("*", "1"):
             continue
-        m = _P_ZERO_RE.match(part)
-        if m:
-            if m.group(1) == "1":
-                continue
-            summands.append(ZeroProjective(_integer(m.group(2), part)))
-            continue
-        m = _S_ZERO_RE.match(part)
-        if m:
-            summands.append(
-                ZeroString(_integer(m.group(1), part), _integer(m.group(2), part))
-            )
-            continue
-        raise NodalError(
-            f"cannot parse object {part!r}",
-            precondition="objects look like P+[n], S-(l)[n], P2[n] or S(l)[n]",
-            witness={"object": part},
-        )
+        if projective in (PLUS, MINUS):
+            obj = NodalProjective(projective, _integer(shift, part))
+        elif projective:
+            obj = ZeroProjective(_integer(shift, part))
+        elif sign:
+            obj = NodalString(sign, _integer(length, part), _integer(shift, part))
+        else:
+            obj = ZeroString(_integer(length, part), _integer(shift, part))
+        summands.append(obj)
     return summands
 
 
@@ -564,4 +509,8 @@ def format_object(obj) -> str:
             precondition="object is a block indecomposable",
             witness={"object": repr(obj)},
         )
-    return base if obj.shift == 0 else f"{base}[{obj.shift}]"
+    return _with_shift(base, obj.shift)
+
+
+def _with_shift(base: str, shift: int) -> str:
+    return base if shift == 0 else f"{base}[{shift}]"

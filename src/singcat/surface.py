@@ -70,13 +70,50 @@ def _leading_minors(matrix: list[list[int]]) -> list[int] | None:
     return minors
 
 
+def _check_weight(v: str, w) -> None:
+    # type(), not isinstance: a bool is not a weight
+    if type(w) is not int:
+        raise SurfaceError(
+            f"vertex {v} has weight {w!r}, not an integer",
+            precondition="weights are ints",
+            witness={"vertex": v, "weight": repr(w)},
+        )
+
+
 def is_negative_definite(
     vertices: Sequence[str],
     edges: Iterable[tuple[str, str]],
     weights: Mapping[str, int],
 ) -> bool:
-    """Exact test: leading principal minors alternate in sign, starting < 0."""
-    minors = _leading_minors(intersection_matrix(vertices, list(edges), weights))
+    """Exact test: leading principal minors alternate in sign, starting < 0.
+
+    Raises ``SurfaceError`` unless the vertices are distinct, each has an
+    ``int`` weight, and every edge joins declared vertices.
+    """
+    declared = set(vertices)
+    if len(declared) != len(vertices):
+        raise SurfaceError(
+            "duplicate vertex in dual graph",
+            precondition="vertex names are distinct",
+            witness={"vertices": list(vertices)},
+        )
+    for v in vertices:
+        if v not in weights:
+            raise SurfaceError(
+                f"vertex {v} has no weight",
+                precondition="every vertex has a weight",
+                witness={"vertex": v},
+            )
+        _check_weight(v, weights[v])
+    edges = list(edges)
+    for u, v in edges:
+        if u not in declared or v not in declared:
+            raise SurfaceError(
+                f"edge ({u}, {v}) uses an undeclared vertex",
+                precondition="edge endpoints are declared vertices",
+                witness={"edge": [u, v]},
+            )
+    minors = _leading_minors(intersection_matrix(vertices, edges, weights))
     if minors is None:
         return False
     for k, d in enumerate(minors, start=1):
@@ -115,7 +152,7 @@ class DualGraph:
         self.edges: tuple[tuple[str, str], ...] = tuple(
             (str(u), str(v)) for u, v in edges
         )
-        self.weights: dict[str, int] = {str(v): int(w) for v, w in weights.items()}
+        self.weights: dict[str, int] = {str(v): w for v, w in weights.items()}
         self._validate()
 
     def _validate(self):
@@ -172,6 +209,7 @@ class DualGraph:
                 witness={"weighted": sorted(self.weights), "vertices": sorted(vset)},
             )
         for v, w in self.weights.items():
+            _check_weight(v, w)
             if w > -2:
                 raise SurfaceError(
                     f"vertex {v} has weight {w}",
@@ -390,6 +428,11 @@ def ade_recognize(
                 witness={"vertex": v},
             )
         nbrs[v] = []
+    if not vertices:
+        raise SurfaceError(
+            "shape needs at least one vertex",
+            precondition="at least one exceptional curve",
+        )
     seen = set()
     for u, v in edges:
         if u not in nbrs or v not in nbrs or u == v:

@@ -261,7 +261,7 @@ def test_criterion_10():
         z = surface.fundamental_cycle(star)
         assert sorted(z.values(), reverse=True) == [2, 1, 1, 1]
 
-        candidates = 0
+        candidates = indefinite = 0
         for n in range(1, 9):
             for shape in helpers.tree_shapes(n):
                 vertices = [str(i) for i in range(n)]
@@ -270,9 +270,14 @@ def test_criterion_10():
                 for values in itertools.product((-2, -3, -4), repeat=n):
                     candidates += 1
                     weights = dict(zip(vertices, values))
-                    if not surface.is_negative_definite(vertices, edges, weights):
+                    # DualGraph decides definiteness itself; only that
+                    # precondition may reject a candidate
+                    try:
+                        graph = DualGraph(vertices, edges, weights)
+                    except SurfaceError as err:
+                        assert err.precondition == "negative definite intersection form"
+                        indefinite += 1
                         continue
-                    graph = DualGraph(vertices, edges, weights)
                     z = surface.fundamental_cycle(graph)
                     assert all(z[v] >= 1 for v in vertices)
                     assert not helpers.violates_anti_nef(
@@ -287,6 +292,7 @@ def test_criterion_10():
                             lowered, vertices, adjacency, weights
                         ), (weights, edges, v)
         assert candidates == 180264
+        assert indefinite == 9489
 
 
 def test_criterion_11():

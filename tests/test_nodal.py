@@ -249,6 +249,50 @@ class TestStringComplexes:
             NodalString(PLUS, 0)
 
 
+class TestIntegerArguments:
+    """Lengths and shifts are ints; anything else is refused on construction."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: NodalString(PLUS, 2.5),
+            lambda: NodalString(PLUS, "3"),
+            lambda: NodalString(PLUS, True),
+            lambda: ZeroString(2.0),
+            lambda: minimal_string_complex(PLUS, 2.5),
+            lambda: zero_string_complex("3"),
+        ],
+    )
+    def test_length(self, build):
+        with pytest.raises(NodalError, match="length must be an integer") as info:
+            build()
+        assert info.value.precondition == "length is an int"
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: NodalProjective(PLUS, "1"),
+            lambda: NodalProjective(MINUS, 0.5),
+            lambda: NodalString(PLUS, 2, None),
+            lambda: ZeroProjective(1.0),
+            lambda: ZeroString(2, "1"),
+            lambda: NodalProjective(PLUS).shifted("1"),
+        ],
+    )
+    def test_shift(self, build):
+        with pytest.raises(NodalError, match="shift must be an integer") as info:
+            build()
+        assert info.value.precondition == "shift is an int"
+
+    def test_witness_is_the_repr(self):
+        with pytest.raises(NodalError) as info:
+            NodalString(PLUS, 2.5)
+        assert info.value.witness == {"length": "2.5"}
+        with pytest.raises(NodalError) as info:
+            NodalProjective(PLUS, "1")
+        assert info.value.witness == {"shift": "'1'"}
+
+
 class TestK0:
     def test_rank_constant(self):
         assert NODAL_K0_RANK == 2
@@ -262,6 +306,17 @@ class TestK0:
     def test_pinned_string_classes(self):
         assert k0_class(NodalString(PLUS, 1)) == K0Class(1, 1)
         assert k0_class(NodalString(PLUS, 2)) == K0Class(0, 0)
+
+    def test_string_class_is_the_alternating_sum_of_its_complex(self):
+        # [S] = sum over the terms of (-1)^degree [term], with [P_*] = 0
+        basis = {"P+": (1, 0), "P-": (0, 1), "P*": (0, 0)}
+        for sign, length in itertools.product(SIGNS, range(1, 12)):
+            cx = minimal_string_complex(sign, length)
+            total = [0, 0]
+            for term, degree in zip(cx.terms, cx.degrees):
+                for i in (0, 1):
+                    total[i] += (-1) ** degree * basis[term][i]
+            assert k0_class(NodalString(sign, length)) == tuple(total)
 
     def test_matches_closed_form_oracle(self):
         for sign, length, shift in itertools.product(
@@ -345,6 +400,31 @@ class TestARComponents:
             ("S+(1)", "S-(1)[1]"),
             ("S+(2)", "S-(2)[1]"),
         }
+
+    def test_ordered_windows_are_pinned(self):
+        # vertices run shift-major, then by length; each vertex lists its
+        # arrow to the shorter string before the one to S(l + 1)[n - 1]
+        win = ar_window("string-minus", (-1, 0), maxlen=3)
+        assert win.vertices == (
+            "S+(1)[-1]", "S+(2)[-1]", "S+(3)[-1]", "S-(1)", "S-(2)", "S-(3)",
+        )
+        assert win.solid == (
+            ("S+(2)[-1]", "S+(1)[-1]"),
+            ("S+(3)[-1]", "S+(2)[-1]"),
+            ("S-(1)", "S+(2)[-1]"),
+            ("S-(2)", "S-(1)"),
+            ("S-(2)", "S+(3)[-1]"),
+            ("S-(3)", "S-(2)"),
+        )
+        assert win.dashed == (
+            ("S+(1)[-1]", "S-(1)"),
+            ("S+(2)[-1]", "S-(2)"),
+            ("S+(3)[-1]", "S-(3)"),
+        )
+        win = ar_window("projective-minus", (-1, 1))
+        assert win.vertices == ("P+[-1]", "P-", "P+[1]")
+        assert win.solid == (("P-", "P+[-1]"), ("P+[1]", "P-"))
+        assert win.dashed == ()
 
     def test_empty_window_is_empty(self):
         for component in ("string-plus", "projective-minus"):

@@ -98,6 +98,28 @@ class TestNegativeDefiniteness:
     def test_forest_without_edges(self):
         assert is_negative_definite(["a", "b"], [], {"a": -2, "b": -3})
 
+    def test_duplicate_vertex(self):
+        with pytest.raises(SurfaceError, match="duplicate vertex") as info:
+            is_negative_definite(["a", "a"], [], {"a": -2})
+        assert info.value.precondition == "vertex names are distinct"
+
+    def test_unweighted_vertex(self):
+        with pytest.raises(SurfaceError, match="vertex a has no weight") as info:
+            is_negative_definite(["a"], [], {})
+        assert info.value.precondition == "every vertex has a weight"
+        assert info.value.witness == {"vertex": "a"}
+
+    def test_undeclared_edge_endpoint(self):
+        with pytest.raises(SurfaceError, match="undeclared vertex") as info:
+            is_negative_definite(["a"], [("a", "z")], {"a": -2})
+        assert info.value.precondition == "edge endpoints are declared vertices"
+        assert info.value.witness == {"edge": ["a", "z"]}
+
+    def test_weights_are_ints(self):
+        with pytest.raises(SurfaceError, match="not an integer") as info:
+            is_negative_definite(["a"], [], {"a": -2.0})
+        assert info.value.precondition == "weights are ints"
+
 
 class TestDualGraphValidation:
     def test_valid_graph_builds_adjacency(self):
@@ -136,6 +158,13 @@ class TestDualGraphValidation:
             DualGraph(["1", "2"], [("1", "2")], {"1": -2})
         with pytest.raises(SurfaceError, match="cover the vertex set"):
             DualGraph(["1"], [], {"1": -2, "2": -3})
+
+    @pytest.mark.parametrize("weight", [-2.7, "x", None, "-2", True])
+    def test_weights_are_ints(self, weight):
+        with pytest.raises(SurfaceError, match="not an integer") as info:
+            DualGraph(["a"], [], {"a": weight})
+        assert info.value.precondition == "weights are ints"
+        assert info.value.witness == {"vertex": "a", "weight": repr(weight)}
 
     def test_weights_are_at_most_minus_two(self):
         with pytest.raises(SurfaceError, match="has weight -1"):
@@ -567,6 +596,11 @@ class TestADERecognition:
         assert info.value.precondition == "the dual graph is a simple tree"
         assert info.value.witness == {"edge": [u, v]}
 
+    def test_empty_shape(self):
+        with pytest.raises(SurfaceError, match="at least one vertex") as info:
+            ade_recognize([], [])
+        assert info.value.precondition == "at least one exceptional curve"
+
     def test_bad_edges(self):
         with pytest.raises(SurfaceError, match="bad edge"):
             ade_recognize(["1"], [("1", "9")])
@@ -656,28 +690,6 @@ class TestDecomposeMatchesRecognition:
                                 induced = [e for e in edges if set(e) <= set(comp)]
                                 assert block == ade_recognize(comp, induced)
         assert contractions == 4552
-
-
-class TestADEMatchesDefiniteness:
-    def test_minus_two_trees_up_to_nine_vertices(self):
-        """A (-2)-tree is negative definite exactly when its shape is ADE."""
-        per_size = []
-        for n in range(1, 10):
-            shapes = helpers.tree_shapes(n)
-            per_size.append(len(shapes))
-            for shape in shapes:
-                vertices = [str(i) for i in range(n)]
-                edges = [(str(u), str(v)) for u, v in shape]
-                weights = {v: -2 for v in vertices}
-                try:
-                    ade_recognize(vertices, edges)
-                    recognized = True
-                except SurfaceError:
-                    recognized = False
-                assert recognized == is_negative_definite(
-                    vertices, edges, weights
-                ), edges
-        assert per_size == [1, 1, 1, 2, 3, 6, 11, 23, 47]
 
 
 GRAPH_TEXT = """vertex 1 -2;
