@@ -65,6 +65,7 @@ def flip(sign: str) -> str:
 
 def delta(n: int, sign: str) -> str:
     """Sign twisted by the shift: identity for even n, swap for odd n."""
+    _check_int("shift", n)
     return _check_sign(sign) if n % 2 == 0 else flip(sign)
 
 
@@ -140,24 +141,33 @@ ZeroIndecomposable = Union[ZeroProjective, ZeroString]
 
 
 def hom_dim(x: NodalIndecomposable, y: NodalIndecomposable) -> int:
-    """Dimension of Hom(x, y) in the nodal block; always 0 or 1."""
-    if isinstance(x, NodalProjective) and isinstance(y, NodalProjective):
-        n = y.shift - x.shift
-        return int(n <= 0 and x.sign == delta(n, y.sign))
-    if isinstance(x, NodalProjective) and isinstance(y, NodalString):
-        n = x.shift - y.shift
-        return int(0 <= n < y.length and x.sign == delta(n, y.sign))
-    if isinstance(x, NodalString) and isinstance(y, NodalProjective):
-        n = y.shift - x.shift
-        return int(2 <= n <= x.length + 1 and y.sign != delta(n, x.sign))
-    if isinstance(x, NodalString) and isinstance(y, NodalString):
-        n = y.shift - x.shift
-        l, lp = x.length, y.length
-        if n <= 0 and 1 <= lp + n <= l and y.sign == delta(n, x.sign):
-            return 1
-        if n >= 2 and 1 <= l + 2 - n <= lp and y.sign != delta(n, x.sign):
-            return 1
-        return 0
+    """Dimension of Hom(x, y) in the nodal block; always 0 or 1.
+
+    The formulas compare signs through the shift twist, and
+    delta_n(s) = t exactly when (s == t) == (n is even), so the twist is read
+    off the parity of n instead of being applied.
+    """
+    if isinstance(x, NodalString):
+        if isinstance(y, NodalString):
+            n = y.shift - x.shift
+            # y.sign == delta(n, x.sign)
+            same = (x.sign == y.sign) == (n % 2 == 0)
+            if n <= 0:
+                return int(same and 1 <= y.length + n <= x.length)
+            return int(not same and n >= 2 and 1 <= x.length + 2 - n <= y.length)
+        if isinstance(y, NodalProjective):
+            n = y.shift - x.shift
+            # y.sign != delta(n, x.sign)
+            return int(2 <= n <= x.length + 1 and (x.sign == y.sign) != (n % 2 == 0))
+    elif isinstance(x, NodalProjective):
+        if isinstance(y, NodalProjective):
+            n = y.shift - x.shift
+            # x.sign == delta(n, y.sign)
+            return int(n <= 0 and (x.sign == y.sign) == (n % 2 == 0))
+        if isinstance(y, NodalString):
+            n = x.shift - y.shift
+            # x.sign == delta(n, y.sign)
+            return int(0 <= n < y.length and (x.sign == y.sign) == (n % 2 == 0))
     raise NodalError(
         f"not nodal objects: {x!r}, {y!r}",
         precondition="both arguments are nodal indecomposables",
@@ -167,18 +177,20 @@ def hom_dim(x: NodalIndecomposable, y: NodalIndecomposable) -> int:
 
 def hom_dim_zero(x: ZeroIndecomposable, y: ZeroIndecomposable) -> int:
     """Dimension of Hom(x, y) in the zero-dimensional block; always 0 or 1."""
-    if isinstance(x, ZeroProjective) and isinstance(y, ZeroProjective):
-        return int(y.shift - x.shift <= 0)
-    if isinstance(x, ZeroProjective) and isinstance(y, ZeroString):
-        n = x.shift - y.shift
-        return int(0 <= n < y.length)
-    if isinstance(x, ZeroString) and isinstance(y, ZeroProjective):
-        n = y.shift - x.shift
-        return int(2 <= n <= x.length + 1)
-    if isinstance(x, ZeroString) and isinstance(y, ZeroString):
-        n = y.shift - x.shift
-        l, lp = x.length, y.length
-        return int((n <= 0 and 0 < lp + n <= l) or (2 <= n <= l + 1 < n + lp))
+    if isinstance(x, ZeroString):
+        if isinstance(y, ZeroString):
+            n = y.shift - x.shift
+            l, lp = x.length, y.length
+            return int((n <= 0 and 0 < lp + n <= l) or (2 <= n <= l + 1 < n + lp))
+        if isinstance(y, ZeroProjective):
+            n = y.shift - x.shift
+            return int(2 <= n <= x.length + 1)
+    elif isinstance(x, ZeroProjective):
+        if isinstance(y, ZeroProjective):
+            return int(y.shift - x.shift <= 0)
+        if isinstance(y, ZeroString):
+            n = x.shift - y.shift
+            return int(0 <= n < y.length)
     raise NodalError(
         f"not zero-block objects: {x!r}, {y!r}",
         precondition="both arguments are zero-block indecomposables",
@@ -387,17 +399,18 @@ def ar_window(
             precondition=f"component is one of {', '.join(_AR_COMPONENTS)}",
             witness={"component": component},
         )
-    lo, hi = window
+    lo, hi = _window(window)
     if lo > hi:
         return ARWindow(component, (), (), ())
     comp_sign = PLUS if component.endswith("plus") else MINUS
+    twisted = (comp_sign, flip(comp_sign))  # delta_n(comp_sign), by parity of n
 
     if component.startswith("projective"):
-        names = [
-            _with_shift(f"P{delta(n, comp_sign)}", n) for n in range(lo, hi + 1)
-        ]
+        names = [_with_shift(f"P{twisted[n % 2]}", n) for n in range(lo, hi + 1)]
         return ARWindow(component, tuple(names), tuple(zip(names[1:], names)), ())
 
+    if maxlen is not None:
+        _check_int("maxlen", maxlen)
     if maxlen is None or maxlen < 1:
         raise NodalError(
             "string components are infinite in the length direction; "
@@ -408,7 +421,7 @@ def ar_window(
     # the member at (l, n) has sign delta_n(comp_sign), so an arrow stays in
     # the component exactly when its other end's (l, n) is in the grid
     grid = {
-        (l, n): _with_shift(f"S{delta(n, comp_sign)}({l})", n)
+        (l, n): _with_shift(f"S{twisted[n % 2]}({l})", n)
         for n in range(lo, hi + 1)
         for l in range(1, maxlen + 1)
     }
@@ -420,6 +433,22 @@ def ar_window(
             if end in grid:
                 arrows.append((name, grid[end]))
     return ARWindow(component, tuple(grid.values()), tuple(solid), tuple(dashed))
+
+
+def _window(window) -> tuple[int, int]:
+    try:
+        lo, hi = window
+    except (TypeError, ValueError):
+        pass
+    else:
+        # type(), not isinstance: a bool is not a shift
+        if type(lo) is int and type(hi) is int:
+            return lo, hi
+    raise NodalError(
+        f"window must be a pair of integers, got {window!r}",
+        precondition="window is a (lo, hi) pair of ints",
+        witness={"window": repr(window)},
+    )
 
 
 def ar_translate(obj: NodalIndecomposable) -> NodalIndecomposable:
@@ -458,6 +487,12 @@ def parse_object(text: str) -> list:
     the zero object, and the zero summands P* and P1 (which parse to no
     summands at all).
     """
+    if not isinstance(text, str):
+        raise NodalError(
+            f"object notation must be a string, got {text!r}",
+            precondition="object notation is a string",
+            witness={"object": repr(text)},
+        )
     text = text.strip()
     if text == "0":
         return []

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from typing import Container, Iterable, Sequence
 
-_NAME_RE = re.compile(r"^[^\s;:#]+$")
+_NAME_RE = re.compile(r"[^\s;:#]+")  # used with fullmatch
 
 
 class SingcatError(Exception):
@@ -115,7 +115,7 @@ _NAME_RULE = "names contain no whitespace, ';', ':' or '#' and are not '->'"
 
 
 def _check_name(name: str, kind: str):
-    if isinstance(name, str) and _NAME_RE.match(name) and name != "->":
+    if isinstance(name, str) and _NAME_RE.fullmatch(name) and name != "->":
         return
     is_str = isinstance(name, str)
     raise QuiverError(
@@ -125,14 +125,22 @@ def _check_name(name: str, kind: str):
     )
 
 
-def _field(build, field: str, shape: str) -> tuple:
-    """Run ``build`` and report a malformed constructor argument by name."""
+def _names_ok(names: Sequence) -> bool:
+    """True when ``_check_name`` accepts every name: one regex pass per list."""
+    try:
+        return all(map(_NAME_RE.fullmatch, names)) and "->" not in names
+    except TypeError:  # a name that is not a string
+        return False
+
+
+def _field(build, field: str, shape: str, error: type = QuiverError):
+    """Run ``build`` and report a malformed argument by name, as ``error``."""
     try:
         return build()
-    except (TypeError, ValueError):
-        raise QuiverError(
-            f"{field} is not a sequence of {shape}",
-            precondition=f"{field} is a sequence of {shape}",
+    except (TypeError, ValueError, AttributeError):
+        raise error(
+            f"{field} is not {shape}",
+            precondition=f"{field} is {shape}",
             witness={"field": field},
         ) from None
 
@@ -152,24 +160,28 @@ class Presentation:
         relations: Iterable[tuple[str, str]] = (),
     ):
         self.vertices: tuple[str, ...] = _field(
-            lambda: tuple(vertices), "vertices", "vertex names"
+            lambda: tuple(vertices), "vertices", "a sequence of vertex names"
         )
         self.arrows: tuple[Arrow, ...] = _field(
             lambda: tuple(a if isinstance(a, Arrow) else Arrow(*a) for a in arrows),
-            "arrows", "(label, source, target) triples",
+            "arrows", "a sequence of (label, source, target) triples",
         )
         self.relations: tuple[tuple[str, str], ...] = _field(
             lambda: tuple((str(a), str(b)) for a, b in relations),
-            "relations", "arrow label pairs",
+            "relations", "a sequence of arrow label pairs",
         )
         self._validate()
 
     def _validate(self):
         """Check every precondition and build the indices in the same pass."""
+        # a list with a bad name is checked name by name in the loops below,
+        # so the first violation in list order is the one reported
+        vertex_names_ok = _names_ok(self.vertices)
         outgoing: dict[str, list[Arrow]] = {}
         incoming: dict[str, list[Arrow]] = {}
         for v in self.vertices:
-            _check_name(v, "vertex")
+            if not vertex_names_ok:
+                _check_name(v, "vertex")
             if v in outgoing:
                 raise QuiverError(
                     f"duplicate vertex {v!r}",
@@ -178,9 +190,11 @@ class Presentation:
                 )
             outgoing[v] = []
             incoming[v] = []
+        labels_ok = _names_ok([a.label for a in self.arrows])
         by_label: dict[str, Arrow] = {}
         for a in self.arrows:
-            _check_name(a.label, "arrow")
+            if not labels_ok:
+                _check_name(a.label, "arrow")
             if a.label in by_label:
                 raise QuiverError(
                     f"duplicate arrow label {a.label!r}",
@@ -330,7 +344,10 @@ def path_in_ideal(path: Path, pres: Presentation) -> bool:
 
 
 _COMMENT_RE = re.compile(r"#[^\n]*")
-_WORD_RE = re.compile(r"[^ \t\r\n]+")
+# Words are separated by exactly these characters; other whitespace, such as
+# a no-break space, stays inside a word for the name check to refuse.  The
+# map is one character to one, so offsets survive it.
+_SEPARATORS = str.maketrans("\t\r\n", "   ")
 _ARROW_SHAPE = "expected 'arrow <label>: <src> -> <tgt>'"
 
 
@@ -343,6 +360,16 @@ def _parse_error(message: str, text: str, pos: int, **kw) -> ParseError:
     line_start = text.rfind("\n", 0, pos) + 1
     line = text.count("\n", 0, line_start) + 1
     return ParseError(message, line, pos - line_start + 1, **kw)
+
+
+def _word_starts(body: str) -> list[int]:
+    """Offsets of the words of a separator-normalised statement."""
+    starts, pos = [], 0
+    for piece in body.split(" "):
+        if piece:
+            starts.append(pos)
+        pos += len(piece) + 1
+    return starts
 
 
 def _split_relation_token(token: str, labels: Container[str]):
@@ -358,8 +385,9 @@ def _split_relation_token(token: str, labels: Container[str]):
 def parse_presentation(text: str) -> Presentation:
     """Read the text format statement by statement.
 
-    Comments are blanked in place, so every offset into the cleaned text is
-    an offset into ``text``; positions are worked out only for an error.
+    Comments are blanked in place and separators become spaces, so every
+    offset into the cleaned text is an offset into ``text``; positions are
+    worked out only for an error.
     """
     vertices: list[str] = []
     arrows: list[Arrow] = []
@@ -369,23 +397,20 @@ def parse_presentation(text: str) -> Presentation:
     labels: dict[str, Arrow] = {}
     label_at: dict[str, int] = {}  # label -> statement declaring it
 
-    clean = _COMMENT_RE.sub(_blank, text)
+    clean = _COMMENT_RE.sub(_blank, text).translate(_SEPARATORS)
     *bodies, tail = clean.split(";")
     # an unterminated final statement is reported before anything else
-    word = _WORD_RE.search(tail)
-    if word:
-        raise _parse_error(
-            "statement is not terminated by ';'", text, len(clean) - len(tail) + word.start()
-        )
+    if tail.strip(" "):
+        pos = len(clean) - len(tail) + _word_starts(tail)[0]
+        raise _parse_error("statement is not terminated by ';'", text, pos)
 
     def err(msg, index, **kw):
         # the index-th word of bodies[number], the statement in hand
         start = sum(len(body) + 1 for body in bodies[:number])
-        match = list(_WORD_RE.finditer(bodies[number]))[index]
-        raise _parse_error(msg, text, start + match.start(), **kw)
+        raise _parse_error(msg, text, start + _word_starts(bodies[number])[index], **kw)
 
     for number, body in enumerate(bodies):
-        words = _WORD_RE.findall(body)
+        words = list(filter(None, body.split(" ")))
         if not words:
             continue
         head = words[0]

@@ -25,11 +25,16 @@ from fractions import Fraction
 from math import gcd
 from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
-from .quiver import INT_DIGITS, ParseError, SingcatError
+from .quiver import INT_DIGITS, ParseError, SingcatError, _field
 
 
 class SurfaceError(SingcatError):
     pass
+
+
+# shapes of the list arguments, as reported when one is malformed
+_NAMES = "a sequence of vertex names"
+_PAIRS = "a sequence of vertex pairs"
 
 
 def intersection_matrix(
@@ -105,7 +110,7 @@ def is_negative_definite(
                 witness={"vertex": v},
             )
         _check_weight(v, weights[v])
-    edges = list(edges)
+    edges = _field(lambda: [(u, v) for u, v in edges], "edges", _PAIRS, SurfaceError)
     for u, v in edges:
         if u not in declared or v not in declared:
             raise SurfaceError(
@@ -148,11 +153,17 @@ class DualGraph:
         edges: Iterable[tuple[str, str]],
         weights: Mapping[str, int],
     ):
-        self.vertices: tuple[str, ...] = tuple(str(v) for v in vertices)
-        self.edges: tuple[tuple[str, str], ...] = tuple(
-            (str(u), str(v)) for u, v in edges
+        self.vertices: tuple[str, ...] = _field(
+            lambda: tuple(str(v) for v in vertices), "vertices", _NAMES, SurfaceError
         )
-        self.weights: dict[str, int] = {str(v): w for v, w in weights.items()}
+        self.edges: tuple[tuple[str, str], ...] = _field(
+            lambda: tuple((str(u), str(v)) for u, v in edges),
+            "edges", _PAIRS, SurfaceError,
+        )
+        self.weights: dict[str, int] = _field(
+            lambda: {str(v): w for v, w in weights.items()},
+            "weights", "a mapping from vertex names to weights", SurfaceError,
+        )
         self._validate()
 
     def _validate(self):
@@ -417,8 +428,12 @@ def ade_recognize(
     D_{k+3}, arm lengths (1, 2, 2), (1, 2, 3), (1, 2, 4) are E6, E7, E8.
     Anything else raises 'not ADE'.
     """
-    vertices = [str(v) for v in vertices]
-    edges = [(str(u), str(v)) for u, v in edges]
+    vertices = _field(
+        lambda: [str(v) for v in vertices], "vertices", _NAMES, SurfaceError
+    )
+    edges = _field(
+        lambda: [(str(u), str(v)) for u, v in edges], "edges", _PAIRS, SurfaceError
+    )
     nbrs: dict[str, list[str]] = {}
     for v in vertices:
         if v in nbrs:
@@ -510,7 +525,7 @@ def decompose(graph: DualGraph, contracted: Iterable[str]) -> Decomposition:
     Every contracted vertex must be a (-2)-curve; the empty set gives the
     empty decomposition.
     """
-    S = [str(v) for v in contracted]
+    S = _field(lambda: [str(v) for v in contracted], "contracted", _NAMES, SurfaceError)
     sset = set(S)
     if len(sset) != len(S):
         raise SurfaceError(

@@ -319,6 +319,38 @@ def to_oracle(obj) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Hom dimension in the zero-dimensional block
+#
+# A frozen copy of the closed formulas of ``nodal.hom_dim_zero``, kept as the
+# reference its type dispatch is checked against.  Objects are plain tuples:
+# ("P", p) is P2[p] and ("S", l, p) is S(l)[p].
+
+
+def frozen_hom_zero(x: tuple, y: tuple) -> int:
+    if x[0] == "P" and y[0] == "P":
+        return int(y[1] - x[1] <= 0)
+    if x[0] == "P" and y[0] == "S":
+        n = x[1] - y[2]
+        return int(0 <= n < y[1])
+    if x[0] == "S" and y[0] == "P":
+        n = y[1] - x[2]
+        return int(2 <= n <= x[1] + 1)
+    _, l, p = x
+    _, lp, q = y
+    n = q - p
+    return int((n <= 0 and 0 < lp + n <= l) or (2 <= n <= l + 1 < n + lp))
+
+
+def to_zero_oracle(obj) -> tuple:
+    """Convert a package-level zero-block object to the tuple form above."""
+    from singcat import nodal
+
+    if isinstance(obj, nodal.ZeroProjective):
+        return ("P", obj.shift)
+    return ("S", obj.length, obj.shift)
+
+
+# ---------------------------------------------------------------------------
 # negative definiteness oracle
 
 

@@ -61,15 +61,33 @@ def window_objects(shift_bound: int = 4, max_length: int = 4) -> list:
     return objs
 
 
+def zero_window_objects(shift_bound: int = 6, max_length: int = 8) -> list:
+    """The zero-block counterpart of ``window_objects``."""
+    shifts = range(-shift_bound, shift_bound + 1)
+    objs: list = [ZeroProjective(n) for n in shifts]
+    objs += [ZeroString(l, n) for l in range(1, max_length + 1) for n in shifts]
+    return objs
+
+
+class Tagged(NodalString):
+    """A subclass, which hom_dim accepts like its base."""
+
+
 class TestHomFormulas:
     def test_agrees_with_oracle_on_window(self):
-        objs = window_objects()
-        for x in objs:
-            ox = helpers.to_oracle(x)
-            for y in objs:
-                got = hom_dim(x, y)
-                want = helpers.oracle_hom(ox, helpers.to_oracle(y))
-                assert got == want, (x, y)
+        # every ordered pair of 234 objects, so all four type pairs
+        objs = window_objects(6, 8)
+        assert {type(x) for x in objs} == {NodalProjective, NodalString}
+        oracle = [helpers.to_oracle(x) for x in objs]
+        for x, ox in zip(objs, oracle):
+            for y, oy in zip(objs, oracle):
+                assert hom_dim(x, y) == helpers.oracle_hom(ox, oy), (x, y)
+
+    def test_subclasses_are_accepted(self):
+        x, tagged = NodalString(MINUS, 2, 1), Tagged(MINUS, 2, 1)
+        for y in window_objects(2, 3):
+            assert hom_dim(tagged, y) == hom_dim(x, y), y
+            assert hom_dim(y, tagged) == hom_dim(y, x), y
 
     def test_dimensions_are_zero_or_one(self):
         objs = window_objects(3, 3)
@@ -125,9 +143,24 @@ class TestHomFormulas:
                 "Hom dimensions from every test string"
             )
 
-    def test_rejects_foreign_objects(self):
-        with pytest.raises(NodalError, match="not nodal"):
-            hom_dim(NodalProjective(PLUS), ZeroProjective())
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (NodalProjective(PLUS), ZeroProjective()),
+            (None, NodalProjective(PLUS)),
+            (NodalString(PLUS, 2), None),
+            (NodalProjective(MINUS), None),
+            (None, NodalString(MINUS, 1)),
+            (ZeroString(2), NodalString(PLUS, 1)),
+            (NodalString(PLUS, 1), ZeroString(2)),
+            ("P+", NodalProjective(PLUS)),
+        ],
+    )
+    def test_rejects_foreign_objects(self, x, y):
+        with pytest.raises(NodalError, match="not nodal") as info:
+            hom_dim(x, y)
+        assert info.value.precondition == "both arguments are nodal indecomposables"
+        assert info.value.witness == {"first": repr(x), "second": repr(y)}
 
 
 class TestZeroBlock:
@@ -153,9 +186,30 @@ class TestZeroBlock:
         objs += [ZeroString(l, n) for l in (1, 2, 3, 4) for n in range(-4, 5)]
         assert {hom_dim_zero(x, y) for x in objs for y in objs} <= {0, 1}
 
-    def test_rejects_foreign_objects(self):
-        with pytest.raises(NodalError, match="not zero-block"):
-            hom_dim_zero(ZeroProjective(), NodalProjective(PLUS))
+    def test_agrees_with_frozen_formulas_on_window(self):
+        objs = zero_window_objects()
+        frozen = [helpers.to_zero_oracle(x) for x in objs]
+        for x, fx in zip(objs, frozen):
+            for y, fy in zip(objs, frozen):
+                assert hom_dim_zero(x, y) == helpers.frozen_hom_zero(fx, fy), (x, y)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (ZeroProjective(), NodalProjective(PLUS)),
+            (NodalString(PLUS, 2), ZeroString(2)),
+            (ZeroString(1), NodalString(MINUS, 1)),
+            (None, ZeroProjective()),
+            (ZeroString(3), None),
+            (ZeroProjective(), None),
+        ],
+    )
+    def test_rejects_foreign_objects(self, x, y):
+        with pytest.raises(NodalError, match="not zero-block") as info:
+            hom_dim_zero(x, y)
+        assert info.value.precondition == (
+            "both arguments are zero-block indecomposables"
+        )
 
 
 class TestHomOfSums:
@@ -439,6 +493,24 @@ class TestARComponents:
         with pytest.raises(NodalError, match="maxlen"):
             ar_window("string-minus", (0, 0), maxlen=0)
 
+    @pytest.mark.parametrize(
+        "args, precondition",
+        [
+            (("string-plus", (0, 1), "2"), "maxlen is an int"),
+            (("string-minus", (0, 1), True), "maxlen is an int"),
+            (("string-minus", (0, 1), 2.0), "maxlen is an int"),
+            (("projective-plus", (0.5, 2)), "window is a (lo, hi) pair of ints"),
+            (("projective-plus", (0, "2")), "window is a (lo, hi) pair of ints"),
+            (("projective-plus", (1,)), "window is a (lo, hi) pair of ints"),
+            (("string-plus", None, 2), "window is a (lo, hi) pair of ints"),
+            (("projective-minus", (0, True)), "window is a (lo, hi) pair of ints"),
+        ],
+    )
+    def test_malformed_arguments(self, args, precondition):
+        with pytest.raises(NodalError) as info:
+            ar_window(*args)
+        assert info.value.precondition == precondition
+
     def test_unknown_component(self):
         with pytest.raises(NodalError, match="unknown component"):
             ar_window("strings", (0, 1), maxlen=1)
@@ -495,3 +567,13 @@ class TestObjectNotation:
         assert delta(2, MINUS) == MINUS
         with pytest.raises(NodalError, match="invalid sign"):
             delta(0, "x")
+        with pytest.raises(NodalError, match="shift must be an integer") as info:
+            delta("1", PLUS)
+        assert info.value.precondition == "shift is an int"
+
+    @pytest.mark.parametrize("bad", [None, 3, ["P+"]])
+    def test_notation_is_a_string(self, bad):
+        with pytest.raises(NodalError, match="must be a string") as info:
+            parse_object(bad)
+        assert info.value.precondition == "object notation is a string"
+        assert info.value.witness == {"object": repr(bad)}

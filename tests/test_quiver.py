@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -323,6 +325,65 @@ class TestPresentationValidation:
     def test_arrow_token_rejected_as_name(self):
         with pytest.raises(QuiverError, match="invalid vertex name"):
             Presentation(["->"], [])
+
+    @pytest.mark.parametrize("name", ["a\n", "1\n"])
+    def test_trailing_newline_in_a_name_rejected(self, name):
+        with pytest.raises(QuiverError) as info:
+            Presentation([name], [])
+        assert info.value.diagnostic() == {
+            "message": f"invalid vertex name {name!r}",
+            "precondition": NAME_RULE,
+            "witness": {"vertex": name},
+        }
+        with pytest.raises(QuiverError) as info:
+            Presentation(["1"], [(name, "1", "1")])
+        assert info.value.witness == {"arrow": name}
+        assert info.value.precondition == NAME_RULE
+
+    def test_trailing_newline_rejected_from_json(self):
+        data = {
+            "vertices": ["1", "a\n"],
+            "arrows": [{"label": "b\n", "source": "1", "target": "1"}],
+            "relations": [],
+        }
+        with pytest.raises(QuiverError, match="invalid vertex name") as info:
+            presentation_from_json(data)
+        assert info.value.witness == {"vertex": "a\n"}
+        data["vertices"] = ["1"]
+        with pytest.raises(QuiverError, match="invalid arrow name") as info:
+            presentation_from_json(data)
+        assert info.value.witness == {"arrow": "b\n"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(alphabet="ab1;:#-> \t\r\n\x0b\xa0", min_size=1, max_size=4),
+        st.text(alphabet="ab1;:#-> \t\r\n\x0b\xa0", min_size=1, max_size=4),
+    )
+    def test_every_accepted_name_survives_the_text_round_trip(self, vertex, label):
+        try:
+            pres = Presentation(["0", vertex], [(label, "0", vertex)])
+        except QuiverError:
+            return
+        assert parse_presentation(serialize_presentation(pres)) == pres
+
+    @pytest.mark.parametrize(
+        "vertices, arrows, message",
+        [
+            # the first violation in list order is reported, name or not
+            (["1", "1", "a b"], [], "duplicate vertex '1'"),
+            (["a b", "1", "1"], [], "invalid vertex name 'a b'"),
+            (["1", "->"], [("a b", "1", "1")], "invalid vertex name '->'"),
+            (["1"], [("a", "1", "9"), ("b c", "1", "1")], "uses undeclared vertex"),
+            (["1"], [("a", "1", "1"), ("a", "1", "1"), ("b\n", "1", "1")],
+             "duplicate arrow label 'a'"),
+            (["1"], [("a", "1", "1"), ("b\n", "1", "1"), ("a", "1", "1")],
+             "invalid arrow name 'b\\n'"),
+            (["1"], [("a", "1", "1"), (7, "1", "1")], "invalid arrow name 7"),
+        ],
+    )
+    def test_first_violation_is_reported(self, vertices, arrows, message):
+        with pytest.raises(QuiverError, match=re.escape(message)):
+            Presentation(vertices, arrows)
 
     def test_arrow_over_undeclared_vertex(self):
         with pytest.raises(QuiverError, match="undeclared vertex"):

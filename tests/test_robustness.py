@@ -1,9 +1,10 @@
-"""Malformed input to any text or JSON entry point raises a SingcatError.
+"""Malformed input to any entry point raises a SingcatError.
 
-Each entry point is fed random text, token soups close to its grammar and,
-for JSON, arbitrary values in and around the expected fields.  Whatever
-comes back must be a result or a SingcatError, never a raw Python
-exception.
+Each text entry point is fed random text, token soups close to its grammar
+and, for JSON, arbitrary values in and around the expected fields.  Library
+functions that take objects are fed values of the wrong type mixed with
+valid ones.  Whatever comes back must be a result or a SingcatError, never a
+raw Python exception.
 """
 
 from __future__ import annotations
@@ -13,7 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singcat.dg_auslander import DGAError, dg_auslander
-from singcat.nodal import NodalError, parse_object
+from singcat.nodal import (
+    NodalError,
+    NodalProjective,
+    NodalString,
+    ZeroProjective,
+    ZeroString,
+    ar_window,
+    delta,
+    hom_dim,
+    parse_object,
+)
 from singcat.quiver import (
     INT_DIGITS,
     ParseError,
@@ -21,7 +32,7 @@ from singcat.quiver import (
     parse_presentation,
     presentation_from_json,
 )
-from singcat.surface import parse_dual_graph
+from singcat.surface import DualGraph, ade_recognize, parse_dual_graph
 
 FUZZ = settings(max_examples=150, deadline=None)
 
@@ -101,6 +112,74 @@ def test_parse_object(text):
 )
 def test_dg_auslander(ade, parity):
     accepts_or_refuses(dg_auslander, ade, parity)
+
+
+# Values of the wrong type, small enough that no accepted one builds a large
+# window or graph.
+small_values = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3)
+)
+wrong_types = st.recursive(
+    small_values,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+shifts = st.integers(-3, 3)
+block_objects = (
+    st.builds(NodalProjective, st.sampled_from("+-"), shifts)
+    | st.builds(NodalString, st.sampled_from("+-"), st.integers(1, 4), shifts)
+    | st.builds(ZeroProjective, shifts)
+    | st.builds(ZeroString, st.integers(1, 4), shifts)
+)
+vertex_names = st.sampled_from(["a", "b", "c", 1]) | small_values
+edge_lists = st.lists(
+    st.tuples(vertex_names, vertex_names)
+    | st.lists(vertex_names, max_size=3)
+    | wrong_types,
+    max_size=4,
+)
+
+
+@FUZZ
+@given(
+    st.sampled_from(["string-plus", "string-minus", "projective-plus",
+                     "projective-minus"]) | wrong_types,
+    st.tuples(shifts, shifts) | wrong_types,
+    st.none() | st.integers(-1, 4) | wrong_types,
+)
+def test_ar_window(component, window, maxlen):
+    accepts_or_refuses(ar_window, component, window, maxlen)
+
+
+@FUZZ
+@given(st.integers() | wrong_types, st.sampled_from("+-") | wrong_types)
+def test_delta(n, sign):
+    accepts_or_refuses(delta, n, sign)
+
+
+@FUZZ
+@given(block_objects | wrong_types, block_objects | wrong_types)
+def test_hom_dim(x, y):
+    accepts_or_refuses(hom_dim, x, y)
+
+
+@FUZZ
+@given(st.lists(vertex_names, max_size=5) | wrong_types, edge_lists | wrong_types)
+def test_ade_recognize(vertices, edges):
+    accepts_or_refuses(ade_recognize, vertices, edges)
+
+
+@FUZZ
+@given(
+    st.lists(vertex_names, max_size=5) | wrong_types,
+    edge_lists | wrong_types,
+    st.dictionaries(vertex_names, st.integers(-5, -1) | small_values, max_size=5)
+    | wrong_types,
+)
+def test_dual_graph(vertices, edges, weights):
+    accepts_or_refuses(DualGraph, vertices, edges, weights)
 
 
 # More digits than Python converts to int by default (4,300).

@@ -65,6 +65,10 @@ def weighted_trees(draw):
     return vertices, edges, dict(zip(vertices, values))
 
 
+# edge lists with an edge that is not a pair, or that are no sequence at all
+MALFORMED_EDGES = [[("a",)], [("a", "b", "c")], [("a", "b"), 7], [None], 7, None]
+
+
 class TestNegativeDefiniteness:
     @settings(max_examples=200, deadline=None)
     @given(weighted_trees())
@@ -120,6 +124,13 @@ class TestNegativeDefiniteness:
             is_negative_definite(["a"], [], {"a": -2.0})
         assert info.value.precondition == "weights are ints"
 
+    @pytest.mark.parametrize("edges", MALFORMED_EDGES)
+    def test_edges_are_pairs(self, edges):
+        with pytest.raises(SurfaceError, match="edges is not") as info:
+            is_negative_definite(["a", "b"], edges, {"a": -2, "b": -2})
+        assert info.value.precondition == "edges is a sequence of vertex pairs"
+        assert info.value.witness == {"field": "edges"}
+
 
 class TestDualGraphValidation:
     def test_valid_graph_builds_adjacency(self):
@@ -165,6 +176,26 @@ class TestDualGraphValidation:
             DualGraph(["a"], [], {"a": weight})
         assert info.value.precondition == "weights are ints"
         assert info.value.witness == {"vertex": "a", "weight": repr(weight)}
+
+    @pytest.mark.parametrize("edges", MALFORMED_EDGES)
+    def test_edges_are_pairs(self, edges):
+        with pytest.raises(SurfaceError, match="edges is not") as info:
+            DualGraph(["a", "b"], edges, {"a": -2, "b": -2})
+        assert info.value.precondition == "edges is a sequence of vertex pairs"
+
+    @pytest.mark.parametrize(
+        "vertices, weights, field",
+        [
+            (None, {"a": -2}, "vertices"),
+            (3, {"a": -2}, "vertices"),
+            (["a"], None, "weights"),
+            (["a"], [("a", -2)], "weights"),
+        ],
+    )
+    def test_malformed_vertices_and_weights(self, vertices, weights, field):
+        with pytest.raises(SurfaceError) as info:
+            DualGraph(vertices, [], weights)
+        assert info.value.witness == {"field": field}
 
     def test_weights_are_at_most_minus_two(self):
         with pytest.raises(SurfaceError, match="has weight -1"):
@@ -607,6 +638,17 @@ class TestADERecognition:
         with pytest.raises(SurfaceError, match="bad edge"):
             ade_recognize(["1"], [("1", "1")])
 
+    @pytest.mark.parametrize("edges", MALFORMED_EDGES)
+    def test_edges_are_pairs(self, edges):
+        with pytest.raises(SurfaceError, match="edges is not") as info:
+            ade_recognize(["a", "b"], edges)
+        assert info.value.precondition == "edges is a sequence of vertex pairs"
+
+    def test_vertices_are_a_sequence(self):
+        with pytest.raises(SurfaceError, match="vertices is not") as info:
+            ade_recognize(None, [])
+        assert info.value.precondition == "vertices is a sequence of vertex names"
+
 
 class TestDecompose:
     def test_g2719_all_minus_two(self):
@@ -659,6 +701,10 @@ class TestDecompose:
             decompose(g, ["9"])
         with pytest.raises(SurfaceError, match=r"only \(-2\)-curves"):
             decompose(g, ["3"])
+        for contracted in (None, 2):
+            with pytest.raises(SurfaceError, match="contracted is not") as info:
+                decompose(g, contracted)
+            assert info.value.witness == {"field": "contracted"}
 
 
 class TestDecomposeMatchesRecognition:
