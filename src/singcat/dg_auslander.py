@@ -19,9 +19,8 @@ the Dynkin tree with identity translation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .quiver import INT_DIGITS, Arrow, SingcatError
+from .quiver import INT_DIGITS, Arrow, SingcatError, record
 from .surface import ADEType
 
 
@@ -84,7 +83,7 @@ def check_ade_type(ade) -> ADEType:
     return ADEType(family, rank)
 
 
-@dataclass(frozen=True)
+@record
 class GradedQuiver:
     """Vertices, degree-0 solid arrows, degree -1 broken arrows, translation."""
 

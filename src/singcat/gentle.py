@@ -12,19 +12,18 @@ unique relation-free continuation as far as it goes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
-from .quiver import Presentation, QuiverError
+from .quiver import Presentation, QuiverError, record
 
 
-@dataclass(frozen=True)
+@record
 class GentleViolation:
     condition: str
     location: str
     detail: str
 
 
-@dataclass(frozen=True)
+@record
 class GentleReport:
     is_gentle: bool
     violations: tuple[GentleViolation, ...]
@@ -92,7 +91,7 @@ def _require_gentle(pres: Presentation) -> None:
         )
 
 
-@dataclass(frozen=True)
+@record
 class CriticalCycle:
     """A cycle of arrows whose consecutive products all lie in the ideal.
 
@@ -146,7 +145,7 @@ def critical_cycles(pres: Presentation) -> list[CriticalCycle]:
     return cycles
 
 
-@dataclass(frozen=True)
+@record
 class StringModule:
     """A string module given by a directed walk starting at its top vertex."""
 
@@ -202,7 +201,7 @@ def radical_embeddings(
     return out
 
 
-@dataclass(frozen=True)
+@record
 class GPClassification:
     """Indecomposable Gorenstein projectives: all vertex projectives plus
     the radical strings of the critical cycles."""
@@ -218,7 +217,7 @@ def gorenstein_projectives(pres: Presentation) -> GPClassification:
     )
 
 
-@dataclass(frozen=True)
+@record
 class SingularityDecomposition:
     """One block per critical cycle, recorded by the cycle's length."""
 
@@ -234,7 +233,7 @@ def singularity_category(pres: Presentation) -> SingularityDecomposition:
     )
 
 
-@dataclass(frozen=True)
+@record
 class InvariantComparison:
     compatible: bool
     only_first: tuple[int, ...]

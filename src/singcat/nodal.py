@@ -17,10 +17,19 @@ block) parse to the empty sum, so Hom against them is 0.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence, Union
 
-from .quiver import INT_DIGITS, Arrow, Path, Presentation, SingcatError, compose
+from .quiver import (
+    INT_DIGITS,
+    Arrow,
+    Path,
+    Presentation,
+    SingcatError,
+    _field,
+    compose,
+    record,
+    replace,
+)
 
 PLUS = "+"
 MINUS = "-"
@@ -96,7 +105,7 @@ class _Shiftable:
         return replace(self, shift=self.shift + k)
 
 
-@dataclass(frozen=True)
+@record
 class NodalProjective(_Shiftable):
     sign: str
     shift: int = 0
@@ -106,7 +115,7 @@ class NodalProjective(_Shiftable):
         _check_int("shift", self.shift)
 
 
-@dataclass(frozen=True)
+@record
 class NodalString(_Shiftable):
     sign: str
     length: int
@@ -118,7 +127,7 @@ class NodalString(_Shiftable):
         _check_int("shift", self.shift)
 
 
-@dataclass(frozen=True)
+@record
 class ZeroProjective(_Shiftable):
     shift: int = 0
 
@@ -126,7 +135,7 @@ class ZeroProjective(_Shiftable):
         _check_int("shift", self.shift)
 
 
-@dataclass(frozen=True)
+@record
 class ZeroString(_Shiftable):
     length: int
     shift: int = 0
@@ -220,12 +229,17 @@ def _family(summands) -> str | None:
     return families.pop() if families else None
 
 
+_SUMMANDS = "a sequence of block indecomposables"
+
+
 def hom_dim_sum(xs: Sequence, ys: Sequence) -> int:
     """Bilinear extension of the Hom dimension to finite direct sums.
 
     Empty sequences denote the zero object.  Summands of the two arguments
     must belong to the same block (or be absent).
     """
+    xs = _field(lambda: tuple(xs), "xs", _SUMMANDS, NodalError)
+    ys = _field(lambda: tuple(ys), "ys", _SUMMANDS, NodalError)
     fx, fy = _family(xs), _family(ys)
     if fx and fy and fx != fy:
         raise NodalError(
@@ -241,7 +255,7 @@ def hom_dim_sum(xs: Sequence, ys: Sequence) -> int:
 # minimal string complexes
 
 
-@dataclass(frozen=True)
+@record
 class StringComplex:
     """Projective presentation of a minimal string, listed in display order.
 
@@ -370,7 +384,7 @@ def cluster_member(obj) -> bool:
 # Auslander-Reiten components
 
 
-@dataclass(frozen=True)
+@record
 class ARWindow:
     component: str
     vertices: tuple[str, ...]

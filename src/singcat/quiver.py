@@ -24,7 +24,6 @@ juxtaposed form would not round-trip.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Container, Iterable, Sequence
 
 _NAME_RE = re.compile(r"[^\s;:#]+")  # used with fullmatch
@@ -78,14 +77,78 @@ class ParseError(QuiverError):
         self.column = column
 
 
-@dataclass(frozen=True)
+class FrozenRecordError(AttributeError):
+    """Assigning or deleting an attribute of a ``record`` instance."""
+
+
+def _no_setattr(self, name, value):
+    raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+
+def _no_delattr(self, name):
+    raise FrozenRecordError(f"cannot delete field {name!r}")
+
+
+def record(cls):
+    """Class decorator: a frozen value class over the annotated fields.
+
+    As for a frozen dataclass, the methods are generated as code: ``__init__``
+    takes the fields in order (a class attribute of the same name is the
+    default) and then calls ``__post_init__`` if the class has one;
+    ``__eq__`` compares the field tuples of two instances of the same class,
+    ``__hash__`` hashes that tuple and ``__repr__`` prints
+    ``Name(field=value, ...)``.  Assigning or deleting an attribute raises
+    ``FrozenRecordError``; ``_fields`` names the fields in order.
+    """
+    fields = tuple(cls.__dict__.get("__annotations__", ()))
+    names = {f"_d_{f}": cls.__dict__[f] for f in fields if f in cls.__dict__}
+    params = "".join(f", {f}=_d_{f}" if f"_d_{f}" in names else f", {f}" for f in fields)
+    # object.__setattr__ keeps the instance's values inline, as a dataclass
+    # does; writing to self.__dict__ would build a dict for every instance
+    body = "".join(f"\n    _set(self, {f!r}, {f})" for f in fields)
+    if hasattr(cls, "__post_init__"):
+        body += "\n    self.__post_init__()"
+    mine = "".join(f"self.{f}, " for f in fields)
+    theirs = "".join(f"other.{f}, " for f in fields)
+    shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
+    source = f"""
+def __init__(self{params}):{body or " pass"}
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({mine}) == ({theirs})
+    return NotImplemented
+def __hash__(self):
+    return hash(({mine}))
+def __repr__(self):
+    return f"{{self.__class__.__qualname__}}({shown})"
+"""
+    names["_set"] = object.__setattr__
+    methods: dict = {}
+    exec(source, names, methods)
+    for name, method in methods.items():
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    cls.__setattr__, cls.__delattr__ = _no_setattr, _no_delattr
+    cls._fields = cls.__match_args__ = fields
+    return cls
+
+
+def replace(obj, **changes):
+    """Copy of the record ``obj`` with ``changes``, built (and checked) anew."""
+    for f in obj._fields:
+        if f not in changes:
+            changes[f] = getattr(obj, f)
+    return obj.__class__(**changes)
+
+
+@record
 class Arrow:
     label: str
     source: str
     target: str
 
 
-@dataclass(frozen=True)
+@record
 class Path:
     """A path in a quiver, possibly lazy (length zero at a vertex).
 
@@ -137,7 +200,7 @@ def _field(build, field: str, shape: str, error: type = QuiverError):
     """Run ``build`` and report a malformed argument by name, as ``error``."""
     try:
         return build()
-    except (TypeError, ValueError, AttributeError):
+    except (TypeError, ValueError, AttributeError, LookupError):
         raise error(
             f"{field} is not {shape}",
             precondition=f"{field} is {shape}",

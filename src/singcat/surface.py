@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from typing import Container, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Container, Iterable, Mapping, NamedTuple, Sequence
 
-from .quiver import INT_DIGITS, ParseError, SingcatError, _field
+from .quiver import INT_DIGITS, ParseError, SingcatError, _field, record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class SurfaceError(SingcatError):
@@ -35,6 +36,7 @@ class SurfaceError(SingcatError):
 # shapes of the list arguments, as reported when one is malformed
 _NAMES = "a sequence of vertex names"
 _PAIRS = "a sequence of vertex pairs"
+_WEIGHTS = "a mapping from vertex names to weights"
 
 
 def intersection_matrix(
@@ -95,13 +97,18 @@ def is_negative_definite(
     Raises ``SurfaceError`` unless the vertices are distinct, each has an
     ``int`` weight, and every edge joins declared vertices.
     """
-    declared = set(vertices)
+    vertices = _field(lambda: tuple(vertices), "vertices", _NAMES, SurfaceError)
+    declared = _field(lambda: set(vertices), "vertices", _NAMES, SurfaceError)
     if len(declared) != len(vertices):
         raise SurfaceError(
             "duplicate vertex in dual graph",
             precondition="vertex names are distinct",
             witness={"vertices": list(vertices)},
         )
+    weights = _field(
+        lambda: {v: weights[v] for v in vertices if v in weights},
+        "weights", _WEIGHTS, SurfaceError,
+    )
     for v in vertices:
         if v not in weights:
             raise SurfaceError(
@@ -112,7 +119,11 @@ def is_negative_definite(
         _check_weight(v, weights[v])
     edges = _field(lambda: [(u, v) for u, v in edges], "edges", _PAIRS, SurfaceError)
     for u, v in edges:
-        if u not in declared or v not in declared:
+        try:
+            declares = u in declared and v in declared
+        except TypeError:  # an unhashable endpoint is never a declared vertex
+            declares = False
+        if not declares:
             raise SurfaceError(
                 f"edge ({u}, {v}) uses an undeclared vertex",
                 precondition="edge endpoints are declared vertices",
@@ -162,7 +173,7 @@ class DualGraph:
         )
         self.weights: dict[str, int] = _field(
             lambda: {str(v): w for v, w in weights.items()},
-            "weights", "a mapping from vertex names to weights", SurfaceError,
+            "weights", _WEIGHTS, SurfaceError,
         )
         self._validate()
 
@@ -248,6 +259,15 @@ class DualGraph:
         return f"DualGraph({len(self.vertices)} vertices)"
 
 
+def _check_graph(graph) -> None:
+    if not isinstance(graph, DualGraph):
+        raise SurfaceError(
+            f"expected a DualGraph, got {type(graph).__name__}",
+            precondition="graph is a DualGraph",
+            witness={"graph": repr(graph)},
+        )
+
+
 # ---------------------------------------------------------------------------
 # Laufer's algorithm
 
@@ -311,6 +331,7 @@ def fundamental_cycle(graph: DualGraph, seed: int | None = None) -> dict[str, in
     The result does not depend on the choice of violated vertex; ``seed``
     randomizes that choice so callers can confirm it.
     """
+    _check_graph(graph)
     rng = None if seed is None else random.Random(seed)
     return _laufer(graph.vertices, graph.adjacency, graph.weights, rng, guard=False)
 
@@ -323,10 +344,11 @@ def special_ranks(graph: DualGraph) -> dict[str, int]:
 
 def canonical_syzygy_multiplicities(graph: DualGraph) -> dict[str, int]:
     """Multiplicity -2 - weight(v) for each curve (zero exactly at -2-curves)."""
+    _check_graph(graph)
     return {v: -2 - graph.weights[v] for v in graph.vertices}
 
 
-@dataclass(frozen=True)
+@record
 class ProjectiveInjectives:
     """Curves with weight below -2, plus the ever-present free module."""
 
@@ -335,6 +357,7 @@ class ProjectiveInjectives:
 
 
 def projective_injective_vertices(graph: DualGraph) -> ProjectiveInjectives:
+    _check_graph(graph)
     return ProjectiveInjectives(
         vertices=tuple(sorted(v for v in graph.vertices if graph.weights[v] < -2)),
         includes_free_module=True,
@@ -379,6 +402,8 @@ def jung_hirzebruch(n: int, a: int) -> list[int]:
 
 def evaluate_expansion(coefficients: Sequence[int]) -> Fraction:
     """Exact value c1 - 1/(c2 - 1/(...)) of a ceiling continued fraction."""
+    from fractions import Fraction  # here, so importing singcat skips it
+
     if not coefficients:
         raise SurfaceError(
             "empty expansion",
@@ -510,7 +535,7 @@ def _ade_shape(vertices: Sequence[str], nbrs: Mapping[str, Sequence[str]]) -> AD
     )
 
 
-@dataclass(frozen=True)
+@record
 class Decomposition:
     """ADE blocks of the contraction along a set of (-2)-curves."""
 
@@ -525,6 +550,7 @@ def decompose(graph: DualGraph, contracted: Iterable[str]) -> Decomposition:
     Every contracted vertex must be a (-2)-curve; the empty set gives the
     empty decomposition.
     """
+    _check_graph(graph)
     S = _field(lambda: [str(v) for v in contracted], "contracted", _NAMES, SurfaceError)
     sset = set(S)
     if len(sset) != len(S):
@@ -569,6 +595,7 @@ def decompose(graph: DualGraph, contracted: Iterable[str]) -> Decomposition:
 
 
 def all_minus_two(graph: DualGraph) -> list[str]:
+    _check_graph(graph)
     return [v for v in graph.vertices if graph.weights[v] == -2]
 
 
@@ -624,12 +651,14 @@ def parse_dual_graph(text: str) -> DualGraph:
 
 
 def serialize_dual_graph(graph: DualGraph) -> str:
+    _check_graph(graph)
     lines = [f"vertex {v} {graph.weights[v]};" for v in graph.vertices]
     lines += [f"edge {u} {v};" for u, v in graph.edges]
     return "\n".join(lines) + "\n"
 
 
 def dual_graph_to_json(graph: DualGraph) -> dict:
+    _check_graph(graph)
     order = sorted(graph.vertices)
     return {
         "vertices": order,

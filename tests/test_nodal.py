@@ -237,6 +237,19 @@ class TestHomOfSums:
         with pytest.raises(NodalError, match="mixes summands"):
             hom_dim_sum([NodalProjective(PLUS), ZeroProjective()], [])
 
+    @pytest.mark.parametrize("value", [None, 3, NodalProjective(PLUS)])
+    @pytest.mark.parametrize("side", ["xs", "ys"])
+    def test_arguments_are_sequences(self, value, side):
+        args = {"xs": [NodalProjective(PLUS)], "ys": [NodalProjective(MINUS)], side: value}
+        with pytest.raises(NodalError, match=f"{side} is not") as info:
+            hom_dim_sum(args["xs"], args["ys"])
+        assert info.value.precondition == f"{side} is a sequence of block indecomposables"
+        assert info.value.witness == {"field": side}
+
+    def test_iterators_are_read_once(self):
+        xs = [NodalProjective(PLUS), NodalProjective(MINUS)]
+        assert hom_dim_sum(iter(xs), iter([NodalProjective(PLUS)])) == 1
+
 
 PINNED_COMPLEXES = {
     (PLUS, 1): (("P-", "P*", "P+"), ("β", "γ")),

@@ -23,6 +23,7 @@ from singcat.nodal import (
     ar_window,
     delta,
     hom_dim,
+    hom_dim_sum,
     parse_object,
 )
 from singcat.quiver import (
@@ -32,7 +33,20 @@ from singcat.quiver import (
     parse_presentation,
     presentation_from_json,
 )
-from singcat.surface import DualGraph, ade_recognize, parse_dual_graph
+from singcat.surface import (
+    DualGraph,
+    ade_recognize,
+    all_minus_two,
+    canonical_syzygy_multiplicities,
+    decompose,
+    dual_graph_to_json,
+    fundamental_cycle,
+    is_negative_definite,
+    parse_dual_graph,
+    projective_injective_vertices,
+    serialize_dual_graph,
+    special_ranks,
+)
 
 FUZZ = settings(max_examples=150, deadline=None)
 
@@ -180,6 +194,54 @@ def test_ade_recognize(vertices, edges):
 )
 def test_dual_graph(vertices, edges, weights):
     accepts_or_refuses(DualGraph, vertices, edges, weights)
+
+
+@FUZZ
+@given(
+    st.lists(vertex_names, max_size=5) | st.lists(wrong_types, max_size=3) | wrong_types,
+    edge_lists | wrong_types,
+    st.dictionaries(vertex_names, st.integers(-5, 1) | small_values, max_size=5)
+    | wrong_types,
+)
+def test_is_negative_definite(vertices, edges, weights):
+    accepts_or_refuses(is_negative_definite, vertices, edges, weights)
+
+
+# a valid graph now and then, so the accepted path is exercised too
+graphs = st.builds(
+    lambda n: DualGraph([str(i) for i in range(n)],
+                        [(str(i), str(i + 1)) for i in range(n - 1)],
+                        {str(i): -2 for i in range(n)}),
+    st.integers(1, 4),
+) | wrong_types
+
+
+@FUZZ
+@given(
+    graphs,
+    st.sampled_from([
+        fundamental_cycle, special_ranks, canonical_syzygy_multiplicities,
+        projective_injective_vertices, all_minus_two, serialize_dual_graph,
+        dual_graph_to_json,
+    ]),
+)
+def test_graph_functions(graph, function):
+    accepts_or_refuses(function, graph)
+
+
+@FUZZ
+@given(graphs, st.lists(vertex_names, max_size=3) | wrong_types)
+def test_decompose(graph, contracted):
+    accepts_or_refuses(decompose, graph, contracted)
+
+
+summands = st.lists(block_objects | wrong_types, max_size=3)
+
+
+@FUZZ
+@given(summands | block_objects | wrong_types, summands | block_objects | wrong_types)
+def test_hom_dim_sum(xs, ys):
+    accepts_or_refuses(hom_dim_sum, xs, ys)
 
 
 # More digits than Python converts to int by default (4,300).

@@ -131,6 +131,30 @@ class TestNegativeDefiniteness:
         assert info.value.precondition == "edges is a sequence of vertex pairs"
         assert info.value.witness == {"field": "edges"}
 
+    @pytest.mark.parametrize("vertices", [None, 3, [[1]], ["a", {}], iter([["a"]])])
+    def test_vertices_are_names(self, vertices):
+        with pytest.raises(SurfaceError, match="vertices is not") as info:
+            is_negative_definite(vertices, [], {"a": -2})
+        assert info.value.precondition == "vertices is a sequence of vertex names"
+        assert info.value.witness == {"field": "vertices"}
+
+    @pytest.mark.parametrize("weights", [None, 3, "a", ["a"], (None, "a")])
+    def test_weights_are_a_mapping(self, weights):
+        with pytest.raises(SurfaceError, match="weights is not") as info:
+            is_negative_definite(["a"], [], weights)
+        assert info.value.precondition == (
+            "weights is a mapping from vertex names to weights"
+        )
+        assert info.value.witness == {"field": "weights"}
+
+    def test_vertices_may_be_any_iterable(self):
+        assert is_negative_definite(iter(["a", "b"]), [("a", "b")], {"a": -2, "b": -2})
+
+    def test_unhashable_edge_endpoint_is_undeclared(self):
+        with pytest.raises(SurfaceError, match="undeclared vertex") as info:
+            is_negative_definite(["a"], [("a", [1])], {"a": -2})
+        assert info.value.witness == {"edge": ["a", [1]]}
+
 
 class TestDualGraphValidation:
     def test_valid_graph_builds_adjacency(self):
@@ -705,6 +729,34 @@ class TestDecompose:
             with pytest.raises(SurfaceError, match="contracted is not") as info:
                 decompose(g, contracted)
             assert info.value.witness == {"field": "contracted"}
+
+
+GRAPH_FUNCTIONS = [
+    fundamental_cycle,
+    special_ranks,
+    canonical_syzygy_multiplicities,
+    projective_injective_vertices,
+    lambda graph: decompose(graph, []),
+    all_minus_two,
+    serialize_dual_graph,
+    dual_graph_to_json,
+]
+
+
+class TestGraphArgument:
+    @pytest.mark.parametrize("function", GRAPH_FUNCTIONS)
+    @pytest.mark.parametrize(
+        "graph", [None, "vertex 1 -2;", {"vertices": ["1"]}, helpers.star_parts(-2, 3)]
+    )
+    def test_only_a_dual_graph_is_accepted(self, function, graph):
+        with pytest.raises(SurfaceError, match="expected a DualGraph") as info:
+            function(graph)
+        assert info.value.precondition == "graph is a DualGraph"
+        assert info.value.witness == {"graph": repr(graph)}
+
+    @pytest.mark.parametrize("function", GRAPH_FUNCTIONS)
+    def test_a_dual_graph_is_accepted(self, function):
+        function(helpers.t13_graph())
 
 
 class TestDecomposeMatchesRecognition:
