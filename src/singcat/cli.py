@@ -55,6 +55,11 @@ def _load_graph(path: str):
 
 
 # ---------------------------------------------------------------------------
+# Every handler returns (payload, text, exit code): the payload is what
+# --format json prints, and text() renders --format text.  run() calls only
+# the one the request asks for.
+
+# ---------------------------------------------------------------------------
 # gentle
 
 
@@ -67,12 +72,14 @@ def _cmd_gentle_check(args):
             for v in report.violations
         ],
     }
-    if report.is_gentle:
-        text = "gentle"
-    else:
-        text = "not gentle\n" + "\n".join(
+
+    def text():
+        if report.is_gentle:
+            return "gentle"
+        return "not gentle\n" + "\n".join(
             f"{v.condition} at {v.location}: {v.detail}" for v in report.violations
         )
+
     return payload, text, 0
 
 
@@ -81,7 +88,10 @@ def _cmd_gentle_cycles(args):
     payload = {
         "cycles": [{"arrows": list(c.display), "length": c.length} for c in cycles]
     }
-    text = "\n".join(f"{c.name} (length {c.length})" for c in cycles) or "no cycles"
+
+    def text():
+        return "\n".join(f"{c.name} (length {c.length})" for c in cycles) or "no cycles"
+
     return payload, text, 0
 
 
@@ -100,11 +110,15 @@ def _cmd_gentle_gp(args):
         key=lambda r: (r["cycle"], r["vertex"]),
     )
     payload = {"projectives": list(gp.projectives), "radicals": records}
-    lines = ["projectives: " + " ".join(gp.projectives)]
-    for r in records:
-        walk = " ".join(r["walk"]) if r["walk"] else "(simple)"
-        lines.append(f"R[{r['cycle']}, {r['vertex']}]: top {r['top']}, walk {walk}")
-    return payload, "\n".join(lines), 0
+
+    def text():
+        lines = ["projectives: " + " ".join(gp.projectives)]
+        for r in records:
+            walk = " ".join(r["walk"]) if r["walk"] else "(simple)"
+            lines.append(f"R[{r['cycle']}, {r['vertex']}]: top {r['top']}, walk {walk}")
+        return "\n".join(lines)
+
+    return payload, text, 0
 
 
 def _cmd_gentle_singcat(args):
@@ -113,7 +127,10 @@ def _cmd_gentle_singcat(args):
         "factors": list(dec.factors),
         "cycle_of_factor": [c.name for c in dec.cycle_of_factor],
     }
-    text = "factors: " + (" ".join(map(str, dec.factors)) or "(none)")
+
+    def text():
+        return "factors: " + (" ".join(map(str, dec.factors)) or "(none)")
+
     return payload, text, 0
 
 
@@ -128,15 +145,17 @@ def _cmd_gentle_compare(args):
             "only_second": list(cmp.only_second),
         },
     }
-    if cmp.compatible:
-        text = "compatible"
-    else:
-        text = (
+
+    def text():
+        if cmp.compatible:
+            return "compatible"
+        return (
             "incompatible: only first "
             + (" ".join(map(str, cmp.only_first)) or "-")
             + ", only second "
             + (" ".join(map(str, cmp.only_second)) or "-")
         )
+
     return payload, text, 0
 
 
@@ -148,7 +167,7 @@ def _cmd_nodal_hom(args):
     xs = nodal.parse_object(args.source)
     ys = nodal.parse_object(args.target)
     dim = nodal.hom_dim_sum(xs, ys)
-    return {"dim": dim}, str(dim), 0
+    return {"dim": dim}, lambda: str(dim), 0
 
 
 _WINDOW_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
@@ -199,15 +218,37 @@ def _cmd_nodal_table(args):
         )
     objs = _table_objects(lo, hi, args.maxlen)
     names = [nodal.format_object(o) for o in objs]
-    dims = [[nodal.hom_dim(x, y) for y in objs] for x in objs]
+    # hom_dim reads only the two types and the shift difference, so the table
+    # holds one value per pair of blocks (one type over the window) and
+    # difference d in [1 - k, k - 1].  Against a block, the block's last
+    # object gives d <= 0 and its first object gives d > 0; entry d sits at
+    # index d + k - 1, and the row of shift offset i takes the slice of d
+    # from -i to k - 1 - i.
+    k = hi - lo + 1
+    blocks = [objs[start:start + k] for start in range(0, len(objs), k)]
+    dims = []
+    for xs in blocks:
+        by_difference = [
+            [nodal.hom_dim(xs[-1], y) for y in ys]
+            + [nodal.hom_dim(xs[0], y) for y in ys[1:]]
+            for ys in blocks
+        ]
+        for i in range(k):
+            row = []
+            for line in by_difference:
+                row += line[k - 1 - i : 2 * k - 1 - i]
+            dims.append(row)
     payload = {"objects": names, "dims": dims}
-    width = max(len(n) for n in names)
-    lines = [" " * (width + 1) + " ".join(n.rjust(width) for n in names)]
-    for name, row in zip(names, dims):
-        lines.append(
-            name.rjust(width) + "  " + " ".join(str(d).rjust(width) for d in row)
-        )
-    return payload, "\n".join(lines), 0
+
+    def text():
+        width = max(len(n) for n in names)
+        cells = ["0".rjust(width), "1".rjust(width)]  # hom_dim is 0 or 1
+        lines = [" " * (width + 1) + " ".join(n.rjust(width) for n in names)]
+        for name, row in zip(names, dims):
+            lines.append(name.rjust(width) + "  " + " ".join(map(cells.__getitem__, row)))
+        return "\n".join(lines)
+
+    return payload, text, 0
 
 
 def _cmd_nodal_complex(args):
@@ -235,19 +276,22 @@ def _cmd_nodal_complex(args):
         "terms": list(cx.terms),
         "differentials": [d.display() for d in cx.differentials],
     }
-    text = (
-        "terms: "
-        + " ".join(cx.terms)
-        + "\ndifferentials: "
-        + " ".join(d.display() for d in cx.differentials)
-    )
+
+    def text():
+        return (
+            "terms: "
+            + " ".join(cx.terms)
+            + "\ndifferentials: "
+            + " ".join(payload["differentials"])
+        )
+
     return payload, text, 0
 
 
 def _cmd_nodal_k0(args):
     summands = nodal.parse_object(args.object)
     cls = nodal.k0_class(summands)
-    return {"class": [cls.plus, cls.minus]}, f"[{cls.plus}, {cls.minus}]", 0
+    return {"class": [cls.plus, cls.minus]}, lambda: f"[{cls.plus}, {cls.minus}]", 0
 
 
 # ---------------------------------------------------------------------------
@@ -263,22 +307,27 @@ def _cmd_surface_cyclic(args):
         "expansion": expansion,
         "graph": surface.dual_graph_to_json(graph),
     }
-    text = (
-        "expansion: "
-        + " ".join(map(str, expansion))
-        + "\n"
-        + surface.serialize_dual_graph(graph).rstrip("\n")
-    )
+
+    def text():
+        return (
+            "expansion: "
+            + " ".join(map(str, expansion))
+            + "\n"
+            + surface.serialize_dual_graph(graph).rstrip("\n")
+        )
+
     return payload, text, 0
+
+
+def _lines(mapping: dict) -> str:
+    return "\n".join(f"{key}: {value}" for key, value in mapping.items())
 
 
 def _cmd_surface_fundamental(args):
     graph = _load_graph(args.file)
     z = surface.fundamental_cycle(graph, seed=args.seed)
     ordered = {v: z[v] for v in sorted(z)}
-    payload = {"coefficients": ordered}
-    text = "\n".join(f"{v}: {c}" for v, c in ordered.items())
-    return payload, text, 0
+    return {"coefficients": ordered}, lambda: _lines(ordered), 0
 
 
 def _cmd_surface_decompose(args):
@@ -295,13 +344,15 @@ def _cmd_surface_decompose(args):
             for b, vs in zip(dec.blocks, dec.component_vertices)
         ],
     }
-    if dec.blocks:
-        text = "\n".join(
+
+    def text():
+        if not dec.blocks:
+            return "empty decomposition"
+        return "\n".join(
             f"{b.name}: " + " ".join(vs)
             for b, vs in zip(dec.blocks, dec.component_vertices)
         )
-    else:
-        text = "empty decomposition"
+
     return payload, text, 0
 
 
@@ -309,9 +360,7 @@ def _cmd_surface_ranks(args):
     graph = _load_graph(args.file)
     ranks = surface.special_ranks(graph)
     ordered = {v: ranks[v] for v in sorted(ranks)}
-    payload = {"ranks": ordered}
-    text = "\n".join(f"{v}: {r}" for v, r in ordered.items())
-    return payload, text, 0
+    return {"ranks": ordered}, lambda: _lines(ordered), 0
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +381,11 @@ def _cmd_dga_emit(args):
                 witness={"parity": raw},
             ) from None
     quiver = dga.dg_auslander(args.type, parity)
-    return dga.graded_quiver_to_json(quiver), dga.serialize_graded_quiver(quiver).rstrip("\n"), 0
+    return (
+        dga.graded_quiver_to_json(quiver),
+        lambda: dga.serialize_graded_quiver(quiver).rstrip("\n"),
+        0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +484,17 @@ def run_corpus(directory: str) -> tuple[dict, int]:
 
 def _cmd_corpus(args):
     payload, code = run_corpus(args.directory)
-    lines = [
-        f"{r['status'].upper()} {r['case']}"
-        + (f": {r['detail']}" if "detail" in r else "")
-        for r in payload["cases"]
-    ]
-    lines.append(f"{payload['passed']} passed, {payload['failed']} failed")
-    return payload, "\n".join(lines), code
+
+    def text():
+        lines = [
+            f"{r['status'].upper()} {r['case']}"
+            + (f": {r['detail']}" if "detail" in r else "")
+            for r in payload["cases"]
+        ]
+        lines.append(f"{payload['passed']} passed, {payload['failed']} failed")
+        return "\n".join(lines)
+
+    return payload, text, code
 
 
 # ---------------------------------------------------------------------------
@@ -445,18 +502,22 @@ def _cmd_corpus(args):
 
 
 class _Parser(argparse.ArgumentParser):
+    leaves: dict[tuple[str, ...], argparse.ArgumentParser]
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     """Return a fresh parser for the ``singcat`` command line.
 
     ``run()`` does not call this per request: it reuses one parser per
     process (``_parser()``).  Parsing keeps no state on the parser, since
     every ``parse_args`` call builds a new namespace and writes usage and
-    errors to the ``sys.stdout``/``sys.stderr`` of the moment.
+    errors to the ``sys.stdout``/``sys.stderr`` of the moment.  ``leaves``
+    maps the command words, ``(module, op)`` or ``("corpus",)``, to the
+    subparser that parses the rest of the line.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -542,11 +603,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("directory")
     p.set_defaults(handler=_cmd_corpus)
 
+    parser.leaves = {("corpus",): p}
+    for module, ops in (("gentle", g), ("nodal", n), ("surface", s), ("dga", d)):
+        for op, leaf in ops.choices.items():
+            parser.leaves[module, op] = leaf
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> _Parser:
     return build_parser()
 
 
@@ -574,9 +639,32 @@ def _join_shift_windows(argv: list[str]) -> list[str]:
     return joined
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, starting at the leaf when the first
+    words name one.
+
+    The full parse hands every token after a module and op name to that
+    leaf, so parsing ``argv[2:]`` there (``argv[1:]`` for ``corpus``) with
+    ``module`` and ``op`` preset gives the same namespace, output and exit.
+    Everything else, such as ``--help`` above a leaf, an unknown name or an
+    option before the op, takes the full parser.
+    """
+    parser = _parser()
+    for words in (tuple(argv[:2]), tuple(argv[:1])):
+        leaf = parser.leaves.get(words)
+        if leaf is not None:
+            preset = argparse.Namespace(**dict(zip(("module", "op"), words)))
+            args, extras = leaf.parse_known_args(argv[len(words):], preset)
+            if extras:
+                # the message parse_args gives for leftovers, from the top
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            return args
+    return parser.parse_args(argv)
+
+
 def run(argv) -> int:
     try:
-        args = _parser().parse_args(_join_shift_windows(list(argv)))
+        args = _parse(_join_shift_windows(list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -584,7 +672,7 @@ def run(argv) -> int:
         rendered = (
             json.dumps(payload, ensure_ascii=False, indent=2)
             if args.format == "json"
-            else text
+            else text()
         )
         if args.out:
             _write(args.out, rendered + "\n")

@@ -113,6 +113,15 @@ class GradedQuiver:
         return list(self._solid_from.get(vertex, ()))
 
 
+def _check_graded_quiver(quiver) -> None:
+    if not isinstance(quiver, GradedQuiver):
+        raise DGAError(
+            f"expected a GradedQuiver, got {type(quiver).__name__}",
+            precondition="quiver is a GradedQuiver",
+            witness={"quiver": repr(quiver)},
+        )
+
+
 def _alpha(i: int) -> str:
     return f"α_{i}"
 
@@ -282,6 +291,7 @@ def dg_auslander(ade, parity: str) -> GradedQuiver:
 
 def k0_rank(quiver: GradedQuiver) -> int:
     """Rank of the Grothendieck group: one generator per vertex."""
+    _check_graded_quiver(quiver)
     return len(quiver.vertices)
 
 
@@ -315,6 +325,7 @@ def mesh_image(quiver: GradedQuiver, vertex: str) -> tuple[tuple[str, str], ...]
     translate itself, as every translation here is an involution);
     coefficients are all 1.
     """
+    _check_graded_quiver(quiver)
     vertex = str(vertex)
     if vertex not in quiver.translation:
         raise DGAError(
@@ -348,6 +359,7 @@ def differential(quiver: GradedQuiver) -> dict[str, tuple[tuple[str, str], ...]]
     The mesh images are computed once per quiver; each call returns a new
     dict over them, so a caller may change its copy.
     """
+    _check_graded_quiver(quiver)
     diff = quiver._differential
     if diff is None:
         diff = {rho.label: mesh_image(quiver, rho.source) for rho in quiver.broken}
@@ -373,6 +385,7 @@ def render_sum(terms) -> str:
 
 
 def serialize_graded_quiver(quiver: GradedQuiver) -> str:
+    _check_graded_quiver(quiver)
     lines = ["vertices " + " ".join(quiver.vertices) + ";"]
     for a in quiver.solid:
         lines.append(f"arrow {a.label}: {a.source} -> {a.target} deg 0;")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .quiver import Presentation, QuiverError, record
+from .quiver import Presentation, QuiverError, _check_presentation, record
 
 
 @record
@@ -45,6 +45,7 @@ def check_gentle(pres: Presentation) -> GentleReport:
     The condition that relations are pairs of arrows is built into the
     presentation type, so it can never be violated here.
     """
+    _check_presentation(pres)
     violations: list[GentleViolation] = []
     for v in pres.vertices:
         for arrows, verb in ((pres.outgoing[v], "leave"), (pres.incoming[v], "enter")):
@@ -211,6 +212,7 @@ class GPClassification:
 
 
 def gorenstein_projectives(pres: Presentation) -> GPClassification:
+    _check_presentation(pres)
     return GPClassification(
         projectives=tuple(sorted(pres.vertices)),
         radicals=radical_embeddings(pres),

@@ -374,6 +374,15 @@ class Presentation:
         return Path(labels, arrows[0].source, arrows[-1].target)
 
 
+def _check_presentation(pres) -> None:
+    if not isinstance(pres, Presentation):
+        raise QuiverError(
+            f"expected a Presentation, got {type(pres).__name__}",
+            precondition="presentation is a Presentation",
+            witness={"presentation": repr(pres)},
+        )
+
+
 def compose(p: Path, q: Path) -> Path:
     """Concatenation in traversal order: apply p first, then q.
 
@@ -562,6 +571,7 @@ def parse_presentation(text: str) -> Presentation:
 
 
 def serialize_presentation(pres: Presentation) -> str:
+    _check_presentation(pres)
     lines = []
     lines.append("vertices " + " ".join(pres.vertices) + ";")
     for a in pres.arrows:
@@ -576,6 +586,7 @@ def serialize_presentation(pres: Presentation) -> str:
 
 
 def presentation_to_json(pres: Presentation) -> dict:
+    _check_presentation(pres)
     return {
         "vertices": list(pres.vertices),
         "arrows": [

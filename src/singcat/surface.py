@@ -332,6 +332,12 @@ def fundamental_cycle(graph: DualGraph, seed: int | None = None) -> dict[str, in
     randomizes that choice so callers can confirm it.
     """
     _check_graph(graph)
+    if seed is not None and not isinstance(seed, int):
+        raise SurfaceError(
+            f"expected None or an int as seed, got {type(seed).__name__}",
+            precondition="seed is None or an int",
+            witness={"seed": repr(seed)},
+        )
     rng = None if seed is None else random.Random(seed)
     return _laufer(graph.vertices, graph.adjacency, graph.weights, rng, guard=False)
 
@@ -400,10 +406,14 @@ def jung_hirzebruch(n: int, a: int) -> list[int]:
     return out
 
 
-def evaluate_expansion(coefficients: Sequence[int]) -> Fraction:
+def evaluate_expansion(coefficients: Iterable[int]) -> Fraction:
     """Exact value c1 - 1/(c2 - 1/(...)) of a ceiling continued fraction."""
     from fractions import Fraction  # here, so importing singcat skips it
 
+    coefficients = _field(
+        lambda: tuple(coefficients), "coefficients", "an iterable of integers",
+        SurfaceError,
+    )
     if not coefficients:
         raise SurfaceError(
             "empty expansion",

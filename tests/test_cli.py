@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+import check_cli_dispatch
+import helpers
 from singcat import cli, nodal
 from singcat.cli import run, run_corpus
 from singcat.quiver import INT_DIGITS, SingcatError
@@ -264,6 +266,41 @@ class TestHomTable:
         code, _, err = invoke(capsys, argv)
         assert code == 1
         assert "maxlen must be positive" in stderr_error(err)["message"]
+
+    @staticmethod
+    def table_objects(lo: int, hi: int, maxlen: int) -> tuple[list, list]:
+        """Names and oracle tuples of the window's objects, in table order."""
+        kinds = [(f"P{c}", ("P", s)) for c, s in (("+", 1), ("-", -1))]
+        kinds += [
+            (f"S{c}({l})", ("S", s, l))
+            for c, s in (("+", 1), ("-", -1))
+            for l in range(1, maxlen + 1)
+        ]
+        shifts = range(lo, hi + 1)
+        names = [base if n == 0 else f"{base}[{n}]" for base, _ in kinds for n in shifts]
+        return names, [kind + (n,) for _, kind in kinds for n in shifts]
+
+    @pytest.mark.parametrize("maxlen", range(1, 7))
+    def test_every_window_matches_the_oracle_in_both_formats(self, maxlen, capsys):
+        _, objects = self.table_objects(-6, 6, maxlen)
+        dim = {(x, y): helpers.oracle_hom(x, y) for x in objects for y in objects}
+        # single shifts (lo == hi) and all-negative windows included
+        for lo in range(-6, 7):
+            for hi in range(lo, 7):
+                argv = ["nodal", "table", f"--shifts={lo}..{hi}", "--maxlen", str(maxlen)]
+                sub, oracle = self.table_objects(lo, hi, maxlen)
+                rows = [[dim[x, y] for y in oracle] for x in oracle]
+                code, out, err = invoke(capsys, argv)
+                assert (code, err) == (0, "")
+                assert json.loads(out) == {"objects": sub, "dims": rows}, argv
+                width = max(map(len, sub))
+                text = [" " * (width + 1) + " ".join(n.rjust(width) for n in sub)]
+                text += [
+                    x.rjust(width) + "  " + " ".join(str(d).rjust(width) for d in row)
+                    for x, row in zip(sub, rows)
+                ]
+                code, out, err = invoke(capsys, argv + ["--format", "text"])
+                assert (code, out, err) == (0, "\n".join(text) + "\n", ""), argv
 
 
 class TestComplexCommand:
@@ -555,3 +592,43 @@ class TestParserReuse:
         assert reused == fresh
         assert {code for _, code, _, _ in reused} == {0, 1, 2}
         assert (["surface", "--help"], 0) in [(argv, code) for argv, code, _, _ in reused]
+
+
+class TestLeafDispatch:
+    def test_leaf_parse_matches_the_full_parse(self, fresh_parser_cache):
+        argvs = check_cli_dispatch.requests() + [argv for _, argv in replay_requests()]
+        assert list(check_cli_dispatch.mismatches(argvs)) == []
+        through = [argv for argv in argvs if check_cli_dispatch.through_leaf(argv)]
+        assert 0 < len(through) < len(argvs)
+
+    def test_leaf_requests_skip_the_full_parser(
+        self, fresh_parser_cache, monkeypatch, capsys, tmp_path
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the full parser ran")
+
+        monkeypatch.setattr(cli._parser(), "parse_args", refuse)
+        assert invoke(capsys, ["nodal", "hom", "P+", "P-[-1]"])[:2] == (0, '{\n  "dim": 1\n}\n')
+        assert invoke(capsys, ["corpus", str(tmp_path), "--format", "text"])[:2] == (
+            0, "0 passed, 0 failed\n"
+        )
+        code, out, err = invoke(capsys, ["nodal", "hom", "P+", "P-", "extra", "--x"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: singcat [-h]")
+        assert err.endswith("singcat: error: unrecognized arguments: extra --x\n")
+        with pytest.raises(AssertionError, match="the full parser ran"):
+            run(["nodal", "-h"])
+
+    def test_text_is_rendered_only_when_asked(self, fresh_parser_cache, monkeypatch, capsys):
+        rendered = []
+        serialize = cli.dga.serialize_graded_quiver
+
+        def counting(quiver):
+            rendered.append(quiver)
+            return serialize(quiver)
+
+        monkeypatch.setattr(cli.dga, "serialize_graded_quiver", counting)
+        assert invoke(capsys, ["dga", "emit", "A3", "odd"])[0] == 0
+        assert rendered == []
+        assert invoke(capsys, ["dga", "emit", "A3", "odd", "--format", "text"])[0] == 0
+        assert len(rendered) == 1

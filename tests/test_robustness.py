@@ -13,7 +13,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singcat.dg_auslander import DGAError, dg_auslander
+from singcat.dg_auslander import (
+    DGAError,
+    dg_auslander,
+    differential,
+    graded_quiver_to_json,
+    k0_rank,
+    mesh_image,
+    serialize_graded_quiver,
+)
+from singcat.gentle import (
+    check_gentle,
+    compare_invariant,
+    critical_cycles,
+    gorenstein_projectives,
+    singularity_category,
+)
 from singcat.nodal import (
     NodalError,
     NodalProjective,
@@ -29,9 +44,13 @@ from singcat.nodal import (
 from singcat.quiver import (
     INT_DIGITS,
     ParseError,
+    Presentation,
+    QuiverError,
     SingcatError,
     parse_presentation,
     presentation_from_json,
+    presentation_to_json,
+    serialize_presentation,
 )
 from singcat.surface import (
     DualGraph,
@@ -233,6 +252,59 @@ def test_graph_functions(graph, function):
 @given(graphs, st.lists(vertex_names, max_size=3) | wrong_types)
 def test_decompose(graph, contracted):
     accepts_or_refuses(decompose, graph, contracted)
+
+
+# a gentle 2-cycle and a fan of three parallel arrows (not gentle) now and then
+presentations = st.sampled_from([
+    Presentation(["1", "2"], [("a", "1", "2"), ("b", "2", "1")], [("a", "b"), ("b", "a")]),
+    Presentation(["1", "2"], [("a", "1", "2"), ("b", "1", "2"), ("c", "1", "2")]),
+]) | wrong_types
+PRESENTATION_FUNCTIONS = [
+    check_gentle, critical_cycles, gorenstein_projectives, singularity_category,
+    serialize_presentation, presentation_to_json,
+]
+
+
+@FUZZ
+@given(presentations, st.sampled_from(PRESENTATION_FUNCTIONS))
+def test_presentation_functions(pres, function):
+    accepts_or_refuses(function, pres)
+
+
+@FUZZ
+@given(presentations, presentations)
+def test_compare_invariant(first, second):
+    accepts_or_refuses(compare_invariant, first, second)
+
+
+graded_quivers = st.sampled_from([dg_auslander("A3", "odd"), dg_auslander("D4", "even")])
+GRADED_QUIVER_FUNCTIONS = [
+    serialize_graded_quiver, graded_quiver_to_json, differential, k0_rank,
+]
+
+
+@FUZZ
+@given(graded_quivers | wrong_types, st.sampled_from(GRADED_QUIVER_FUNCTIONS))
+def test_graded_quiver_functions(quiver, function):
+    accepts_or_refuses(function, quiver)
+
+
+@FUZZ
+@given(graded_quivers | wrong_types, vertex_names)
+def test_mesh_image(quiver, vertex):
+    accepts_or_refuses(mesh_image, quiver, vertex)
+
+
+@pytest.mark.parametrize(
+    "function, error, precondition",
+    [(f, QuiverError, "presentation is a Presentation") for f in PRESENTATION_FUNCTIONS]
+    + [(f, DGAError, "quiver is a GradedQuiver") for f in GRADED_QUIVER_FUNCTIONS],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_wrong_type_names_the_precondition(function, error, precondition):
+    with pytest.raises(error) as info:
+        function(None)
+    assert info.value.precondition == precondition
 
 
 summands = st.lists(block_objects | wrong_types, max_size=3)

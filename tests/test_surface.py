@@ -294,6 +294,12 @@ class TestLauferAlgorithm:
             for seed in range(100):
                 assert fundamental_cycle(graph, seed=seed) == base
 
+    @pytest.mark.parametrize("seed", [[1], 1.5, "7", b"7"])
+    def test_seed_must_be_none_or_an_int(self, seed):
+        with pytest.raises(SurfaceError) as info:
+            fundamental_cycle(helpers.t13_graph(), seed=seed)
+        assert info.value.precondition == "seed is None or an int"
+
     def test_exhaustive_minimality_sweep(self):
         """Anti-nef minimality on every small tree with desk-scale weights.
 
@@ -526,6 +532,12 @@ class TestJungHirzebruch:
         assert evaluate_expansion([2, 2, 5, 2, 2, 2]) == Fraction(43, 30)
         assert evaluate_expansion([7]) == 7
 
+    def test_evaluate_expansion_reads_an_iterator_once(self):
+        assert evaluate_expansion(iter([2, 2, 4, 3])) == Fraction(27, 19)
+        assert evaluate_expansion(c for c in (5, 3, 4)) == Fraction(51, 11)
+        with pytest.raises(SurfaceError, match="empty expansion"):
+            evaluate_expansion(iter([]))
+
     def test_evaluate_expansion_preconditions(self):
         with pytest.raises(SurfaceError, match="empty expansion"):
             evaluate_expansion([])
@@ -533,6 +545,9 @@ class TestJungHirzebruch:
             evaluate_expansion([2, 1])
         with pytest.raises(SurfaceError, match="invalid coefficient"):
             evaluate_expansion([2, 2.0])
+        with pytest.raises(SurfaceError) as info:
+            evaluate_expansion(5)
+        assert info.value.precondition == "coefficients is an iterable of integers"
 
 
 class TestCyclicDualGraph:
