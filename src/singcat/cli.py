@@ -501,21 +501,128 @@ def _cmd_corpus(args):
 # parser
 
 
+class _NotPlain(Exception):
+    """Input the fast paths leave to argparse or ``json.dumps``."""
+
+
+def _convert(action: argparse.Action, word: str):
+    """The value argparse stores for ``word``: type conversion, then choices."""
+    try:
+        value = word if action.type is None else action.type(word)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        raise _NotPlain from None
+    if action.choices is not None and value not in action.choices:
+        raise _NotPlain
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
-    leaves: dict[tuple[str, ...], argparse.ArgumentParser]
+    leaves: dict[tuple[str, ...], _Parser]
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+    @functools.cached_property
+    def _plain_spec(self):
+        """What ``parse_plain`` reads of this parser's actions, or None when
+        an action is neither ``store`` nor ``store_true``."""
+        options, positionals, defaults = {}, [], dict(self._defaults)
+        for action in self._actions:
+            kind = type(action)
+            if kind is argparse._HelpAction:
+                continue  # its words stay with argparse
+            if kind not in (argparse._StoreAction, argparse._StoreTrueAction) or (
+                kind is argparse._StoreAction and action.nargs is not None
+            ):
+                return None
+            if action.option_strings:
+                options.update(dict.fromkeys(action.option_strings, action))
+            else:
+                positionals.append(action)
+            default = action.default
+            if default is argparse.SUPPRESS:
+                continue
+            if isinstance(default, str):  # argparse converts a string default
+                try:
+                    default = _convert(action, default)
+                except _NotPlain:
+                    return None
+            defaults[action.dest] = default
+        required = [a for a in options.values() if a.required]
+        groups = [(g.required, g._group_actions) for g in self._mutually_exclusive_groups]
+        return options, positionals, required, groups, defaults
+
+    def parse_plain(self, words: list[str], namespace: argparse.Namespace):
+        """``namespace`` filled as ``parse_args(words, namespace)`` fills it,
+        when every word is plain; otherwise None, with ``namespace`` untouched.
+
+        Plain words are exact option strings, each given once, a value word
+        after a ``store`` option that is non-empty and does not start with
+        ``-`` (or a ``--option=value`` word, whose value is taken verbatim),
+        and one word for each positional, such that every conversion and
+        choice passes, every required option is present and every mutually
+        exclusive group is satisfied.  Help, abbreviations, ``--``, negative
+        numbers and every error are left to argparse.
+        """
+        spec = self._plain_spec
+        if spec is None:
+            return None
+        options, positionals, required, groups, defaults = spec
+        seen: dict = {}
+        given = []
+        words = iter(words)
+        try:
+            for word in words:
+                if word[:1] != "-":
+                    if not word:
+                        return None
+                    given.append(word)
+                    continue
+                action = options.get(word)
+                if action is None:
+                    name, _, value = word.partition("=")
+                    action = options.get(name)
+                    # argparse releases differ on an explicit "--" value
+                    if action is None or action.nargs == 0 or value == "--":
+                        return None
+                elif action.nargs == 0:
+                    value = None
+                else:
+                    value = next(words, "")
+                    if value[:1] in ("", "-"):
+                        return None
+                if action in seen:
+                    return None
+                seen[action] = action.const if value is None else _convert(action, value)
+            if len(given) != len(positionals):
+                return None
+            for action, word in zip(positionals, given):
+                seen[action] = _convert(action, word)
+        except _NotPlain:
+            return None
+        if any(action not in seen for action in required):
+            return None
+        for group_required, members in groups:
+            # as in argparse, a value that is the default object is not "present"
+            present = sum(seen.get(a, a.default) is not a.default for a in members)
+            if present > 1 or (group_required and not present):
+                return None
+        values = vars(namespace)
+        for dest, default in defaults.items():
+            values.setdefault(dest, default)
+        values.update((action.dest, value) for action, value in seen.items())
+        return namespace
 
 
 def build_parser() -> _Parser:
     """Return a fresh parser for the ``singcat`` command line.
 
     ``run()`` does not call this per request: it reuses one parser per
-    process (``_parser()``).  Parsing keeps no state on the parser, since
-    every ``parse_args`` call builds a new namespace and writes usage and
-    errors to the ``sys.stdout``/``sys.stderr`` of the moment.  ``leaves``
+    process (``_parser()``).  Parsing keeps no request's state on the
+    parser, since every parse fills the namespace it is given and writes
+    usage and errors to the ``sys.stdout``/``sys.stderr`` of the moment; a
+    leaf keeps only what ``parse_plain`` reads of its actions.  ``leaves``
     maps the command words, ``(module, op)`` or ``("corpus",)``, to the
     subparser that parses the rest of the line.
     """
@@ -653,13 +760,67 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     for words in (tuple(argv[:2]), tuple(argv[:1])):
         leaf = parser.leaves.get(words)
         if leaf is not None:
+            rest = argv[len(words):]
             preset = argparse.Namespace(**dict(zip(("module", "op"), words)))
-            args, extras = leaf.parse_known_args(argv[len(words):], preset)
-            if extras:
-                # the message parse_args gives for leftovers, from the top
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args = leaf.parse_plain(rest, preset)
+            if args is None:
+                args, extras = leaf.parse_known_args(rest, preset)
+                if extras:
+                    # the message parse_args gives for leftovers, from the top
+                    parser.error(f"unrecognized arguments: {' '.join(extras)}")
             return args
     return parser.parse_args(argv)
+
+
+# ---------------------------------------------------------------------------
+# JSON output
+
+_QUOTE = json.encoder.encode_basestring  # the ensure_ascii=False quoting
+_SCALAR_LIST = {int: int.__repr__, str: _QUOTE}  # one join for such a list
+
+
+def _indented(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, ensure_ascii=False, indent=2)``
+    writes it at depth ``indent``; ``_NotPlain`` for any value that is not a
+    dict with str keys, list, tuple, str, int, bool or None (exact types)."""
+    kind = type(value)
+    if kind is str:
+        return _QUOTE(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    inner = indent + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        if set(map(type, value)) != {str}:
+            raise _NotPlain
+        items = [_QUOTE(key) + ": " + _indented(item, inner) for key, item in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        scalar = _SCALAR_LIST.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(scalar, value) if scalar else [_indented(x, inner) for x in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    raise _NotPlain
+
+
+def _json(payload) -> str:
+    """``json.dumps(payload, ensure_ascii=False, indent=2)``, byte for byte.
+
+    Any ``indent`` sends ``json.dumps`` to its pure-Python encoder, so the
+    plain payloads the handlers build are written directly; anything else
+    is left to ``json.dumps``.
+    """
+    try:
+        return _indented(payload, "")
+    except _NotPlain:
+        return json.dumps(payload, ensure_ascii=False, indent=2)
 
 
 def run(argv) -> int:
@@ -669,11 +830,7 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         payload, text, code = args.handler(args)
-        rendered = (
-            json.dumps(payload, ensure_ascii=False, indent=2)
-            if args.format == "json"
-            else text()
-        )
+        rendered = _json(payload) if args.format == "json" else text()
         if args.out:
             _write(args.out, rendered + "\n")
         else:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 
-from .quiver import INT_DIGITS, Arrow, SingcatError, record
+from .quiver import INT_DIGITS, Arrow, SingcatError, _field, record
 from .surface import ADEType
 
 
@@ -375,9 +375,11 @@ def render_term(term: tuple[str, str]) -> str:
 
 
 def render_sum(terms) -> str:
-    if not terms:
-        return "0"
-    return " + ".join(render_term(t) for t in terms)
+    rendered = _field(
+        lambda: " + ".join(map(render_term, terms)),
+        "terms", "an iterable of (str, str) pairs", DGAError,
+    )
+    return rendered or "0"
 
 
 # ---------------------------------------------------------------------------

@@ -313,10 +313,10 @@ def complex_d_squared(cx: StringComplex) -> list[Path]:
     multiplication by the product path; each composite must lie in the
     relation ideal for the complex to be a complex.
     """
-    return [
-        compose(shallow, deep)
-        for deep, shallow in zip(cx.differentials, cx.differentials[1:])
-    ]
+    diffs = _field(
+        lambda: tuple(cx.differentials), "complex", "a StringComplex", NodalError
+    )
+    return [compose(shallow, deep) for deep, shallow in zip(diffs, diffs[1:])]
 
 
 # ---------------------------------------------------------------------------

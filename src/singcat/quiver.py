@@ -327,11 +327,11 @@ class Presentation:
     def arrow(self, label: str) -> Arrow:
         try:
             return self._by_label[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise QuiverError(
                 f"no arrow labelled {label!r}",
                 precondition="label names a declared arrow",
-                witness={"arrow": label},
+                witness={"arrow": label if isinstance(label, str) else repr(label)},
             ) from None
 
     def source(self, label: str) -> str:
@@ -357,7 +357,7 @@ class Presentation:
 
     def path(self, labels: Sequence[str]) -> Path:
         """Build a path from labels in traversal order (first applied first)."""
-        labels = tuple(labels)
+        labels = _field(lambda: tuple(labels), "labels", "a sequence of arrow labels")
         if not labels:
             raise QuiverError(
                 "empty label list; use lazy_path for length-zero paths",
@@ -383,6 +383,15 @@ def _check_presentation(pres) -> None:
         )
 
 
+def _check_path(path, name: str) -> None:
+    if not isinstance(path, Path):
+        raise QuiverError(
+            f"expected a Path, got {type(path).__name__}",
+            precondition=f"{name} is a Path",
+            witness={name: repr(path)},
+        )
+
+
 def compose(p: Path, q: Path) -> Path:
     """Concatenation in traversal order: apply p first, then q.
 
@@ -390,6 +399,8 @@ def compose(p: Path, q: Path) -> Path:
     In the right-to-left display convention the result prints as the
     product "qp".
     """
+    _check_path(p, "first factor")
+    _check_path(q, "second factor")
     if p.target != q.source:
         raise QuiverError(
             "paths do not compose: target of the first factor "
@@ -406,6 +417,8 @@ def path_in_ideal(path: Path, pres: Presentation) -> bool:
     The ideal is generated by the relation pairs, so a path is in it exactly
     when some pair of consecutive arrows (in application order) is a relation.
     """
+    _check_path(path, "path")
+    _check_presentation(pres)
     return any(
         (a, b) in pres.relation_set for a, b in zip(path.arrows, path.arrows[1:])
     )
@@ -461,6 +474,12 @@ def parse_presentation(text: str) -> Presentation:
     offset into the cleaned text is an offset into ``text``; positions are
     worked out only for an error.
     """
+    if not isinstance(text, str):
+        raise QuiverError(
+            f"expected text, got {type(text).__name__}",
+            precondition="text is a str",
+            witness={"text": repr(text)},
+        )
     vertices: list[str] = []
     arrows: list[Arrow] = []
     relations: list[tuple[str, str]] = []

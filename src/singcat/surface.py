@@ -618,6 +618,12 @@ _EDGE_RE = re.compile(r"^edge\s+(\S+)\s+(\S+)$")
 
 
 def parse_dual_graph(text: str) -> DualGraph:
+    if not isinstance(text, str):
+        raise SurfaceError(
+            f"expected text, got {type(text).__name__}",
+            precondition="text is a str",
+            witness={"text": repr(text)},
+        )
     vertices: list[str] = []
     weights: dict[str, int] = {}
     edges: list[tuple[str, str]] = []

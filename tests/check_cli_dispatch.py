@@ -1,22 +1,28 @@
 """Leaf dispatch of ``singcat.cli.run`` against the full argparse parse.
 
 ``run()`` hands ``singcat <module> <op> ...`` straight to the op's own
-subparser and every other command line to the full parser.  For each
-request this script parses the command line both ways and compares the
-outcome: ``vars(namespace)`` when parsing succeeds, and the exit code,
-stdout and stderr when it stops (a usage error or ``--help``).  The
-requests are every corpus argv, every ``singcat`` line of the README and
-cases at the edges of the dispatch: arguments left over, unknown options
-after the op, ``-h`` at each level, ``--sh -2..2``, ``--`` separators, a
-module without an op and unknown names.  argparse changes between Python
-releases, so run it under each supported interpreter.  Runs without pytest,
-against whichever singcat the interpreter finds::
+subparser and every other command line to the full parser.  The leaf first
+tries its plain-word match (``parse_plain``), which reads argparse's
+internals, and runs argparse only when that declines.  For each request
+this script parses the command line both ways and compares the outcome:
+``vars(namespace)`` when parsing succeeds, and the exit code, stdout and
+stderr when it stops (a usage error or ``--help``).  It also compares the
+plain-word namespace on its own with the full parse, and checks that a
+declining plain match leaves its preset namespace as it was.  The requests
+are every corpus argv, every ``singcat`` line of the README and cases at
+the edges of the dispatch: arguments left over, unknown options after the
+op, ``-h`` at each level, ``--sh -2..2``, ``--`` separators, a module
+without an op, unknown names, ``=`` forms, repeated options and values that
+start with ``-``.  argparse changes between Python releases, so run it
+under each supported interpreter.  Runs without pytest, against whichever
+singcat the interpreter finds::
 
     python tests/check_cli_dispatch.py
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -80,6 +86,24 @@ EDGE_CASES = [
     ["surface", "cyclic", "-5", "3"],
     ["dga", "emit", "A3", "-1"],
     ["nodal", "hom", "P+", "P-", "--out"],
+    # words the plain-word match must take as argparse does, or decline
+    ["nodal", "hom", "P+", "P-", "--format=json"],
+    ["nodal", "hom", "P+", "P-", "--format="],
+    ["nodal", "hom", "P+", "P-", "--out="],
+    ["nodal", "hom", "P+", "P-", "--out=--"],
+    ["nodal", "hom", "P+", "P-", "--format", "text", "--format", "json"],
+    ["surface", "decompose", "g.graph", "--all-minus-two=x"],
+    ["surface", "decompose", "g.graph", "--all-minus-two", "--out", "d.json"],
+    ["surface", "decompose", "--contract=1,2", "g.graph"],
+    ["surface", "fundamental", "t.graph", "--seed", "-1"],
+    ["surface", "fundamental", "t.graph", "--seed=-1"],
+    ["nodal", "table", "--shifts=0..1", "--maxlen", "07"],
+    ["nodal", "table", "--shifts=0..1"],
+    ["surface", "cyclic", "-27", "19"],
+    ["surface", "cyclic", "27", "19", "--format", "text"],
+    ["nodal", "hom", "", "P-"],
+    ["nodal", "k0", "S+(1)", ""],
+    ["corpus", "corpus", "--seed", "3", "--format", "text", "--out", "c.txt"],
 ]
 
 
@@ -116,29 +140,65 @@ def outcome(parse, argv: list[str]) -> tuple:
     return namespace, code, out.getvalue(), err.getvalue()
 
 
-def through_leaf(argv: list[str]) -> bool:
+def leaf_of(argv: list[str]):
+    """(leaf parser, command words) when ``run()`` starts ``argv`` at a leaf."""
     leaves = cli._parser().leaves
-    return tuple(argv[:2]) in leaves or tuple(argv[:1]) in leaves
+    for words in (tuple(argv[:2]), tuple(argv[:1])):
+        if words in leaves:
+            return leaves[words], words
+    return None
+
+
+DECLINED = "declined"
+
+
+def plain(argv: list[str]):
+    """What the leaf's plain-word match makes of ``argv``: ``vars`` of its
+    namespace, ``DECLINED`` when it declines and leaves the preset as it was,
+    a description of the preset when it declines after changing it, or None
+    when no leaf starts ``argv``."""
+    found = leaf_of(argv)
+    if found is None:
+        return None
+    leaf, words = found
+    preset = argparse.Namespace(**dict(zip(("module", "op"), words)))
+    before = dict(vars(preset))
+    namespace = leaf.parse_plain(argv[len(words):], preset)
+    if namespace is not None:
+        return vars(namespace)
+    return DECLINED if vars(preset) == before else f"declined, preset now {vars(preset)}"
+
+
+def route(argv: list[str]) -> str:
+    """The parse ``run()`` gives ``argv``: "plain", "leaf" or "full"."""
+    taken = plain(cli._join_shift_windows(list(argv)))
+    return "full" if taken is None else "leaf" if taken == DECLINED else "plain"
 
 
 def mismatches(argvs):
-    """(argv, leaf outcome, full outcome) for each request the two disagree on."""
+    """(argv, path, its outcome, full outcome) for each disagreement: path
+    "dispatch" is ``cli._parse`` as a whole, "plain" the plain-word match."""
     full = cli._parser().parse_args
     for argv in argvs:
         argv = cli._join_shift_windows(list(argv))
-        got, expected = outcome(cli._parse, argv), outcome(full, argv)
+        expected = outcome(full, argv)
+        got = outcome(cli._parse, argv)
         if got != expected:
-            yield argv, got, expected
+            yield argv, "dispatch", got, expected
+        taken = plain(argv)
+        if taken not in (None, DECLINED) and (taken, None, "", "") != expected:
+            yield argv, "plain", taken, expected
 
 
 def main() -> int:
     argvs = requests()
     found = list(mismatches(argvs))
-    for argv, got, expected in found:
-        print(f"MISMATCH {argv}\n  leaf: {got}\n  full: {expected}")
-    leaf = sum(through_leaf(argv) for argv in argvs)
-    print(f"python {sys.version.split()[0]}: {len(argvs)} requests, {leaf} through "
-          f"a leaf, {len(found)} mismatches")
+    for argv, path, got, expected in found:
+        print(f"MISMATCH {argv}\n  {path}: {got}\n  full: {expected}")
+    routes = [route(argv) for argv in argvs]
+    print(f"python {sys.version.split()[0]}: {len(argvs)} requests, "
+          f"{routes.count('plain')} plain, {routes.count('leaf')} argparse leaf, "
+          f"{routes.count('full')} full parser, {len(found)} mismatches")
     return int(bool(found))
 
 

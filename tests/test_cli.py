@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import enum
 import io
 import json
 import os
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import check_cli_dispatch
 import helpers
@@ -598,8 +601,8 @@ class TestLeafDispatch:
     def test_leaf_parse_matches_the_full_parse(self, fresh_parser_cache):
         argvs = check_cli_dispatch.requests() + [argv for _, argv in replay_requests()]
         assert list(check_cli_dispatch.mismatches(argvs)) == []
-        through = [argv for argv in argvs if check_cli_dispatch.through_leaf(argv)]
-        assert 0 < len(through) < len(argvs)
+        routes = {check_cli_dispatch.route(argv) for argv in argvs}
+        assert routes == {"plain", "leaf", "full"}
 
     def test_leaf_requests_skip_the_full_parser(
         self, fresh_parser_cache, monkeypatch, capsys, tmp_path
@@ -619,6 +622,18 @@ class TestLeafDispatch:
         with pytest.raises(AssertionError, match="the full parser ran"):
             run(["nodal", "-h"])
 
+    def test_plain_requests_skip_argparse(self, fresh_parser_cache, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse ran")
+
+        leaf = cli._parser().leaves["nodal", "hom"]
+        monkeypatch.setattr(leaf, "parse_known_args", refuse)
+        assert invoke(capsys, ["nodal", "hom", "P+", "P-[-1]", "--format=text"])[:2] == (
+            0, "1\n"
+        )
+        with pytest.raises(AssertionError, match="argparse ran"):
+            run(["nodal", "hom", "P+", "P-[-1]", "--form", "text"])
+
     def test_text_is_rendered_only_when_asked(self, fresh_parser_cache, monkeypatch, capsys):
         rendered = []
         serialize = cli.dga.serialize_graded_quiver
@@ -632,3 +647,82 @@ class TestLeafDispatch:
         assert rendered == []
         assert invoke(capsys, ["dga", "emit", "A3", "odd", "--format", "text"])[0] == 0
         assert len(rendered) == 1
+
+
+# ---------------------------------------------------------------------------
+# plain-word parse and JSON writer against argparse and json.dumps
+
+LEAVES = sorted(cli.build_parser().leaves.items())
+VALUES = ["json", "text", "x", "3", "07", "-1", "-2..2", "0..1", "a.q", "1,2", "P+", "S+(1)"]
+
+
+@st.composite
+def leaf_words(draw, leaf):
+    """Words for ``leaf``: one value per positional and a few option chunks
+    in any order.  The chunks draw on the leaf's own option strings, their
+    abbreviations and ``=`` forms, values with and without a leading ``-``,
+    ``""``, ``--`` and ``-h``."""
+    options = sorted(leaf._option_string_actions)
+    flags = options + [s[:n] for s in options if s.startswith("--") for n in range(3, len(s))]
+    value = st.sampled_from(VALUES + ["", "--"])
+    chunk = (
+        st.tuples(st.sampled_from(flags), value).map(list)
+        | st.builds("{}={}".format, st.sampled_from(flags), value).map(lambda w: [w])
+        | st.sampled_from(flags + VALUES + ["", "--", "-h"]).map(lambda w: [w])
+    )
+    positionals = sum(not action.option_strings for action in leaf._actions)
+    chunks = draw(st.lists(value.map(lambda w: [w]), min_size=positionals, max_size=positionals))
+    chunks += draw(st.lists(chunk, max_size=4))
+    return [word for chunk in draw(st.permutations(chunks)) for word in chunk]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_plain_parse_is_argparse_or_declines(data):
+    words, leaf = data.draw(st.sampled_from(LEAVES))
+    argv = [*words, *data.draw(leaf_words(leaf))]
+    taken = check_cli_dispatch.plain(argv)  # DECLINED only with the preset untouched
+    if taken != check_cli_dispatch.DECLINED:
+        full = check_cli_dispatch.outcome(cli._parser().parse_args, argv)
+        assert (taken, None, "", "") == full
+
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**80), max_value=10**80)
+    | st.text()
+    | st.text(st.sampled_from("\x00\x1f\x7f\"\\/\n\t\u2028é𝔸 "))
+)
+payloads = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads)
+def test_json_writer_matches_json_dumps(payload):
+    assert cli._json(payload) == json.dumps(payload, ensure_ascii=False, indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    payloads,
+    st.sampled_from(
+        [1.5, float("nan"), -0.0, Level.LOW, {1: "a"}, {Level.LOW: 2}, {True: 0}, [0.5]]
+    ),
+)
+def test_json_writer_leaves_other_values_to_json_dumps(payload, odd):
+    value = {"plain": payload, "nested": [payload, {"odd": odd}]}
+    with pytest.raises(cli._NotPlain):
+        cli._indented(value, "")
+    assert cli._json(value) == json.dumps(value, ensure_ascii=False, indent=2)

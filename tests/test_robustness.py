@@ -9,6 +9,8 @@ raw Python exception.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from singcat.dg_auslander import (
     graded_quiver_to_json,
     k0_rank,
     mesh_image,
+    render_sum,
     serialize_graded_quiver,
 )
 from singcat.gentle import (
@@ -30,15 +33,19 @@ from singcat.gentle import (
     singularity_category,
 )
 from singcat.nodal import (
+    NODAL_PRESENTATION,
     NodalError,
     NodalProjective,
     NodalString,
+    StringComplex,
     ZeroProjective,
     ZeroString,
     ar_window,
+    complex_d_squared,
     delta,
     hom_dim,
     hom_dim_sum,
+    minimal_string_complex,
     parse_object,
 )
 from singcat.quiver import (
@@ -47,13 +54,16 @@ from singcat.quiver import (
     Presentation,
     QuiverError,
     SingcatError,
+    compose,
     parse_presentation,
+    path_in_ideal,
     presentation_from_json,
     presentation_to_json,
     serialize_presentation,
 )
 from singcat.surface import (
     DualGraph,
+    SurfaceError,
     ade_recognize,
     all_minus_two,
     canonical_syzygy_multiplicities,
@@ -295,16 +305,95 @@ def test_mesh_image(quiver, vertex):
     accepts_or_refuses(mesh_image, quiver, vertex)
 
 
+# the nodal quiver's paths, its presentation and a complex now and then
+paths = st.sampled_from([
+    NODAL_PRESENTATION.path(["α"]),
+    NODAL_PRESENTATION.path(["α", "β"]),
+    NODAL_PRESENTATION.lazy_path("*"),
+]) | wrong_types
+labels = st.lists(st.sampled_from(["α", "β", "γ", "δ", "x"]) | wrong_types, max_size=3)
+
+
+@FUZZ
+@given(paths, paths)
+def test_compose(p, q):
+    accepts_or_refuses(compose, p, q)
+
+
+@FUZZ
+@given(paths, st.just(NODAL_PRESENTATION) | presentations)
+def test_path_in_ideal(path, pres):
+    accepts_or_refuses(path_in_ideal, path, pres)
+
+
+@FUZZ
+@given(labels | wrong_types)
+def test_presentation_path(labels):
+    accepts_or_refuses(NODAL_PRESENTATION.path, labels)
+
+
+@FUZZ
+@given(
+    st.just(minimal_string_complex("+", 2))
+    | st.builds(StringComplex, wrong_types, st.lists(paths, max_size=3) | wrong_types)
+    | wrong_types
+)
+def test_complex_d_squared(cx):
+    accepts_or_refuses(complex_d_squared, cx)
+
+
+@FUZZ
+@given(
+    st.lists(st.tuples(st.sampled_from(["a", "b"]), st.sampled_from(["a", "b"]))
+             | wrong_types, max_size=3)
+    | wrong_types
+)
+def test_render_sum(terms):
+    accepts_or_refuses(render_sum, terms)
+
+
 @pytest.mark.parametrize(
     "function, error, precondition",
     [(f, QuiverError, "presentation is a Presentation") for f in PRESENTATION_FUNCTIONS]
-    + [(f, DGAError, "quiver is a GradedQuiver") for f in GRADED_QUIVER_FUNCTIONS],
+    + [(f, DGAError, "quiver is a GradedQuiver") for f in GRADED_QUIVER_FUNCTIONS]
+    + [
+        (parse_presentation, QuiverError, "text is a str"),
+        (parse_dual_graph, SurfaceError, "text is a str"),
+        (NODAL_PRESENTATION.path, QuiverError, "labels is a sequence of arrow labels"),
+        (complex_d_squared, NodalError, "complex is a StringComplex"),
+        (render_sum, DGAError, "terms is an iterable of (str, str) pairs"),
+    ],
     ids=lambda value: getattr(value, "__name__", None),
 )
 def test_wrong_type_names_the_precondition(function, error, precondition):
     with pytest.raises(error) as info:
         function(None)
     assert info.value.precondition == precondition
+
+
+@pytest.mark.parametrize(
+    "function, args, error, precondition",
+    [
+        (compose, (None, None), QuiverError, "first factor is a Path"),
+        (compose, (NODAL_PRESENTATION.path(["α"]), None), QuiverError,
+         "second factor is a Path"),
+        (path_in_ideal, (None, None), QuiverError, "path is a Path"),
+        (path_in_ideal, (NODAL_PRESENTATION.path(["α"]), None), QuiverError,
+         "presentation is a Presentation"),
+        (render_sum, (5,), DGAError, "terms is an iterable of (str, str) pairs"),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_each_argument_names_its_precondition(function, args, error, precondition):
+    with pytest.raises(error) as info:
+        function(*args)
+    assert info.value.precondition == precondition
+
+
+def test_unhashable_label_gets_a_json_witness():
+    with pytest.raises(QuiverError) as info:
+        NODAL_PRESENTATION.path([{"α"}])
+    assert json.loads(json.dumps(info.value.diagnostic()))["witness"] == {"arrow": "{'α'}"}
 
 
 summands = st.lists(block_objects | wrong_types, max_size=3)
