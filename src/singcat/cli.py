@@ -35,6 +35,13 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
+    # "--out=" gives "", and some argparse releases store [] for "--out=--"
+    if not isinstance(path, str) or not path:
+        raise SingcatError(
+            f"cannot write {path!r}: not a file name",
+            precondition="output path is writable",
+            witness={"path": path},
+        )
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -498,228 +505,204 @@ def _cmd_corpus(args):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table
+
+# The options every command takes, ahead of its own arguments.  An argument
+# is (flags, add_argument keywords); only ``store`` arguments with one value
+# and ``store_true`` options occur, which is what ``_plain`` matches.
+_COMMON = [
+    (("--format",), {"choices": ("json", "text"), "default": "json", "help": "output format"}),
+    (("--out",), {"metavar": "FILE", "help": "write the output to FILE"}),
+    (("--seed",), {"type": int, "metavar": "N", "help": "seed for randomized choices"}),
+]
+
+_MODULES = {
+    "gentle": "gentle presentations",
+    "nodal": "nodal block calculus",
+    "surface": "resolution graphs",
+    "dga": "dg-Auslander quivers",
+}
+
+_FILE = (("file",), {})
+
+# (module, op) or ("corpus",) -> (handler, help, arguments).  A list among
+# the arguments is a required mutually exclusive group.
+_COMMANDS = {
+    ("gentle", "check"): (_cmd_gentle_check, "report the gentle conditions", [_FILE]),
+    ("gentle", "cycles"): (_cmd_gentle_cycles, "critical cycles", [_FILE]),
+    ("gentle", "gp"): (_cmd_gentle_gp, "Gorenstein projectives", [_FILE]),
+    ("gentle", "singcat"): (_cmd_gentle_singcat, "singularity block factors", [_FILE]),
+    ("gentle", "compare"): (_cmd_gentle_compare, "compare block factors", [
+        (("first",), {}),
+        (("second",), {}),
+    ]),
+    ("nodal", "hom"): (_cmd_nodal_hom, "Hom dimension between objects", [
+        (("source",), {}),
+        (("target",), {}),
+    ]),
+    ("nodal", "table"): (_cmd_nodal_table, "Hom table over a window", [
+        (("--shifts",), {"required": True, "help": "shift window, e.g. -2..2"}),
+        (("--maxlen",), {"type": int, "required": True, "help": "largest string length"}),
+    ]),
+    ("nodal", "complex"): (_cmd_nodal_complex, "minimal string complex", [
+        (("string",), {"help": "e.g. S+(2) or S(3)"}),
+    ]),
+    ("nodal", "k0"): (_cmd_nodal_k0, "class in the Grothendieck group", [(("object",), {})]),
+    ("surface", "cyclic"): (_cmd_surface_cyclic, "cyclic quotient data", [
+        (("n",), {"type": int}),
+        (("a",), {"type": int}),
+    ]),
+    ("surface", "fundamental"): (_cmd_surface_fundamental, "fundamental cycle", [_FILE]),
+    ("surface", "decompose"): (_cmd_surface_decompose, "ADE contraction blocks", [
+        _FILE,
+        [
+            (("--contract",), {"help": "comma separated vertices"}),
+            (("--all-minus-two",), {"action": "store_true", "help": "contract every (-2)-curve"}),
+        ],
+    ]),
+    ("surface", "ranks"): (_cmd_surface_ranks, "special module ranks", [_FILE]),
+    ("dga", "emit"): (_cmd_dga_emit, "emit a graded quiver", [
+        (("type",), {"help": "ADE type, e.g. A7 or E8"}),
+        (("parity",), {"help": "'even', 'odd' or an ambient dimension"}),
+    ]),
+    ("corpus",): (_cmd_corpus, "run recorded examples", [(("directory",), {})]),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Return a fresh argparse parser for the ``singcat`` command line.
+
+    ``run()`` does not call this per request: a plain command line needs no
+    parser (``_plain``), and the others share one per process
+    (``_parser()``), which keeps no request's state.
+    """
+    parser = argparse.ArgumentParser(prog="singcat", description=__doc__)
+    top = parser.add_subparsers(dest="module", required=True)
+    ops = {}
+    for words, (handler, summary, arguments) in _COMMANDS.items():
+        if len(words) == 1:
+            choices = top
+        else:
+            choices = ops.get(words[0])
+            if choices is None:
+                module = top.add_parser(words[0], help=_MODULES[words[0]])
+                choices = ops[words[0]] = module.add_subparsers(dest="op", required=True)
+        p = choices.add_parser(words[-1], help=summary)
+        for entry in _COMMON + arguments:
+            if isinstance(entry, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for flags, keywords in entry:
+                    group.add_argument(*flags, **keywords)
+            else:
+                p.add_argument(*entry[0], **entry[1])
+        p.set_defaults(handler=handler)
+    return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 class _NotPlain(Exception):
     """Input the fast paths leave to argparse or ``json.dumps``."""
 
 
-def _convert(action: argparse.Action, word: str):
+def _value(keywords: dict, word: str):
     """The value argparse stores for ``word``: type conversion, then choices."""
     try:
-        value = word if action.type is None else action.type(word)
-    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        value = keywords.get("type", str)(word)
+    except ValueError:
         raise _NotPlain from None
-    if action.choices is not None and value not in action.choices:
+    if value not in keywords.get("choices", (value,)):
         raise _NotPlain
     return value
 
 
-class _Parser(argparse.ArgumentParser):
-    leaves: dict[tuple[str, ...], _Parser]
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(2, f"{self.prog}: error: {message}\n")
-
-    @functools.cached_property
-    def _plain_spec(self):
-        """What ``parse_plain`` reads of this parser's actions, or None when
-        an action is neither ``store`` nor ``store_true``."""
-        options, positionals, defaults = {}, [], dict(self._defaults)
-        for action in self._actions:
-            kind = type(action)
-            if kind is argparse._HelpAction:
-                continue  # its words stay with argparse
-            if kind not in (argparse._StoreAction, argparse._StoreTrueAction) or (
-                kind is argparse._StoreAction and action.nargs is not None
-            ):
-                return None
-            if action.option_strings:
-                options.update(dict.fromkeys(action.option_strings, action))
-            else:
-                positionals.append(action)
-            default = action.default
-            if default is argparse.SUPPRESS:
-                continue
-            if isinstance(default, str):  # argparse converts a string default
-                try:
-                    default = _convert(action, default)
-                except _NotPlain:
-                    return None
-            defaults[action.dest] = default
-        required = [a for a in options.values() if a.required]
-        groups = [(g.required, g._group_actions) for g in self._mutually_exclusive_groups]
-        return options, positionals, required, groups, defaults
-
-    def parse_plain(self, words: list[str], namespace: argparse.Namespace):
-        """``namespace`` filled as ``parse_args(words, namespace)`` fills it,
-        when every word is plain; otherwise None, with ``namespace`` untouched.
-
-        Plain words are exact option strings, each given once, a value word
-        after a ``store`` option that is non-empty and does not start with
-        ``-`` (or a ``--option=value`` word, whose value is taken verbatim),
-        and one word for each positional, such that every conversion and
-        choice passes, every required option is present and every mutually
-        exclusive group is satisfied.  Help, abbreviations, ``--``, negative
-        numbers and every error are left to argparse.
-        """
-        spec = self._plain_spec
-        if spec is None:
-            return None
-        options, positionals, required, groups, defaults = spec
-        seen: dict = {}
-        given = []
-        words = iter(words)
-        try:
-            for word in words:
-                if word[:1] != "-":
-                    if not word:
-                        return None
-                    given.append(word)
-                    continue
-                action = options.get(word)
-                if action is None:
-                    name, _, value = word.partition("=")
-                    action = options.get(name)
-                    # argparse releases differ on an explicit "--" value
-                    if action is None or action.nargs == 0 or value == "--":
-                        return None
-                elif action.nargs == 0:
-                    value = None
-                else:
-                    value = next(words, "")
-                    if value[:1] in ("", "-"):
-                        return None
-                if action in seen:
-                    return None
-                seen[action] = action.const if value is None else _convert(action, value)
-            if len(given) != len(positionals):
-                return None
-            for action, word in zip(positionals, given):
-                seen[action] = _convert(action, word)
-        except _NotPlain:
-            return None
-        if any(action not in seen for action in required):
-            return None
-        for group_required, members in groups:
-            # as in argparse, a value that is the default object is not "present"
-            present = sum(seen.get(a, a.default) is not a.default for a in members)
-            if present > 1 or (group_required and not present):
-                return None
-        values = vars(namespace)
-        for dest, default in defaults.items():
-            values.setdefault(dest, default)
-        values.update((action.dest, value) for action, value in seen.items())
-        return namespace
-
-
-def build_parser() -> _Parser:
-    """Return a fresh parser for the ``singcat`` command line.
-
-    ``run()`` does not call this per request: it reuses one parser per
-    process (``_parser()``).  Parsing keeps no request's state on the
-    parser, since every parse fills the namespace it is given and writes
-    usage and errors to the ``sys.stdout``/``sys.stderr`` of the moment; a
-    leaf keeps only what ``parse_plain`` reads of its actions.  ``leaves``
-    maps the command words, ``(module, op)`` or ``("corpus",)``, to the
-    subparser that parses the rest of the line.
-    """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "text"), default="json", help="output format"
-    )
-    common.add_argument("--out", metavar="FILE", help="write the output to FILE")
-    common.add_argument(
-        "--seed", type=int, metavar="N", help="seed for randomized choices"
-    )
-
-    parser = _Parser(prog="singcat", description=__doc__)
-    top = parser.add_subparsers(dest="module", required=True)
-
-    g = top.add_parser("gentle", help="gentle presentations").add_subparsers(
-        dest="op", required=True
-    )
-    p = g.add_parser("check", parents=[common], help="report the gentle conditions")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_gentle_check)
-    p = g.add_parser("cycles", parents=[common], help="critical cycles")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_gentle_cycles)
-    p = g.add_parser("gp", parents=[common], help="Gorenstein projectives")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_gentle_gp)
-    p = g.add_parser("singcat", parents=[common], help="singularity block factors")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_gentle_singcat)
-    p = g.add_parser("compare", parents=[common], help="compare block factors")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(handler=_cmd_gentle_compare)
-
-    n = top.add_parser("nodal", help="nodal block calculus").add_subparsers(
-        dest="op", required=True
-    )
-    p = n.add_parser("hom", parents=[common], help="Hom dimension between objects")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.set_defaults(handler=_cmd_nodal_hom)
-    p = n.add_parser("table", parents=[common], help="Hom table over a window")
-    p.add_argument("--shifts", required=True, help="shift window, e.g. -2..2")
-    p.add_argument("--maxlen", type=int, required=True, help="largest string length")
-    p.set_defaults(handler=_cmd_nodal_table)
-    p = n.add_parser("complex", parents=[common], help="minimal string complex")
-    p.add_argument("string", help="e.g. S+(2) or S(3)")
-    p.set_defaults(handler=_cmd_nodal_complex)
-    p = n.add_parser("k0", parents=[common], help="class in the Grothendieck group")
-    p.add_argument("object")
-    p.set_defaults(handler=_cmd_nodal_k0)
-
-    s = top.add_parser("surface", help="resolution graphs").add_subparsers(
-        dest="op", required=True
-    )
-    p = s.add_parser("cyclic", parents=[common], help="cyclic quotient data")
-    p.add_argument("n", type=int)
-    p.add_argument("a", type=int)
-    p.set_defaults(handler=_cmd_surface_cyclic)
-    p = s.add_parser("fundamental", parents=[common], help="fundamental cycle")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_surface_fundamental)
-    p = s.add_parser("decompose", parents=[common], help="ADE contraction blocks")
-    p.add_argument("file")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--contract", help="comma separated vertices")
-    group.add_argument(
-        "--all-minus-two", action="store_true", help="contract every (-2)-curve"
-    )
-    p.set_defaults(handler=_cmd_surface_decompose)
-    p = s.add_parser("ranks", parents=[common], help="special module ranks")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_surface_ranks)
-
-    d = top.add_parser("dga", help="dg-Auslander quivers").add_subparsers(
-        dest="op", required=True
-    )
-    p = d.add_parser("emit", parents=[common], help="emit a graded quiver")
-    p.add_argument("type", help="ADE type, e.g. A7 or E8")
-    p.add_argument("parity", help="'even', 'odd' or an ambient dimension")
-    p.set_defaults(handler=_cmd_dga_emit)
-
-    p = top.add_parser("corpus", parents=[common], help="run recorded examples")
-    p.add_argument("directory")
-    p.set_defaults(handler=_cmd_corpus)
-
-    parser.leaves = {("corpus",): p}
-    for module, ops in (("gentle", g), ("nodal", n), ("surface", s), ("dga", d)):
-        for op, leaf in ops.choices.items():
-            parser.leaves[module, op] = leaf
-    return parser
-
-
 @functools.cache
-def _parser() -> _Parser:
-    return build_parser()
+def _spec(words: tuple[str, ...]):
+    """What ``_plain`` reads of the command ``words``: its options by flag
+    as (dest, keywords, or None for ``store_true``), its positionals as
+    (dest, keywords), the dests of each required option and of the group,
+    exactly one of which must be given, and the namespace of defaults."""
+    handler, _, arguments = _COMMANDS[words]
+    options, positionals, one_of = {}, [], []
+    defaults = dict(zip(("module", "op"), words))
+    for entry in _COMMON + arguments:
+        exclusive = isinstance(entry, list)
+        dests = []
+        for flags, keywords in entry if exclusive else [entry]:
+            if not flags[0].startswith("-"):
+                positionals.append((flags[0], keywords))
+                continue
+            dest = flags[0].lstrip("-").replace("-", "_")
+            if keywords.get("action") == "store_true":
+                options.update(dict.fromkeys(flags, (dest, None)))
+                defaults[dest] = False
+            else:
+                options.update(dict.fromkeys(flags, (dest, keywords)))
+                defaults[dest] = keywords.get("default")
+            if exclusive or keywords.get("required"):
+                dests.append(dest)
+        if dests:
+            one_of.append(dests)
+    defaults["handler"] = handler
+    return options, positionals, one_of, defaults
+
+
+def _plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``_parser().parse_args(argv)`` builds, when ``argv`` is
+    a command of ``_COMMANDS`` followed by plain words only; otherwise None.
+
+    Plain words are exact option strings, each given once, a value word
+    after a ``store`` option that is non-empty and does not start with
+    ``-`` (or a ``--option=value`` word, whose value is taken verbatim), and
+    one word for each positional, such that every conversion and choice
+    passes, every required option is present and the mutually exclusive
+    group has exactly one member.  Help, abbreviations, ``--``, negative
+    numbers and every error are left to argparse.
+    """
+    words = tuple(argv[:2])
+    if words not in _COMMANDS:
+        words = words[:1]
+        if words not in _COMMANDS:
+            return None
+    options, positionals, one_of, defaults = _spec(words)
+    seen: dict = {}
+    given = []
+    rest = iter(argv[len(words):])
+    try:
+        for word in rest:
+            if word[:1] != "-":
+                if not word:
+                    return None
+                given.append(word)
+                continue
+            option = options.get(word)
+            if option is None:
+                name, _, value = word.partition("=")
+                option = options.get(name)
+                # argparse releases differ on an explicit "--" value
+                if option is None or option[1] is None or value == "--":
+                    return None
+            elif option[1] is not None:
+                value = next(rest, "")
+                if value[:1] in ("", "-"):
+                    return None
+            dest, keywords = option
+            if dest in seen:
+                return None
+            seen[dest] = True if keywords is None else _value(keywords, value)
+        if len(given) != len(positionals):
+            return None
+        for (dest, keywords), word in zip(positionals, given):
+            seen[dest] = _value(keywords, word)
+    except _NotPlain:
+        return None
+    for dests in one_of:
+        if sum(dest in seen for dest in dests) != 1:
+            return None
+    return argparse.Namespace(**{**defaults, **seen})
 
 
 def _is_shifts_flag(token: str) -> bool:
@@ -747,29 +730,9 @@ def _join_shift_windows(argv: list[str]) -> list[str]:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, starting at the leaf when the first
-    words name one.
-
-    The full parse hands every token after a module and op name to that
-    leaf, so parsing ``argv[2:]`` there (``argv[1:]`` for ``corpus``) with
-    ``module`` and ``op`` preset gives the same namespace, output and exit.
-    Everything else, such as ``--help`` above a leaf, an unknown name or an
-    option before the op, takes the full parser.
-    """
-    parser = _parser()
-    for words in (tuple(argv[:2]), tuple(argv[:1])):
-        leaf = parser.leaves.get(words)
-        if leaf is not None:
-            rest = argv[len(words):]
-            preset = argparse.Namespace(**dict(zip(("module", "op"), words)))
-            args = leaf.parse_plain(rest, preset)
-            if args is None:
-                args, extras = leaf.parse_known_args(rest, preset)
-                if extras:
-                    # the message parse_args gives for leftovers, from the top
-                    parser.error(f"unrecognized arguments: {' '.join(extras)}")
-            return args
-    return parser.parse_args(argv)
+    """``_parser().parse_args(argv)``, without building argparse's parser
+    for a plain command line."""
+    return _plain(argv) or _parser().parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -831,10 +794,10 @@ def run(argv) -> int:
     try:
         payload, text, code = args.handler(args)
         rendered = _json(payload) if args.format == "json" else text()
-        if args.out:
-            _write(args.out, rendered + "\n")
-        else:
+        if args.out is None:
             print(rendered)
+        else:
+            _write(args.out, rendered + "\n")
     except SingcatError as err:
         sys.stderr.write(
             json.dumps({"error": err.diagnostic()}, ensure_ascii=False) + "\n"

@@ -367,7 +367,7 @@ def differential(quiver: GradedQuiver) -> dict[str, tuple[tuple[str, str], ...]]
     return dict(diff)
 
 
-def render_term(term: tuple[str, str]) -> str:
+def _render_term(term: tuple[str, str]) -> str:
     first, second = term
     if first == second:
         return f"{first}^2"
@@ -376,7 +376,7 @@ def render_term(term: tuple[str, str]) -> str:
 
 def render_sum(terms) -> str:
     rendered = _field(
-        lambda: " + ".join(map(render_term, terms)),
+        lambda: " + ".join(map(_render_term, terms)),
         "terms", "an iterable of (str, str) pairs", DGAError,
     )
     return rendered or "0"

@@ -1,28 +1,25 @@
-"""Leaf dispatch of ``singcat.cli.run`` against the full argparse parse.
+"""Parse routes of ``singcat.cli.run`` against the full argparse parse.
 
-``run()`` hands ``singcat <module> <op> ...`` straight to the op's own
-subparser and every other command line to the full parser.  The leaf first
-tries its plain-word match (``parse_plain``), which reads argparse's
-internals, and runs argparse only when that declines.  For each request
-this script parses the command line both ways and compares the outcome:
+``run()`` matches a plain ``singcat <module> <op> ...`` line against the
+command table (``cli._plain``) without building argparse's parser, and
+hands every other command line to that parser.  For each request this
+script parses the command line both ways and compares the outcome:
 ``vars(namespace)`` when parsing succeeds, and the exit code, stdout and
 stderr when it stops (a usage error or ``--help``).  It also compares the
-plain-word namespace on its own with the full parse, and checks that a
-declining plain match leaves its preset namespace as it was.  The requests
-are every corpus argv, every ``singcat`` line of the README and cases at
-the edges of the dispatch: arguments left over, unknown options after the
-op, ``-h`` at each level, ``--sh -2..2``, ``--`` separators, a module
-without an op, unknown names, ``=`` forms, repeated options and values that
-start with ``-``.  argparse changes between Python releases, so run it
-under each supported interpreter.  Runs without pytest, against whichever
-singcat the interpreter finds::
+plain match on its own with the full parse.  The requests are every corpus
+argv, every ``singcat`` line of the README and cases at the edges of the
+match: arguments left over, unknown options after the op, ``-h`` at each
+level, ``--sh -2..2``, ``--`` separators, a module without an op, unknown
+names, ``=`` forms, repeated options and values that start with ``-``.
+argparse changes between Python releases (``--out=--``, for one), so run
+it under each supported interpreter.  Runs without pytest, against
+whichever singcat the interpreter finds::
 
     python tests/check_cli_dispatch.py
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
@@ -36,8 +33,9 @@ from singcat import cli
 ROOT = Path(__file__).resolve().parent.parent
 
 EDGE_CASES = [
-    # arguments left over after the leaf
+    # arguments left over after the command
     ["nodal", "hom", "P+", "P-", "extra"],
+    ["nodal", "hom", "P+", "P-", "extra", "--x"],
     ["gentle", "compare", "a.q", "b.q", "c.q", "d.q"],
     ["corpus", ".", "extra"],
     # unknown options after the op
@@ -76,7 +74,7 @@ EDGE_CASES = [
     ["bogus", "hom"],
     ["nodal", "--format", "text", "hom", "P+", "P-"],
     ["--format", "text", "nodal", "hom", "P+", "P-"],
-    # the leaf's own errors and defaults
+    # the command's own errors and defaults
     ["gentle", "check"],
     ["gentle", "check", "--format", "xml", "a.q"],
     ["surface", "decompose", "g.graph", "--contract", "1", "--all-minus-two"],
@@ -86,7 +84,7 @@ EDGE_CASES = [
     ["surface", "cyclic", "-5", "3"],
     ["dga", "emit", "A3", "-1"],
     ["nodal", "hom", "P+", "P-", "--out"],
-    # words the plain-word match must take as argparse does, or decline
+    # words the plain match must take as argparse does, or decline
     ["nodal", "hom", "P+", "P-", "--format=json"],
     ["nodal", "hom", "P+", "P-", "--format="],
     ["nodal", "hom", "P+", "P-", "--out="],
@@ -140,44 +138,21 @@ def outcome(parse, argv: list[str]) -> tuple:
     return namespace, code, out.getvalue(), err.getvalue()
 
 
-def leaf_of(argv: list[str]):
-    """(leaf parser, command words) when ``run()`` starts ``argv`` at a leaf."""
-    leaves = cli._parser().leaves
-    for words in (tuple(argv[:2]), tuple(argv[:1])):
-        if words in leaves:
-            return leaves[words], words
-    return None
-
-
-DECLINED = "declined"
-
-
 def plain(argv: list[str]):
-    """What the leaf's plain-word match makes of ``argv``: ``vars`` of its
-    namespace, ``DECLINED`` when it declines and leaves the preset as it was,
-    a description of the preset when it declines after changing it, or None
-    when no leaf starts ``argv``."""
-    found = leaf_of(argv)
-    if found is None:
-        return None
-    leaf, words = found
-    preset = argparse.Namespace(**dict(zip(("module", "op"), words)))
-    before = dict(vars(preset))
-    namespace = leaf.parse_plain(argv[len(words):], preset)
-    if namespace is not None:
-        return vars(namespace)
-    return DECLINED if vars(preset) == before else f"declined, preset now {vars(preset)}"
+    """``vars`` of the namespace the plain match makes of ``argv``, or None
+    when it declines."""
+    namespace = cli._plain(argv)
+    return None if namespace is None else vars(namespace)
 
 
 def route(argv: list[str]) -> str:
-    """The parse ``run()`` gives ``argv``: "plain", "leaf" or "full"."""
-    taken = plain(cli._join_shift_windows(list(argv)))
-    return "full" if taken is None else "leaf" if taken == DECLINED else "plain"
+    """The parse ``run()`` gives ``argv``: "plain" or "argparse"."""
+    return "argparse" if plain(cli._join_shift_windows(list(argv))) is None else "plain"
 
 
 def mismatches(argvs):
     """(argv, path, its outcome, full outcome) for each disagreement: path
-    "dispatch" is ``cli._parse`` as a whole, "plain" the plain-word match."""
+    "dispatch" is ``cli._parse`` as a whole, "plain" the plain match."""
     full = cli._parser().parse_args
     for argv in argvs:
         argv = cli._join_shift_windows(list(argv))
@@ -186,7 +161,7 @@ def mismatches(argvs):
         if got != expected:
             yield argv, "dispatch", got, expected
         taken = plain(argv)
-        if taken not in (None, DECLINED) and (taken, None, "", "") != expected:
+        if taken is not None and (taken, None, "", "") != expected:
             yield argv, "plain", taken, expected
 
 
@@ -197,8 +172,8 @@ def main() -> int:
         print(f"MISMATCH {argv}\n  {path}: {got}\n  full: {expected}")
     routes = [route(argv) for argv in argvs]
     print(f"python {sys.version.split()[0]}: {len(argvs)} requests, "
-          f"{routes.count('plain')} plain, {routes.count('leaf')} argparse leaf, "
-          f"{routes.count('full')} full parser, {len(found)} mismatches")
+          f"{routes.count('plain')} plain, {routes.count('argparse')} argparse, "
+          f"{len(found)} mismatches")
     return int(bool(found))
 
 

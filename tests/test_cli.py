@@ -178,6 +178,29 @@ class TestOutFlag:
         assert code == 1
         assert "cannot write" in stderr_error(err)["message"]
 
+    def test_empty_out_value_is_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(capsys, ["nodal", "hom", "P+", "P-[-1]", "--out="])
+        assert (code, out) == (1, "")
+        assert err == (
+            '{"error": {"message": "cannot write \'\': not a file name", '
+            '"precondition": "output path is writable", "witness": {"path": ""}}}\n'
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_explicit_dash_dash_out_value(self, tmp_path, monkeypatch, capsys):
+        # argparse stores "--" under Python 3.13 and [], which names no file, under 3.11
+        monkeypatch.chdir(tmp_path)
+        argv = ["nodal", "hom", "P+", "P-[-1]", "--out=--"]
+        stored = cli._parser().parse_args(argv).out
+        code, out, err = invoke(capsys, argv)
+        if stored == "--":
+            assert (code, out, err) == (0, "", "")
+            assert (tmp_path / "--").read_text(encoding="utf-8") == '{\n  "dim": 1\n}\n'
+        else:
+            assert (code, out) == (1, "")
+            assert stderr_error(err)["witness"] == {"path": stored}
+
     def test_unwritable_out_path_diagnostic_is_pinned(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         argv = ["nodal", "hom", "P+", "P-[-1]", "--out", "missing-dir/hom.json"]
@@ -598,41 +621,37 @@ class TestParserReuse:
 
 
 class TestLeafDispatch:
-    def test_leaf_parse_matches_the_full_parse(self, fresh_parser_cache):
+    def test_dispatch_matches_the_full_parse(self, fresh_parser_cache):
         argvs = check_cli_dispatch.requests() + [argv for _, argv in replay_requests()]
         assert list(check_cli_dispatch.mismatches(argvs)) == []
         routes = {check_cli_dispatch.route(argv) for argv in argvs}
-        assert routes == {"plain", "leaf", "full"}
+        assert routes == {"plain", "argparse"}
 
-    def test_leaf_requests_skip_the_full_parser(
+    def test_shipped_commands_take_the_plain_route(self):
+        argvs = check_cli_dispatch.corpus_argvs() + check_cli_dispatch.readme_argvs()
+        assert {check_cli_dispatch.route(argv) for argv in argvs} == {"plain"}
+
+    def test_plain_requests_build_no_parser(
         self, fresh_parser_cache, monkeypatch, capsys, tmp_path
     ):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the full parser ran")
+        def refuse():
+            raise AssertionError("argparse ran")
 
-        monkeypatch.setattr(cli._parser(), "parse_args", refuse)
-        assert invoke(capsys, ["nodal", "hom", "P+", "P-[-1]"])[:2] == (0, '{\n  "dim": 1\n}\n')
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert invoke(capsys, ["nodal", "hom", "P+", "P-[-1]", "--format=text"])[:2] == (
+            0, "1\n"
+        )
         assert invoke(capsys, ["corpus", str(tmp_path), "--format", "text"])[:2] == (
             0, "0 passed, 0 failed\n"
         )
+        with pytest.raises(AssertionError, match="argparse ran"):
+            run(["nodal", "hom", "P+", "P-[-1]", "--form", "text"])
+
+    def test_usage_errors_come_from_argparse(self, capsys):
         code, out, err = invoke(capsys, ["nodal", "hom", "P+", "P-", "extra", "--x"])
         assert (code, out) == (2, "")
         assert err.startswith("usage: singcat [-h]")
         assert err.endswith("singcat: error: unrecognized arguments: extra --x\n")
-        with pytest.raises(AssertionError, match="the full parser ran"):
-            run(["nodal", "-h"])
-
-    def test_plain_requests_skip_argparse(self, fresh_parser_cache, monkeypatch, capsys):
-        def refuse(*args, **kwargs):
-            raise AssertionError("argparse ran")
-
-        leaf = cli._parser().leaves["nodal", "hom"]
-        monkeypatch.setattr(leaf, "parse_known_args", refuse)
-        assert invoke(capsys, ["nodal", "hom", "P+", "P-[-1]", "--format=text"])[:2] == (
-            0, "1\n"
-        )
-        with pytest.raises(AssertionError, match="argparse ran"):
-            run(["nodal", "hom", "P+", "P-[-1]", "--form", "text"])
 
     def test_text_is_rendered_only_when_asked(self, fresh_parser_cache, monkeypatch, capsys):
         rendered = []
@@ -650,19 +669,28 @@ class TestLeafDispatch:
 
 
 # ---------------------------------------------------------------------------
-# plain-word parse and JSON writer against argparse and json.dumps
+# plain match and JSON writer against argparse and json.dumps
 
-LEAVES = sorted(cli.build_parser().leaves.items())
+COMMANDS = sorted(cli._COMMANDS)
 VALUES = ["json", "text", "x", "3", "07", "-1", "-2..2", "0..1", "a.q", "1,2", "P+", "S+(1)"]
 
 
+def table_arguments(words):
+    """(flags, keywords) of each argument the table declares for ``words``."""
+    for entry in cli._COMMON + cli._COMMANDS[words][2]:
+        yield from entry if isinstance(entry, list) else [entry]
+
+
 @st.composite
-def leaf_words(draw, leaf):
-    """Words for ``leaf``: one value per positional and a few option chunks
-    in any order.  The chunks draw on the leaf's own option strings, their
-    abbreviations and ``=`` forms, values with and without a leading ``-``,
-    ``""``, ``--`` and ``-h``."""
-    options = sorted(leaf._option_string_actions)
+def command_words(draw, words):
+    """Words for the command ``words``: one value per positional and a few
+    option chunks in any order.  The chunks draw on the command's option
+    strings, ``-h``, ``--help``, their abbreviations and ``=`` forms, values
+    with and without a leading ``-``, ``""`` and ``--``."""
+    arguments = list(table_arguments(words))
+    options = sorted(
+        flag for flags, _ in arguments for flag in flags if flag.startswith("-")
+    ) + ["--help", "-h"]
     flags = options + [s[:n] for s in options if s.startswith("--") for n in range(3, len(s))]
     value = st.sampled_from(VALUES + ["", "--"])
     chunk = (
@@ -670,7 +698,7 @@ def leaf_words(draw, leaf):
         | st.builds("{}={}".format, st.sampled_from(flags), value).map(lambda w: [w])
         | st.sampled_from(flags + VALUES + ["", "--", "-h"]).map(lambda w: [w])
     )
-    positionals = sum(not action.option_strings for action in leaf._actions)
+    positionals = sum(not flags[0].startswith("-") for flags, _ in arguments)
     chunks = draw(st.lists(value.map(lambda w: [w]), min_size=positionals, max_size=positionals))
     chunks += draw(st.lists(chunk, max_size=4))
     return [word for chunk in draw(st.permutations(chunks)) for word in chunk]
@@ -679,10 +707,10 @@ def leaf_words(draw, leaf):
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_plain_parse_is_argparse_or_declines(data):
-    words, leaf = data.draw(st.sampled_from(LEAVES))
-    argv = [*words, *data.draw(leaf_words(leaf))]
-    taken = check_cli_dispatch.plain(argv)  # DECLINED only with the preset untouched
-    if taken != check_cli_dispatch.DECLINED:
+    words = data.draw(st.sampled_from(COMMANDS))
+    argv = [*words, *data.draw(command_words(words))]
+    taken = check_cli_dispatch.plain(argv)
+    if taken is not None:
         full = check_cli_dispatch.outcome(cli._parser().parse_args, argv)
         assert (taken, None, "", "") == full
 

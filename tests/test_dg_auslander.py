@@ -22,7 +22,6 @@ from singcat.dg_auslander import (
     knoerrer_parity,
     mesh_image,
     render_sum,
-    render_term,
     serialize_graded_quiver,
 )
 from singcat.quiver import Arrow
@@ -217,10 +216,10 @@ class TestPinnedDifferentials:
 
 class TestRendering:
     def test_repeated_arrow_renders_as_a_square(self):
-        assert render_term(("γ", "γ")) == "γ^2"
+        assert render_sum([("γ", "γ")]) == "γ^2"
 
     def test_application_order_reverses_for_display(self):
-        assert render_term(("α_1", "α_2*")) == "α_2*α_1"
+        assert render_sum([("α_1", "α_2*")]) == "α_2*α_1"
 
     def test_empty_sum(self):
         assert render_sum(()) == "0"
