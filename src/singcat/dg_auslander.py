@@ -99,12 +99,20 @@ class GradedQuiver:
         # Index solid arrows by source and by (source, target), keeping
         # declaration order, and invert the translation, once per quiver.
         by_source, by_ends = {}, {}
-        for a in self.solid:
-            by_source.setdefault(a.source, []).append(a)
-            by_ends.setdefault((a.source, a.target), []).append(a)
+
+        def index():
+            for a in self.solid:
+                by_source.setdefault(a.source, []).append(a)
+                by_ends.setdefault((a.source, a.target), []).append(a)
+
+        _field(index, "solid", "a sequence of Arrows", DGAError)
+        untranslate = _field(
+            lambda: {v: k for k, v in self.translation.items()},
+            "translation", "a dict of vertex names", DGAError,
+        )
         object.__setattr__(self, "_solid_from", by_source)
         object.__setattr__(self, "_solid_between", by_ends)
-        object.__setattr__(self, "_untranslate", {v: k for k, v in self.translation.items()})
+        object.__setattr__(self, "_untranslate", untranslate)
         # filled by the first ``differential`` call, so a mesh that does not
         # complete uniquely is reported there, not here
         object.__setattr__(self, "_differential", None)

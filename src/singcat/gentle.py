@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .quiver import Presentation, QuiverError, _check_presentation, record
+from .quiver import Presentation, QuiverError, _check_presentation, _field, record
 
 
 @record
@@ -46,9 +46,11 @@ def check_gentle(pres: Presentation) -> GentleReport:
     presentation type, so it can never be violated here.
     """
     _check_presentation(pres)
+    outgoing, incoming = pres.outgoing, pres.incoming
+    successors, predecessors = pres.successors, pres.predecessors
     violations: list[GentleViolation] = []
     for v in pres.vertices:
-        for arrows, verb in ((pres.outgoing[v], "leave"), (pres.incoming[v], "enter")):
+        for arrows, verb in ((outgoing[v], "leave"), (incoming[v], "enter")):
             if len(arrows) > 2:
                 labels = [a.label for a in arrows]
                 violations.append(
@@ -56,10 +58,10 @@ def check_gentle(pres: Presentation) -> GentleReport:
                 )
     for a in pres.arrows:
         lab = a.label
-        succ = pres.successors.get(lab, ())
-        pred = pres.predecessors.get(lab, ())
-        after = pres.outgoing[a.target]
-        before = pres.incoming[a.source]
+        succ = successors.get(lab, ())
+        pred = predecessors.get(lab, ())
+        after = outgoing[a.target]
+        before = incoming[a.source]
         # Relation partners of an arrow are composable with it, so each list
         # below filters the neighbouring arrows, keeping declaration order.
         if len(succ) > 1:
@@ -98,30 +100,38 @@ class CriticalCycle:
 
     ``arrows`` is the canonical rotation in traversal order; the canonical
     rotation is the one whose display tuple (labels reversed, the printed
-    right-to-left order) is lexicographically greatest.
+    right-to-left order) is lexicographically greatest.  ``display`` and
+    ``name`` (the display labels joined, by spaces unless all are single
+    characters) are built once, at construction.
     """
 
     arrows: tuple[str, ...]
+
+    def __post_init__(self):
+        def build():
+            display = tuple(reversed(self.arrows))
+            return display, "".join(display)
+
+        display, joined = _field(build, "arrows", "a sequence of arrow labels")
+        # every label is one character exactly when none is empty and the
+        # joined labels are as many characters as there are labels
+        short = len(joined) == len(display) and "" not in display
+        object.__setattr__(self, "display", display)
+        object.__setattr__(self, "name", joined if short else " ".join(display))
 
     @property
     def length(self) -> int:
         return len(self.arrows)
 
-    @property
-    def display(self) -> tuple[str, ...]:
-        return tuple(reversed(self.arrows))
 
-    @property
-    def name(self) -> str:
-        disp = self.display
-        if all(len(lab) == 1 for lab in disp):
-            return "".join(disp)
-        return " ".join(disp)
+def _canonical_rotation(chain: list[str]) -> tuple[str, ...]:
+    """The rotation of a cycle (traversal order) with the greatest display.
 
-
-def _canonical_rotation(arrows: tuple[str, ...]) -> tuple[str, ...]:
-    rotations = [arrows[i:] + arrows[:i] for i in range(len(arrows))]
-    return max(rotations, key=lambda rot: tuple(reversed(rot)))
+    The labels of a cycle are distinct, so the greatest display starts with
+    the greatest label, which traversal order puts last.
+    """
+    cut = chain.index(max(chain)) + 1
+    return tuple(chain[cut:] + chain[:cut])
 
 
 def critical_cycles(pres: Presentation) -> list[CriticalCycle]:
@@ -129,9 +139,11 @@ def critical_cycles(pres: Presentation) -> list[CriticalCycle]:
     _require_gentle(pres)
     # G3 makes the relation successor map a partial bijection, so its orbits
     # are disjoint chains and cycles: one walk per unvisited arrow finds all.
+    successors = pres.successors
     visited: set[str] = set()
     cycles: list[CriticalCycle] = []
-    for start in (a.label for a in pres.arrows):
+    for a in pres.arrows:
+        start = a.label
         if start in visited:
             continue
         chain = []
@@ -139,10 +151,11 @@ def critical_cycles(pres: Presentation) -> list[CriticalCycle]:
         while cur is not None and cur not in visited:
             visited.add(cur)
             chain.append(cur)
-            cur = pres.successors.get(cur, (None,))[0]
+            after = successors.get(cur)
+            cur = after[0] if after else None
         if cur == start:
-            cycles.append(CriticalCycle(_canonical_rotation(tuple(chain))))
-    cycles.sort(key=lambda c: (c.length, c.display))
+            cycles.append(CriticalCycle(_canonical_rotation(chain)))
+    cycles.sort(key=lambda c: (len(c.arrows), c.display))
     return cycles
 
 
@@ -160,15 +173,16 @@ class StringModule:
 
 def _radical_walk(pres: Presentation, cycle: CriticalCycle, first: str) -> StringModule:
     """Walk the unique relation-free continuation of the cycle arrow ``first``."""
-    rel = pres.relation_set
-    prev = first
+    rel, outgoing = pres.relation_set, pres.outgoing
+    top = pres._by_label[first].target
+    prev, at = first, top
     walk: list[str] = []
     used: set[str] = set()
     while True:
-        after = pres.outgoing[pres.target(prev)]
-        step = next((b.label for b in after if (prev, b.label) not in rel), None)
-        if step is None:
+        arrow = next((b for b in outgoing[at] if (prev, b.label) not in rel), None)
+        if arrow is None:
             break
+        step = arrow.label
         if step in used:
             raise QuiverError(
                 "the algebra is infinite dimensional: the relation-free walk "
@@ -178,25 +192,27 @@ def _radical_walk(pres: Presentation, cycle: CriticalCycle, first: str) -> Strin
             )
         used.add(step)
         walk.append(step)
-        prev = step
-    return StringModule(pres.target(first), tuple(walk))
+        prev, at = step, arrow.target
+    return StringModule(top, tuple(walk))
 
 
 def radical_embeddings(
     pres: Presentation,
 ) -> dict[tuple[CriticalCycle, str], StringModule]:
     """String modules attached to cycle arrows, keyed by (cycle, source vertex)."""
+    by_label = pres._by_label
     out: dict[tuple[CriticalCycle, str], StringModule] = {}
     for cycle in critical_cycles(pres):
         for label in cycle.arrows:
-            key = (cycle, pres.source(label))
+            source = by_label[label].source
+            key = (cycle, source)
             if key in out:
                 raise QuiverError(
                     f"cycle {cycle.name} passes through vertex "
-                    f"{pres.source(label)!r} twice; its radical strings are "
+                    f"{source!r} twice; its radical strings are "
                     "not indexed by vertices",
                     precondition="critical cycle visits each vertex once",
-                    witness={"cycle": cycle.name, "vertex": pres.source(label)},
+                    witness={"cycle": cycle.name, "vertex": source},
                 )
             out[key] = _radical_walk(pres, cycle, label)
     return out

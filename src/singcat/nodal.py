@@ -149,34 +149,52 @@ NodalIndecomposable = Union[NodalProjective, NodalString]
 ZeroIndecomposable = Union[ZeroProjective, ZeroString]
 
 
+def _kind(obj, first: type, second: type) -> type | None:
+    """Whichever of the two types ``obj`` is an instance of, else None.
+
+    The Hom functions test the exact class first and call this only for
+    other objects, so an instance of a subclass is read as its base.
+    """
+    if isinstance(obj, first):
+        return first
+    if isinstance(obj, second):
+        return second
+    return None
+
+
 def hom_dim(x: NodalIndecomposable, y: NodalIndecomposable) -> int:
     """Dimension of Hom(x, y) in the nodal block; always 0 or 1.
 
     The formulas compare signs through the shift twist, and
-    delta_n(s) = t exactly when (s == t) == (n is even), so the twist is read
-    off the parity of n instead of being applied.
+    delta_n(s) = t exactly when (s != t) == (n is odd), so the twist is read
+    off the parity n & 1 instead of being applied.
     """
-    if isinstance(x, NodalString):
-        if isinstance(y, NodalString):
+    tx, ty = x.__class__, y.__class__
+    if tx is not NodalString and tx is not NodalProjective:
+        tx = _kind(x, NodalString, NodalProjective)
+    if ty is not NodalString and ty is not NodalProjective:
+        ty = _kind(y, NodalString, NodalProjective)
+    if tx is NodalString:
+        if ty is NodalString:
             n = y.shift - x.shift
             # y.sign == delta(n, x.sign)
-            same = (x.sign == y.sign) == (n % 2 == 0)
+            same = (x.sign != y.sign) == (n & 1)
             if n <= 0:
-                return int(same and 1 <= y.length + n <= x.length)
-            return int(not same and n >= 2 and 1 <= x.length + 2 - n <= y.length)
-        if isinstance(y, NodalProjective):
+                return 1 if same and 1 <= y.length + n <= x.length else 0
+            return 1 if not same and n >= 2 and 1 <= x.length + 2 - n <= y.length else 0
+        if ty is NodalProjective:
             n = y.shift - x.shift
             # y.sign != delta(n, x.sign)
-            return int(2 <= n <= x.length + 1 and (x.sign == y.sign) != (n % 2 == 0))
-    elif isinstance(x, NodalProjective):
-        if isinstance(y, NodalProjective):
+            return 1 if 2 <= n <= x.length + 1 and (x.sign != y.sign) != (n & 1) else 0
+    elif tx is NodalProjective:
+        if ty is NodalProjective:
             n = y.shift - x.shift
             # x.sign == delta(n, y.sign)
-            return int(n <= 0 and (x.sign == y.sign) == (n % 2 == 0))
-        if isinstance(y, NodalString):
+            return 1 if n <= 0 and (x.sign != y.sign) == (n & 1) else 0
+        if ty is NodalString:
             n = x.shift - y.shift
             # x.sign == delta(n, y.sign)
-            return int(0 <= n < y.length and (x.sign == y.sign) == (n % 2 == 0))
+            return 1 if 0 <= n < y.length and (x.sign != y.sign) == (n & 1) else 0
     raise NodalError(
         f"not nodal objects: {x!r}, {y!r}",
         precondition="both arguments are nodal indecomposables",
@@ -186,20 +204,25 @@ def hom_dim(x: NodalIndecomposable, y: NodalIndecomposable) -> int:
 
 def hom_dim_zero(x: ZeroIndecomposable, y: ZeroIndecomposable) -> int:
     """Dimension of Hom(x, y) in the zero-dimensional block; always 0 or 1."""
-    if isinstance(x, ZeroString):
-        if isinstance(y, ZeroString):
+    tx, ty = x.__class__, y.__class__
+    if tx is not ZeroString and tx is not ZeroProjective:
+        tx = _kind(x, ZeroString, ZeroProjective)
+    if ty is not ZeroString and ty is not ZeroProjective:
+        ty = _kind(y, ZeroString, ZeroProjective)
+    if tx is ZeroString:
+        if ty is ZeroString:
             n = y.shift - x.shift
             l, lp = x.length, y.length
-            return int((n <= 0 and 0 < lp + n <= l) or (2 <= n <= l + 1 < n + lp))
-        if isinstance(y, ZeroProjective):
+            return 1 if (n <= 0 and 0 < lp + n <= l) or (2 <= n <= l + 1 < n + lp) else 0
+        if ty is ZeroProjective:
             n = y.shift - x.shift
-            return int(2 <= n <= x.length + 1)
-    elif isinstance(x, ZeroProjective):
-        if isinstance(y, ZeroProjective):
-            return int(y.shift - x.shift <= 0)
-        if isinstance(y, ZeroString):
+            return 1 if 2 <= n <= x.length + 1 else 0
+    elif tx is ZeroProjective:
+        if ty is ZeroProjective:
+            return 1 if y.shift - x.shift <= 0 else 0
+        if ty is ZeroString:
             n = x.shift - y.shift
-            return int(0 <= n < y.length)
+            return 1 if 0 <= n < y.length else 0
     raise NodalError(
         f"not zero-block objects: {x!r}, {y!r}",
         precondition="both arguments are zero-block indecomposables",

@@ -235,24 +235,31 @@ class Presentation:
         )
         self._validate()
 
+    @classmethod
+    def _checked(cls, vertices, arrows, relations, by_label, relation_set):
+        """A presentation of fields that already passed every check of
+        ``_validate``, as tuples; ``by_label`` maps each label to its arrow."""
+        self = object.__new__(cls)
+        self.vertices, self.arrows, self.relations = vertices, arrows, relations
+        self._index(by_label, relation_set)
+        return self
+
     def _validate(self):
-        """Check every precondition and build the indices in the same pass."""
+        """Check every precondition, then build the index."""
         # a list with a bad name is checked name by name in the loops below,
         # so the first violation in list order is the one reported
         vertex_names_ok = _names_ok(self.vertices)
-        outgoing: dict[str, list[Arrow]] = {}
-        incoming: dict[str, list[Arrow]] = {}
+        declared: set[str] = set()
         for v in self.vertices:
             if not vertex_names_ok:
                 _check_name(v, "vertex")
-            if v in outgoing:
+            if v in declared:
                 raise QuiverError(
                     f"duplicate vertex {v!r}",
                     precondition="vertex names are distinct",
                     witness={"vertex": v},
                 )
-            outgoing[v] = []
-            incoming[v] = []
+            declared.add(v)
         labels_ok = _names_ok([a.label for a in self.arrows])
         by_label: dict[str, Arrow] = {}
         for a in self.arrows:
@@ -266,17 +273,13 @@ class Presentation:
                 )
             by_label[a.label] = a
             for v in (a.source, a.target):
-                if not isinstance(v, str) or v not in outgoing:
+                if not isinstance(v, str) or v not in declared:
                     raise QuiverError(
                         f"arrow {a.label!r} uses undeclared vertex {v!r}",
                         precondition="arrow endpoints are declared vertices",
                         witness={"arrow": a.label, "vertex": v},
                     )
-            outgoing[a.source].append(a)
-            incoming[a.target].append(a)
         relation_set: set[tuple[str, str]] = set()
-        successors: dict[str, list[str]] = {}
-        predecessors: dict[str, list[str]] = {}
         for first, second in self.relations:
             for lab in (first, second):
                 if lab not in by_label:
@@ -298,6 +301,18 @@ class Presentation:
                     witness={"first": first, "second": second},
                 )
             relation_set.add((first, second))
+        self._index(by_label, relation_set)
+
+    def _index(self, by_label: dict[str, Arrow], relation_set: set[tuple[str, str]]):
+        """Build the indices of checked fields, for ``_validate`` and the parser."""
+        outgoing: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
+        incoming: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
+        for a in self.arrows:
+            outgoing[a.source].append(a)
+            incoming[a.target].append(a)
+        successors: dict[str, list[str]] = {}
+        predecessors: dict[str, list[str]] = {}
+        for first, second in self.relations:
             successors.setdefault(first, []).append(second)
             predecessors.setdefault(second, []).append(first)
         self._by_label = by_label
@@ -468,11 +483,14 @@ def _split_relation_token(token: str, labels: Container[str]):
 
 
 def parse_presentation(text: str) -> Presentation:
-    """Read the text format statement by statement.
+    """Read the text format, checking each statement as it is read.
 
     Comments are blanked in place and separators become spaces, so every
     offset into the cleaned text is an offset into ``text``; positions are
-    worked out only for an error.
+    worked out only for an error.  The statements' checks cover every
+    precondition of ``Presentation`` but the name rule, which is checked
+    once per name list at the end, so the index is built once and nothing
+    is checked twice.
     """
     if not isinstance(text, str):
         raise QuiverError(
@@ -501,23 +519,13 @@ def parse_presentation(text: str) -> Presentation:
         raise _parse_error(msg, text, start + _word_starts(bodies[number])[index], **kw)
 
     for number, body in enumerate(bodies):
-        words = list(filter(None, body.split(" ")))
-        if not words:
-            continue
+        words = body.strip(" ").split(" ")
+        if "" in words:  # a blank statement, or words apart by more than one space
+            words = [w for w in words if w]
+            if not words:
+                continue
         head = words[0]
-        if head in ("arrows", "relations") and len(words) == 1:
-            continue  # bare section headers declare nothing
-        if head == "vertices":
-            if len(words) < 2:
-                err("'vertices' expects at least one name", 0)
-            for i, name in enumerate(words[1:], 1):
-                if name in vertex_at:
-                    err(f"duplicate vertex {name!r}", i)
-                if name == "->":
-                    err("'->' is not a valid vertex name", i)
-                vertex_at[name] = number, i
-                vertices.append(name)
-        elif head == "arrow":
+        if head == "arrow":
             # accept both "a:" and "a :"; i indexes the source vertex
             if len(words) > 1 and words[1].endswith(":") and words[1] != ":":
                 label, i = words[1][:-1], 2
@@ -570,23 +578,39 @@ def parse_presentation(text: str) -> Presentation:
                     f"{second_applied!r} starts at {a2.source!r}",
                     1,
                 )
-            if (first_applied, second_applied) in relation_set:
+            pair = first_applied, second_applied
+            if pair in relation_set:
                 err(f"duplicate relation {disp_first} {disp_second}", 1)
-            relation_set.add((first_applied, second_applied))
-            relations.append((first_applied, second_applied))
-        else:
+            relation_set.add(pair)
+            relations.append(pair)
+        elif head == "vertices":
+            if len(words) < 2:
+                err("'vertices' expects at least one name", 0)
+            for i, name in enumerate(words[1:], 1):
+                if name in vertex_at:
+                    err(f"duplicate vertex {name!r}", i)
+                if name == "->":
+                    err("'->' is not a valid vertex name", i)
+                vertex_at[name] = number, i
+                vertices.append(name)
+        elif head not in ("arrows", "relations") or len(words) > 1:
+            # bare section headers declare nothing
             err(f"unknown statement {head!r}", 0)
 
-    try:
-        return Presentation(vertices, arrows, relations)
-    except QuiverError as bad:
-        # the statements passed every other check above, so Presentation can
-        # only refuse a name: report it at the word that declares it
-        if bad.precondition != _NAME_RULE:
-            raise
-        ((kind, name),) = bad.witness.items()
-        number, index = vertex_at[name] if kind == "vertex" else (label_at[name], 1)
-        err(bad.message, index, precondition=bad.precondition)
+    # the name rule last, vertices first: report the first bad name in list
+    # order at the word that declares it
+    for names, kind in ((vertices, "vertex"), (labels, "arrow")):
+        if _names_ok(names):
+            continue
+        for name in names:
+            try:
+                _check_name(name, kind)
+            except QuiverError as bad:
+                number, index = vertex_at[name] if kind == "vertex" else (label_at[name], 1)
+                err(bad.message, index, precondition=bad.precondition)
+    return Presentation._checked(
+        tuple(vertices), tuple(arrows), tuple(relations), labels, relation_set
+    )
 
 
 def serialize_presentation(pres: Presentation) -> str:

@@ -187,6 +187,24 @@ def scan_arrows_into(pres: Presentation, vertex: str) -> list:
     return [a for a in pres.arrows if a.target == vertex]
 
 
+def presentation_index(pres: Presentation) -> dict:
+    """Every index a presentation keeps, with ``arrow()`` of each label, so
+    that two routes to the same presentation can be compared in full."""
+    return {
+        "outgoing": pres.outgoing,
+        "incoming": pres.incoming,
+        "successors": pres.successors,
+        "predecessors": pres.predecessors,
+        "relation_set": pres.relation_set,
+        "arrow": {a.label: pres.arrow(a.label) for a in pres.arrows},
+    }
+
+
+def rebuilt(pres: Presentation) -> Presentation:
+    """The same fields through the public, fully validating constructor."""
+    return Presentation(pres.vertices, pres.arrows, pres.relations)
+
+
 def scan_gentle_violations(pres: Presentation) -> tuple[tuple[str, str, str], ...]:
     """(condition, location, detail) of every gentle violation, in report order.
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import helpers
 from singcat.gentle import (
+    CriticalCycle,
     check_gentle,
     compare_invariant,
     critical_cycles,
@@ -177,6 +178,26 @@ class TestCriticalCycles:
 
     def test_hereditary_path_has_no_cycles(self):
         assert critical_cycles(helpers.a2_path()) == []
+
+    @pytest.mark.parametrize(
+        "arrows, display, name",
+        [
+            (("a", "b"), ("b", "a"), "ba"),
+            (["a", "bc"], ("bc", "a"), "bc a"),
+            # as many characters as labels, but not one each
+            (("", "ab"), ("ab", ""), "ab "),
+            ((), (), ""),
+        ],
+    )
+    def test_display_and_name_of_a_built_cycle(self, arrows, display, name):
+        cycle = CriticalCycle(arrows)
+        assert (cycle.display, cycle.name) == (display, name)
+
+    @pytest.mark.parametrize("arrows", [None, 5, ("a", 1)])
+    def test_cycle_of_non_labels_is_refused(self, arrows):
+        with pytest.raises(QuiverError) as info:
+            CriticalCycle(arrows)
+        assert info.value.precondition == "arrows is a sequence of arrow labels"
 
     def test_declaration_order_does_not_matter(self):
         base = helpers.illustrative()

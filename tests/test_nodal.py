@@ -73,15 +73,42 @@ class Tagged(NodalString):
     """A subclass, which hom_dim accepts like its base."""
 
 
+class TaggedProjective(NodalProjective):
+    pass
+
+
+class TaggedZeroString(ZeroString):
+    pass
+
+
+class TaggedZeroProjective(ZeroProjective):
+    pass
+
+
+SUBCLASS = {
+    NodalString: Tagged, NodalProjective: TaggedProjective,
+    ZeroString: TaggedZeroString, ZeroProjective: TaggedZeroProjective,
+}
+
+
+def tagged(obj):
+    """The same fields as an instance of the trivial subclass of its type."""
+    return SUBCLASS[type(obj)](*(getattr(obj, f) for f in obj._fields))
+
+
 class TestHomFormulas:
     def test_agrees_with_oracle_on_window(self):
-        # every ordered pair of 234 objects, so all four type pairs
+        # every ordered pair of 234 objects, so all four type pairs, each
+        # argument given as its exact type and as a subclass instance
         objs = window_objects(6, 8)
         assert {type(x) for x in objs} == {NodalProjective, NodalString}
         oracle = [helpers.to_oracle(x) for x in objs]
-        for x, ox in zip(objs, oracle):
-            for y, oy in zip(objs, oracle):
-                assert hom_dim(x, y) == helpers.oracle_hom(ox, oy), (x, y)
+        subs = [tagged(x) for x in objs]
+        for x, sx, ox in zip(objs, subs, oracle):
+            for y, sy, oy in zip(objs, subs, oracle):
+                want = helpers.oracle_hom(ox, oy)
+                assert hom_dim(x, y) == want, (x, y)
+                assert hom_dim(sx, y) == hom_dim(x, sy) == hom_dim(sx, sy) == want, (x, y)
 
     def test_subclasses_are_accepted(self):
         x, tagged = NodalString(MINUS, 2, 1), Tagged(MINUS, 2, 1)
@@ -154,6 +181,9 @@ class TestHomFormulas:
             (ZeroString(2), NodalString(PLUS, 1)),
             (NodalString(PLUS, 1), ZeroString(2)),
             ("P+", NodalProjective(PLUS)),
+            (Tagged(PLUS, 1), TaggedZeroProjective()),
+            (TaggedZeroString(2), TaggedProjective(MINUS)),
+            (TaggedProjective(PLUS), 1),
         ],
     )
     def test_rejects_foreign_objects(self, x, y):
@@ -187,11 +217,15 @@ class TestZeroBlock:
         assert {hom_dim_zero(x, y) for x in objs for y in objs} <= {0, 1}
 
     def test_agrees_with_frozen_formulas_on_window(self):
+        # each argument as its exact type and as a subclass instance
         objs = zero_window_objects()
         frozen = [helpers.to_zero_oracle(x) for x in objs]
-        for x, fx in zip(objs, frozen):
-            for y, fy in zip(objs, frozen):
-                assert hom_dim_zero(x, y) == helpers.frozen_hom_zero(fx, fy), (x, y)
+        subs = [tagged(x) for x in objs]
+        for x, sx, fx in zip(objs, subs, frozen):
+            for y, sy, fy in zip(objs, subs, frozen):
+                want = helpers.frozen_hom_zero(fx, fy)
+                assert hom_dim_zero(x, y) == want, (x, y)
+                assert hom_dim_zero(sx, y) == hom_dim_zero(x, sy) == hom_dim_zero(sx, sy) == want
 
     @pytest.mark.parametrize(
         "x, y",
@@ -202,6 +236,9 @@ class TestZeroBlock:
             (None, ZeroProjective()),
             (ZeroString(3), None),
             (ZeroProjective(), None),
+            (TaggedZeroString(1), Tagged(MINUS, 1)),
+            (TaggedProjective(PLUS), TaggedZeroProjective()),
+            (TaggedZeroProjective(), "S(1)"),
         ],
     )
     def test_rejects_foreign_objects(self, x, y):
@@ -210,6 +247,7 @@ class TestZeroBlock:
         assert info.value.precondition == (
             "both arguments are zero-block indecomposables"
         )
+        assert info.value.witness == {"first": repr(x), "second": repr(y)}
 
 
 class TestHomOfSums:

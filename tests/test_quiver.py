@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import re
+from functools import partial
+from pathlib import Path as FilePath
 
 import pytest
 from hypothesis import given, settings
@@ -123,7 +125,9 @@ class TestTextFormat:
     @settings(max_examples=120, deadline=None)
     @given(presentations())
     def test_serialize_parse_identity(self, pres):
-        assert parse_presentation(serialize_presentation(pres)) == pres
+        parsed = parse_presentation(serialize_presentation(pres))
+        assert parsed == pres
+        assert helpers.presentation_index(parsed) == helpers.presentation_index(pres)
 
     @settings(max_examples=120, deadline=None)
     @given(presentations())
@@ -266,6 +270,11 @@ PARSE_ERRORS = [
      "invalid arrow name 'a:'", 1, 21),
     ("vertices 1 2;\r\n  arrow a\xa0b: 1 -> 2;",
      "invalid arrow name 'a\\xa0b'", 2, 9),
+    # the name rule runs after every statement, vertices before labels
+    ("vertices 1; arrow a:b: 1 -> 1;\nvertices 2 c:d;",
+     "invalid vertex name 'c:d'", 2, 12),
+    ("vertices 1 ->x; arrow ->: 1 -> ->x; arrow c:: 1 -> 1;",
+     "invalid arrow name '->'", 1, 23),
 ]
 NAME_RULE = "names contain no whitespace, ';', ':' or '#' and are not '->'"
 
@@ -420,6 +429,34 @@ class TestPresentationValidation:
         with pytest.raises(QuiverError) as info:
             Presentation(vertices, arrows, relations)
         assert info.value.precondition == precondition
+
+
+CORPUS = FilePath(__file__).resolve().parent.parent / "corpus"
+FIXTURES = [
+    helpers.illustrative, helpers.hexagon, helpers.final_example,
+    helpers.loop_square, helpers.two_cycle, helpers.two_loops_all_relations,
+    helpers.two_loops_mixed, helpers.parallel_triple, helpers.a2_path,
+    *(partial(helpers.lambda_n, n) for n in (1, 2, 3, 6)),
+]
+
+
+class TestParsedIndex:
+    """The parser checks statements itself and builds the index without
+    ``Presentation``'s validation; both routes must give the same index."""
+
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.q")), ids=lambda p: p.name)
+    def test_corpus_files(self, path):
+        parsed = parse_presentation(path.read_text(encoding="utf-8"))
+        assert helpers.presentation_index(parsed) == helpers.presentation_index(
+            helpers.rebuilt(parsed)
+        )
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_serialized_fixtures(self, fixture):
+        pres = fixture()
+        parsed = parse_presentation(serialize_presentation(pres))
+        assert parsed == pres
+        assert helpers.presentation_index(parsed) == helpers.presentation_index(pres)
 
 
 class TestIndex:

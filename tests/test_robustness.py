@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from singcat.dg_auslander import (
     DGAError,
+    GradedQuiver,
     dg_auslander,
     differential,
     graded_quiver_to_json,
@@ -50,6 +52,7 @@ from singcat.nodal import (
 )
 from singcat.quiver import (
     INT_DIGITS,
+    Arrow,
     ParseError,
     Presentation,
     QuiverError,
@@ -118,7 +121,12 @@ presentation_json = st.fixed_dictionaries(
             "a:", ":", "->", ";", "#", "\n"])
 )
 def test_parse_presentation(text):
-    accepts_or_refuses(parse_presentation, text)
+    try:
+        pres = parse_presentation(text)
+    except SingcatError:
+        return
+    # an accepted text gives the index the validating constructor gives
+    assert helpers.presentation_index(pres) == helpers.presentation_index(helpers.rebuilt(pres))
 
 
 @FUZZ
@@ -297,6 +305,32 @@ GRADED_QUIVER_FUNCTIONS = [
 @given(graded_quivers | wrong_types, st.sampled_from(GRADED_QUIVER_FUNCTIONS))
 def test_graded_quiver_functions(quiver, function):
     accepts_or_refuses(function, quiver)
+
+
+@FUZZ
+@given(
+    st.lists(st.just(Arrow("a", "1", "1")) | wrong_types, max_size=2) | wrong_types,
+    st.dictionaries(st.sampled_from(["1", "2"]), st.just("1") | wrong_types, max_size=2)
+    | wrong_types,
+)
+def test_graded_quiver(solid, translation):
+    accepts_or_refuses(GradedQuiver, "A", 1, "odd", ("1",), solid, (), translation)
+
+
+@pytest.mark.parametrize(
+    "solid, translation, field",
+    [
+        (None, {}, "solid"),
+        ([("a", "1", "1")], {"1": "1"}, "solid"),
+        ((), None, "translation"),
+        ((), {"1": []}, "translation"),
+    ],
+)
+def test_graded_quiver_names_the_wrong_field(solid, translation, field):
+    with pytest.raises(DGAError) as info:
+        GradedQuiver("A", 1, "odd", ("1",), solid, (), translation)
+    assert info.value.witness == {"field": field}
+    assert info.value.precondition.startswith(f"{field} is ")
 
 
 @FUZZ
