@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 
-from .quiver import INT_DIGITS, Arrow, SingcatError, _field, record
+from .quiver import INT_DIGITS, Arrow, SingcatError, _expect, _field, _record
 from .surface import ADEType
 
 
@@ -33,7 +33,7 @@ _PARITIES = ("even", "odd")
 
 def knoerrer_parity(dimension: int) -> str:
     """Parity class of an ambient dimension d >= 0; periodicity two."""
-    if not isinstance(dimension, int) or dimension < 0:
+    if type(dimension) is not int or dimension < 0:
         raise DGAError(
             f"dimension must be a non-negative integer, got {dimension!r}",
             precondition="dimension >= 0",
@@ -63,7 +63,7 @@ def check_ade_type(ade) -> ADEType:
         family, rank = ade
     except (TypeError, ValueError):
         family = rank = None
-    if not isinstance(family, str) or not isinstance(rank, int):
+    if not isinstance(family, str) or type(rank) is not int:
         raise DGAError(
             f"cannot read ADE type {ade!r}",
             precondition="type is a string like A7 or a (family, rank) pair",
@@ -83,7 +83,10 @@ def check_ade_type(ade) -> ADEType:
     return ADEType(family, rank)
 
 
-@record
+_ARROWS = "a sequence of Arrows"
+
+
+@_record
 class GradedQuiver:
     """Vertices, degree-0 solid arrows, degree -1 broken arrows, translation."""
 
@@ -96,20 +99,42 @@ class GradedQuiver:
     translation: dict[str, str]
 
     def __post_init__(self):
-        # Index solid arrows by source and by (source, target), keeping
-        # declaration order, and invert the translation, once per quiver.
+        # Check the fields in order, one pass each, and name a malformed one:
+        # distinct str vertices, Arrows with str labels between them, and a
+        # translation that permutes the vertices.  The solid pass indexes the
+        # solid arrows by source and by (source, target), keeping declaration
+        # order, and the translation pass inverts the translation.
+        def names():
+            found = {v for v in self.vertices if isinstance(v, str)}
+            if len(found) != len(self.vertices):  # a duplicate or not a str
+                raise ValueError
+            return found
+
+        vertices = _field(names, "vertices", "a sequence of distinct strs", DGAError)
+
+        def check(a):
+            if not (isinstance(a, Arrow) and isinstance(a.label, str)
+                    and a.source in vertices and a.target in vertices):
+                raise ValueError
+
         by_source, by_ends = {}, {}
 
         def index():
             for a in self.solid:
+                check(a)
                 by_source.setdefault(a.source, []).append(a)
                 by_ends.setdefault((a.source, a.target), []).append(a)
 
-        _field(index, "solid", "a sequence of Arrows", DGAError)
-        untranslate = _field(
-            lambda: {v: k for k, v in self.translation.items()},
-            "translation", "a dict of vertex names", DGAError,
-        )
+        _field(index, "solid", _ARROWS, DGAError)
+        _field(lambda: [check(a) for a in self.broken], "broken", _ARROWS, DGAError)
+
+        def invert():
+            inverse = {v: k for k, v in self.translation.items()}
+            if self.translation.keys() != vertices or inverse.keys() != vertices:
+                raise ValueError
+            return inverse
+
+        untranslate = _field(invert, "translation", "a dict of vertex names", DGAError)
         object.__setattr__(self, "_solid_from", by_source)
         object.__setattr__(self, "_solid_between", by_ends)
         object.__setattr__(self, "_untranslate", untranslate)
@@ -118,16 +143,7 @@ class GradedQuiver:
         object.__setattr__(self, "_differential", None)
 
     def solid_from(self, vertex: str) -> list[Arrow]:
-        return list(self._solid_from.get(vertex, ()))
-
-
-def _check_graded_quiver(quiver) -> None:
-    if not isinstance(quiver, GradedQuiver):
-        raise DGAError(
-            f"expected a GradedQuiver, got {type(quiver).__name__}",
-            precondition="quiver is a GradedQuiver",
-            witness={"quiver": repr(quiver)},
-        )
+        return list(self._solid_from.get(vertex, ())) if isinstance(vertex, str) else []
 
 
 def _alpha(i: int) -> str:
@@ -299,7 +315,7 @@ def dg_auslander(ade, parity: str) -> GradedQuiver:
 
 def k0_rank(quiver: GradedQuiver) -> int:
     """Rank of the Grothendieck group: one generator per vertex."""
-    _check_graded_quiver(quiver)
+    _expect(quiver, GradedQuiver, "quiver", DGAError)
     return len(quiver.vertices)
 
 
@@ -333,7 +349,7 @@ def mesh_image(quiver: GradedQuiver, vertex: str) -> tuple[tuple[str, str], ...]
     translate itself, as every translation here is an involution);
     coefficients are all 1.
     """
-    _check_graded_quiver(quiver)
+    _expect(quiver, GradedQuiver, "quiver", DGAError)
     vertex = str(vertex)
     if vertex not in quiver.translation:
         raise DGAError(
@@ -367,7 +383,7 @@ def differential(quiver: GradedQuiver) -> dict[str, tuple[tuple[str, str], ...]]
     The mesh images are computed once per quiver; each call returns a new
     dict over them, so a caller may change its copy.
     """
-    _check_graded_quiver(quiver)
+    _expect(quiver, GradedQuiver, "quiver", DGAError)
     diff = quiver._differential
     if diff is None:
         diff = {rho.label: mesh_image(quiver, rho.source) for rho in quiver.broken}
@@ -395,7 +411,7 @@ def render_sum(terms) -> str:
 
 
 def serialize_graded_quiver(quiver: GradedQuiver) -> str:
-    _check_graded_quiver(quiver)
+    _expect(quiver, GradedQuiver, "quiver", DGAError)
     lines = ["vertices " + " ".join(quiver.vertices) + ";"]
     for a in quiver.solid:
         lines.append(f"arrow {a.label}: {a.source} -> {a.target} deg 0;")

@@ -13,17 +13,17 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .quiver import Presentation, QuiverError, _check_presentation, _field, record
+from .quiver import Presentation, QuiverError, _expect, _field, _record
 
 
-@record
+@_record
 class GentleViolation:
     condition: str
     location: str
     detail: str
 
 
-@record
+@_record
 class GentleReport:
     is_gentle: bool
     violations: tuple[GentleViolation, ...]
@@ -45,7 +45,7 @@ def check_gentle(pres: Presentation) -> GentleReport:
     The condition that relations are pairs of arrows is built into the
     presentation type, so it can never be violated here.
     """
-    _check_presentation(pres)
+    _expect(pres, Presentation, "presentation")
     outgoing, incoming = pres.outgoing, pres.incoming
     successors, predecessors = pres.successors, pres.predecessors
     violations: list[GentleViolation] = []
@@ -94,7 +94,7 @@ def _require_gentle(pres: Presentation) -> None:
         )
 
 
-@record
+@_record
 class CriticalCycle:
     """A cycle of arrows whose consecutive products all lie in the ideal.
 
@@ -159,7 +159,7 @@ def critical_cycles(pres: Presentation) -> list[CriticalCycle]:
     return cycles
 
 
-@record
+@_record
 class StringModule:
     """A string module given by a directed walk starting at its top vertex."""
 
@@ -200,6 +200,7 @@ def radical_embeddings(
     pres: Presentation,
 ) -> dict[tuple[CriticalCycle, str], StringModule]:
     """String modules attached to cycle arrows, keyed by (cycle, source vertex)."""
+    _expect(pres, Presentation, "presentation")
     by_label = pres._by_label
     out: dict[tuple[CriticalCycle, str], StringModule] = {}
     for cycle in critical_cycles(pres):
@@ -218,7 +219,7 @@ def radical_embeddings(
     return out
 
 
-@record
+@_record
 class GPClassification:
     """Indecomposable Gorenstein projectives: all vertex projectives plus
     the radical strings of the critical cycles."""
@@ -228,14 +229,11 @@ class GPClassification:
 
 
 def gorenstein_projectives(pres: Presentation) -> GPClassification:
-    _check_presentation(pres)
-    return GPClassification(
-        projectives=tuple(sorted(pres.vertices)),
-        radicals=radical_embeddings(pres),
-    )
+    radicals = radical_embeddings(pres)  # checks ``pres`` first
+    return GPClassification(tuple(sorted(pres.vertices)), radicals)
 
 
-@record
+@_record
 class SingularityDecomposition:
     """One block per critical cycle, recorded by the cycle's length."""
 
@@ -251,7 +249,7 @@ def singularity_category(pres: Presentation) -> SingularityDecomposition:
     )
 
 
-@record
+@_record
 class InvariantComparison:
     compatible: bool
     only_first: tuple[int, ...]

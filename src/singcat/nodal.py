@@ -26,8 +26,8 @@ from .quiver import (
     Presentation,
     SingcatError,
     _field,
+    _record,
     compose,
-    record,
     replace,
 )
 
@@ -105,7 +105,7 @@ class _Shiftable:
         return replace(self, shift=self.shift + k)
 
 
-@record
+@_record
 class NodalProjective(_Shiftable):
     sign: str
     shift: int = 0
@@ -115,7 +115,7 @@ class NodalProjective(_Shiftable):
         _check_int("shift", self.shift)
 
 
-@record
+@_record
 class NodalString(_Shiftable):
     sign: str
     length: int
@@ -127,7 +127,7 @@ class NodalString(_Shiftable):
         _check_int("shift", self.shift)
 
 
-@record
+@_record
 class ZeroProjective(_Shiftable):
     shift: int = 0
 
@@ -135,7 +135,7 @@ class ZeroProjective(_Shiftable):
         _check_int("shift", self.shift)
 
 
-@record
+@_record
 class ZeroString(_Shiftable):
     length: int
     shift: int = 0
@@ -278,7 +278,7 @@ def hom_dim_sum(xs: Sequence, ys: Sequence) -> int:
 # minimal string complexes
 
 
-@record
+@_record
 class StringComplex:
     """Projective presentation of a minimal string, listed in display order.
 
@@ -407,7 +407,7 @@ def cluster_member(obj) -> bool:
 # Auslander-Reiten components
 
 
-@record
+@_record
 class ARWindow:
     component: str
     vertices: tuple[str, ...]

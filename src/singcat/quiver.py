@@ -78,7 +78,7 @@ class ParseError(QuiverError):
 
 
 class FrozenRecordError(AttributeError):
-    """Assigning or deleting an attribute of a ``record`` instance."""
+    """Assigning or deleting an attribute of a ``_record`` instance."""
 
 
 def _no_setattr(self, name, value):
@@ -89,7 +89,7 @@ def _no_delattr(self, name):
     raise FrozenRecordError(f"cannot delete field {name!r}")
 
 
-def record(cls):
+def _record(cls):
     """Class decorator: a frozen value class over the annotated fields.
 
     As for a frozen dataclass, the methods are generated as code: ``__init__``
@@ -135,20 +135,20 @@ def __repr__(self):
 
 def replace(obj, **changes):
     """Copy of the record ``obj`` with ``changes``, built (and checked) anew."""
-    for f in obj._fields:
+    for f in _field(lambda: type(obj)._fields, "obj", "a record"):
         if f not in changes:
             changes[f] = getattr(obj, f)
     return obj.__class__(**changes)
 
 
-@record
+@_record
 class Arrow:
     label: str
     source: str
     target: str
 
 
-@record
+@_record
 class Path:
     """A path in a quiver, possibly lazy (length zero at a vertex).
 
@@ -206,6 +206,16 @@ def _field(build, field: str, shape: str, error: type = QuiverError):
             precondition=f"{field} is {shape}",
             witness={"field": field},
         ) from None
+
+
+def _expect(value, cls: type, name: str, error: type = QuiverError) -> None:
+    """Refuse the argument ``name`` unless it is a ``cls``, as ``error``."""
+    if not isinstance(value, cls):
+        raise error(
+            f"expected a {cls.__name__}, got {type(value).__name__}",
+            precondition=f"{name} is a {cls.__name__}",
+            witness={name: repr(value)},
+        )
 
 
 class Presentation:
@@ -355,11 +365,12 @@ class Presentation:
     def target(self, label: str) -> str:
         return self.arrow(label).target
 
+    # vertices are strs, so any other value, hashable or not, has no arrows
     def arrows_from(self, vertex: str) -> list[Arrow]:
-        return list(self.outgoing.get(vertex, ()))
+        return list(self.outgoing.get(vertex, ())) if isinstance(vertex, str) else []
 
     def arrows_into(self, vertex: str) -> list[Arrow]:
-        return list(self.incoming.get(vertex, ()))
+        return list(self.incoming.get(vertex, ())) if isinstance(vertex, str) else []
 
     def lazy_path(self, vertex: str) -> Path:
         if vertex not in self.vertices:
@@ -389,24 +400,6 @@ class Presentation:
         return Path(labels, arrows[0].source, arrows[-1].target)
 
 
-def _check_presentation(pres) -> None:
-    if not isinstance(pres, Presentation):
-        raise QuiverError(
-            f"expected a Presentation, got {type(pres).__name__}",
-            precondition="presentation is a Presentation",
-            witness={"presentation": repr(pres)},
-        )
-
-
-def _check_path(path, name: str) -> None:
-    if not isinstance(path, Path):
-        raise QuiverError(
-            f"expected a Path, got {type(path).__name__}",
-            precondition=f"{name} is a Path",
-            witness={name: repr(path)},
-        )
-
-
 def compose(p: Path, q: Path) -> Path:
     """Concatenation in traversal order: apply p first, then q.
 
@@ -414,8 +407,8 @@ def compose(p: Path, q: Path) -> Path:
     In the right-to-left display convention the result prints as the
     product "qp".
     """
-    _check_path(p, "first factor")
-    _check_path(q, "second factor")
+    _expect(p, Path, "first factor")
+    _expect(q, Path, "second factor")
     if p.target != q.source:
         raise QuiverError(
             "paths do not compose: target of the first factor "
@@ -432,8 +425,8 @@ def path_in_ideal(path: Path, pres: Presentation) -> bool:
     The ideal is generated by the relation pairs, so a path is in it exactly
     when some pair of consecutive arrows (in application order) is a relation.
     """
-    _check_path(path, "path")
-    _check_presentation(pres)
+    _expect(path, Path, "path")
+    _expect(pres, Presentation, "presentation")
     return any(
         (a, b) in pres.relation_set for a, b in zip(path.arrows, path.arrows[1:])
     )
@@ -614,7 +607,7 @@ def parse_presentation(text: str) -> Presentation:
 
 
 def serialize_presentation(pres: Presentation) -> str:
-    _check_presentation(pres)
+    _expect(pres, Presentation, "presentation")
     lines = []
     lines.append("vertices " + " ".join(pres.vertices) + ";")
     for a in pres.arrows:
@@ -629,7 +622,7 @@ def serialize_presentation(pres: Presentation) -> str:
 
 
 def presentation_to_json(pres: Presentation) -> dict:
-    _check_presentation(pres)
+    _expect(pres, Presentation, "presentation")
     return {
         "vertices": list(pres.vertices),
         "arrows": [

@@ -23,7 +23,7 @@ import re
 from math import gcd
 from typing import TYPE_CHECKING, Container, Iterable, Mapping, NamedTuple, Sequence
 
-from .quiver import INT_DIGITS, ParseError, SingcatError, _field, record
+from .quiver import INT_DIGITS, ParseError, SingcatError, _expect, _field, _record
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -39,7 +39,7 @@ _PAIRS = "a sequence of vertex pairs"
 _WEIGHTS = "a mapping from vertex names to weights"
 
 
-def intersection_matrix(
+def _intersection_matrix(
     vertices: Sequence[str],
     edges: Iterable[tuple[str, str]],
     weights: Mapping[str, int],
@@ -87,6 +87,22 @@ def _check_weight(v: str, w) -> None:
         )
 
 
+def _simple_edge(u, v, seen: set, precondition: str) -> None:
+    """Refuse a self-loop or an edge already in ``seen``; else add it there."""
+    if u == v:
+        raise SurfaceError(
+            f"self-loop at {u}", precondition=precondition, witness={"vertex": u}
+        )
+    key = frozenset((u, v))
+    if key in seen:
+        raise SurfaceError(
+            f"duplicate edge ({u}, {v})",
+            precondition=precondition,
+            witness={"edge": [u, v]},
+        )
+    seen.add(key)
+
+
 def is_negative_definite(
     vertices: Sequence[str],
     edges: Iterable[tuple[str, str]],
@@ -95,7 +111,7 @@ def is_negative_definite(
     """Exact test: leading principal minors alternate in sign, starting < 0.
 
     Raises ``SurfaceError`` unless the vertices are distinct, each has an
-    ``int`` weight, and every edge joins declared vertices.
+    ``int`` weight, and every edge joins two declared vertices, at most once.
     """
     vertices = _field(lambda: tuple(vertices), "vertices", _NAMES, SurfaceError)
     declared = _field(lambda: set(vertices), "vertices", _NAMES, SurfaceError)
@@ -118,6 +134,7 @@ def is_negative_definite(
             )
         _check_weight(v, weights[v])
     edges = _field(lambda: [(u, v) for u, v in edges], "edges", _PAIRS, SurfaceError)
+    seen = set()
     for u, v in edges:
         try:
             declares = u in declared and v in declared
@@ -129,7 +146,8 @@ def is_negative_definite(
                 precondition="edge endpoints are declared vertices",
                 witness={"edge": [u, v]},
             )
-    minors = _leading_minors(intersection_matrix(vertices, edges, weights))
+        _simple_edge(u, v, seen, "the graph is simple")
+    minors = _leading_minors(_intersection_matrix(vertices, edges, weights))
     if minors is None:
         return False
     for k, d in enumerate(minors, start=1):
@@ -199,20 +217,7 @@ class DualGraph:
                     precondition="edge endpoints are declared vertices",
                     witness={"edge": [u, v]},
                 )
-            if u == v:
-                raise SurfaceError(
-                    f"self-loop at {u}",
-                    precondition="the dual graph is a simple tree",
-                    witness={"vertex": u},
-                )
-            key = frozenset((u, v))
-            if key in seen:
-                raise SurfaceError(
-                    f"duplicate edge ({u}, {v})",
-                    precondition="the dual graph is a simple tree",
-                    witness={"edge": [u, v]},
-                )
-            seen.add(key)
+            _simple_edge(u, v, seen, "the dual graph is a simple tree")
             nbrs[u].append(v)
             nbrs[v].append(u)
         # tree: connected with |V| - 1 edges
@@ -257,15 +262,6 @@ class DualGraph:
 
     def __repr__(self):
         return f"DualGraph({len(self.vertices)} vertices)"
-
-
-def _check_graph(graph) -> None:
-    if not isinstance(graph, DualGraph):
-        raise SurfaceError(
-            f"expected a DualGraph, got {type(graph).__name__}",
-            precondition="graph is a DualGraph",
-            witness={"graph": repr(graph)},
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +327,8 @@ def fundamental_cycle(graph: DualGraph, seed: int | None = None) -> dict[str, in
     The result does not depend on the choice of violated vertex; ``seed``
     randomizes that choice so callers can confirm it.
     """
-    _check_graph(graph)
-    if seed is not None and not isinstance(seed, int):
+    _expect(graph, DualGraph, "graph", SurfaceError)
+    if seed is not None and type(seed) is not int:
         raise SurfaceError(
             f"expected None or an int as seed, got {type(seed).__name__}",
             precondition="seed is None or an int",
@@ -350,11 +346,11 @@ def special_ranks(graph: DualGraph) -> dict[str, int]:
 
 def canonical_syzygy_multiplicities(graph: DualGraph) -> dict[str, int]:
     """Multiplicity -2 - weight(v) for each curve (zero exactly at -2-curves)."""
-    _check_graph(graph)
+    _expect(graph, DualGraph, "graph", SurfaceError)
     return {v: -2 - graph.weights[v] for v in graph.vertices}
 
 
-@record
+@_record
 class ProjectiveInjectives:
     """Curves with weight below -2, plus the ever-present free module."""
 
@@ -363,7 +359,7 @@ class ProjectiveInjectives:
 
 
 def projective_injective_vertices(graph: DualGraph) -> ProjectiveInjectives:
-    _check_graph(graph)
+    _expect(graph, DualGraph, "graph", SurfaceError)
     return ProjectiveInjectives(
         vertices=tuple(sorted(v for v in graph.vertices if graph.weights[v] < -2)),
         includes_free_module=True,
@@ -380,7 +376,7 @@ def jung_hirzebruch(n: int, a: int) -> list[int]:
     n/a = c1 - 1/(c2 - 1/(... - 1/ct)) with every ci >= 2; requires
     0 < a < n and gcd(n, a) = 1.
     """
-    if not (isinstance(n, int) and isinstance(a, int)):
+    if not (type(n) is int and type(a) is int):
         raise SurfaceError(
             "expansion arguments must be integers",
             precondition="n and a are integers",
@@ -420,7 +416,7 @@ def evaluate_expansion(coefficients: Iterable[int]) -> Fraction:
             precondition="at least one coefficient",
         )
     for c in coefficients:
-        if not isinstance(c, int) or c < 2:
+        if type(c) is not int or c < 2:
             raise SurfaceError(
                 f"invalid coefficient {c!r}",
                 precondition="all coefficients are integers >= 2",
@@ -491,14 +487,7 @@ def ade_recognize(
                 precondition="edges join distinct declared vertices",
                 witness={"edge": [u, v]},
             )
-        key = frozenset((u, v))
-        if key in seen:
-            raise SurfaceError(
-                f"duplicate edge ({u}, {v})",
-                precondition="the dual graph is a simple tree",
-                witness={"edge": [u, v]},
-            )
-        seen.add(key)
+        _simple_edge(u, v, seen, "the dual graph is a simple tree")
         nbrs[u].append(v)
         nbrs[v].append(u)
     n = len(vertices)
@@ -545,7 +534,7 @@ def _ade_shape(vertices: Sequence[str], nbrs: Mapping[str, Sequence[str]]) -> AD
     )
 
 
-@record
+@_record
 class Decomposition:
     """ADE blocks of the contraction along a set of (-2)-curves."""
 
@@ -560,7 +549,7 @@ def decompose(graph: DualGraph, contracted: Iterable[str]) -> Decomposition:
     Every contracted vertex must be a (-2)-curve; the empty set gives the
     empty decomposition.
     """
-    _check_graph(graph)
+    _expect(graph, DualGraph, "graph", SurfaceError)
     S = _field(lambda: [str(v) for v in contracted], "contracted", _NAMES, SurfaceError)
     sset = set(S)
     if len(sset) != len(S):
@@ -605,7 +594,7 @@ def decompose(graph: DualGraph, contracted: Iterable[str]) -> Decomposition:
 
 
 def all_minus_two(graph: DualGraph) -> list[str]:
-    _check_graph(graph)
+    _expect(graph, DualGraph, "graph", SurfaceError)
     return [v for v in graph.vertices if graph.weights[v] == -2]
 
 
@@ -667,14 +656,14 @@ def parse_dual_graph(text: str) -> DualGraph:
 
 
 def serialize_dual_graph(graph: DualGraph) -> str:
-    _check_graph(graph)
+    _expect(graph, DualGraph, "graph", SurfaceError)
     lines = [f"vertex {v} {graph.weights[v]};" for v in graph.vertices]
     lines += [f"edge {u} {v};" for u, v in graph.edges]
     return "\n".join(lines) + "\n"
 
 
 def dual_graph_to_json(graph: DualGraph) -> dict:
-    _check_graph(graph)
+    _expect(graph, DualGraph, "graph", SurfaceError)
     order = sorted(graph.vertices)
     return {
         "vertices": order,

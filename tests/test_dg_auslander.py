@@ -309,7 +309,7 @@ class TestTypeHandling:
         with pytest.raises(DGAError):
             check_ade_type(bad)
 
-    @pytest.mark.parametrize("bad", [5, ("A", "x"), ("A",), (1, 7), None])
+    @pytest.mark.parametrize("bad", [5, ("A", "x"), ("A",), (1, 7), None, ("A", True)])
     def test_malformed_type_objects(self, bad):
         with pytest.raises(DGAError) as info:
             dg_auslander(bad, "odd")
@@ -332,3 +332,5 @@ class TestTypeHandling:
             knoerrer_parity(-1)
         with pytest.raises(DGAError, match="non-negative"):
             knoerrer_parity(2.0)
+        with pytest.raises(DGAError, match="non-negative"):
+            knoerrer_parity(True)

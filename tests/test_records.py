@@ -1,4 +1,4 @@
-"""Result types are frozen value classes built by ``quiver.record``.
+"""Result types are frozen value classes built by ``quiver._record``.
 
 Their reprs, equality, hashing, construction and immutability match the
 frozen dataclasses they replace, and importing singcat loads neither
@@ -32,7 +32,7 @@ from singcat.nodal import (
     ZeroProjective,
     ZeroString,
 )
-from singcat.quiver import Arrow, FrozenRecordError, Path, record, replace
+from singcat.quiver import Arrow, FrozenRecordError, Path, _record, replace
 from singcat.surface import ADEType, Decomposition, ProjectiveInjectives
 
 
@@ -148,7 +148,7 @@ def test_copies_are_equal(obj, shown):
 
 
 def test_class_mismatch_is_unequal():
-    @record
+    @_record
     class Triple:
         label: str
         source: str

@@ -9,6 +9,7 @@ raw Python exception.
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
@@ -16,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import singcat
+import test_records
 from singcat.dg_auslander import (
     DGAError,
     GradedQuiver,
@@ -32,10 +35,12 @@ from singcat.gentle import (
     compare_invariant,
     critical_cycles,
     gorenstein_projectives,
+    radical_embeddings,
     singularity_category,
 )
 from singcat.nodal import (
     NODAL_PRESENTATION,
+    K0Class,
     NodalError,
     NodalProjective,
     NodalString,
@@ -65,6 +70,7 @@ from singcat.quiver import (
     serialize_presentation,
 )
 from singcat.surface import (
+    ADEType,
     DualGraph,
     SurfaceError,
     ade_recognize,
@@ -278,8 +284,8 @@ presentations = st.sampled_from([
     Presentation(["1", "2"], [("a", "1", "2"), ("b", "1", "2"), ("c", "1", "2")]),
 ]) | wrong_types
 PRESENTATION_FUNCTIONS = [
-    check_gentle, critical_cycles, gorenstein_projectives, singularity_category,
-    serialize_presentation, presentation_to_json,
+    check_gentle, critical_cycles, gorenstein_projectives, radical_embeddings,
+    singularity_category, serialize_presentation, presentation_to_json,
 ]
 
 
@@ -318,17 +324,30 @@ def test_graded_quiver(solid, translation):
 
 
 @pytest.mark.parametrize(
-    "solid, translation, field",
+    "vertices, solid, broken, translation, field",
     [
-        (None, {}, "solid"),
-        ([("a", "1", "1")], {"1": "1"}, "solid"),
-        ((), None, "translation"),
-        ((), {"1": []}, "translation"),
+        (("1",), None, (), {}, "solid"),
+        (("1",), [("a", "1", "1")], (), {"1": "1"}, "solid"),
+        (("1",), (), (), None, "translation"),
+        (("1",), (), (), {"1": []}, "translation"),
+        (None, (), (), {}, "vertices"),
+        ((1,), (), (), {1: 1}, "vertices"),
+        (("1", "1"), (), (), {"1": "1"}, "vertices"),
+        (("1",), (), None, {"1": "1"}, "broken"),
+        (("1",), (), [("r", "1", "1")], {"1": "1"}, "broken"),
+        (("1",), (), (Arrow("r", "1", "2"),), {"1": "1"}, "broken"),
+        (("1",), (Arrow(1, "1", "1"),), (), {"1": "1"}, "solid"),
+        (("1",), (Arrow("a", "1", "2"),), (), {"1": "1"}, "solid"),
+        (("1", "2"), (), (), {"1": "2"}, "translation"),
+        (("1",), (), (), {"1": "2"}, "translation"),
+        (("1", "2"), (), (), {"1": "1", "2": "1"}, "translation"),
+        # solid is checked before translation
+        (("1",), None, (), None, "solid"),
     ],
 )
-def test_graded_quiver_names_the_wrong_field(solid, translation, field):
+def test_graded_quiver_names_the_wrong_field(vertices, solid, broken, translation, field):
     with pytest.raises(DGAError) as info:
-        GradedQuiver("A", 1, "odd", ("1",), solid, (), translation)
+        GradedQuiver("A", 1, "odd", vertices, solid, broken, translation)
     assert info.value.witness == {"field": field}
     assert info.value.precondition.startswith(f"{field} is ")
 
@@ -469,3 +488,67 @@ def test_ade_rank_beyond_the_digit_limit():
     with pytest.raises(DGAError) as info:
         dg_auslander(f"A{NINES}", "odd")
     assert info.value.precondition == INT_DIGITS
+
+
+# Every public callable of the library, and every public method of one valid
+# instance of each public class, refuses a wrong-type argument with a
+# SingcatError.  Public means a name without a leading underscore, defined in
+# its own module; nothing else is listed, so a new name is checked the day it
+# lands.
+LIBRARY = [singcat.quiver, singcat.gentle, singcat.nodal, singcat.surface,
+           singcat.dg_auslander]
+WRONG = [None, 5, True, "x", [], {}, 2.5, (None,), object()]
+INSTANCES = [obj for obj, _ in test_records.SAMPLES] + [
+    NODAL_PRESENTATION,
+    K0Class(1, 0),
+    ADEType("A", 1),
+    DualGraph(["1", "2"], [("1", "2")], {"1": -2, "2": -3}),
+]
+# one valid instance of each public class, by name; also the argument for a
+# parameter annotated with that class
+VALID = {type(obj).__name__: obj for obj in INSTANCES}
+
+
+def public_callables():
+    """(qualified name, callable) for each public function, class and method."""
+    for module in LIBRARY:
+        for name, value in vars(module).items():
+            if (
+                name.startswith("_")
+                or not callable(value)
+                or getattr(value, "__module__", None) != module.__name__
+            ):
+                continue
+            if isinstance(value, type):
+                if issubclass(value, BaseException):
+                    continue
+                instance = VALID[name]  # a new public class needs one in INSTANCES
+                for attr in dir(instance):
+                    method = getattr(instance, attr)
+                    if not attr.startswith("_") and inspect.ismethod(method):
+                        yield f"{module.__name__}.{name}.{attr}", method
+            yield f"{module.__name__}.{name}", value
+
+
+PUBLIC = dict(public_callables())
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_public_callable_refuses_wrong_types(name):
+    function = PUBLIC[name]
+    slots = [
+        p for p in inspect.signature(function).parameters.values()
+        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD) and p.default is p.empty
+    ]
+    leaks = []
+    for i in range(len(slots)):
+        for wrong in WRONG:
+            args = [wrong if j == i else VALID.get(p.annotation, wrong)
+                    for j, p in enumerate(slots)]
+            try:
+                function(*args)
+            except SingcatError:
+                pass
+            except Exception as exc:  # any other escape is a leak
+                leaks.append(f"{name}{tuple(args)!r}: {type(exc).__name__}: {exc}")
+    assert not leaks, "\n".join(leaks)

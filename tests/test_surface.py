@@ -23,6 +23,7 @@ from singcat.surface import (
     Decomposition,
     DualGraph,
     SurfaceError,
+    _intersection_matrix,
     _laufer,
     ade_recognize,
     all_minus_two,
@@ -32,7 +33,6 @@ from singcat.surface import (
     dual_graph_to_json,
     evaluate_expansion,
     fundamental_cycle,
-    intersection_matrix,
     is_negative_definite,
     jung_hirzebruch,
     parse_dual_graph,
@@ -74,7 +74,7 @@ class TestNegativeDefiniteness:
     @given(weighted_trees())
     def test_agrees_with_fraction_oracle(self, parts):
         vertices, edges, weights = parts
-        matrix = intersection_matrix(vertices, edges, weights)
+        matrix = _intersection_matrix(vertices, edges, weights)
         assert is_negative_definite(vertices, edges, weights) == (
             helpers.oracle_negative_definite(matrix)
         )
@@ -183,6 +183,22 @@ class TestDualGraphValidation:
             DualGraph(
                 ["1", "2"], [("1", "2"), ("2", "1")], {"1": -2, "2": -2}
             )
+
+    @pytest.mark.parametrize(
+        "vertices, edges, weights, witness",
+        [
+            (["a"], [("a", "a")], {"a": -4}, {"vertex": "a"}),
+            (["a", "b"], [("a", "b"), ("b", "a")], {"a": -2, "b": -2},
+             {"edge": ["b", "a"]}),
+            (["a", "b"], [("a", "b"), ("a", "b")], {"a": -9, "b": -9},
+             {"edge": ["a", "b"]}),
+        ],
+    )
+    def test_definiteness_needs_a_simple_graph(self, vertices, edges, weights, witness):
+        with pytest.raises(SurfaceError) as info:
+            is_negative_definite(vertices, edges, weights)
+        assert info.value.precondition == "the graph is simple"
+        assert info.value.witness == witness
 
     def test_disconnected_is_not_a_tree(self):
         with pytest.raises(SurfaceError, match="not a tree"):
@@ -294,7 +310,7 @@ class TestLauferAlgorithm:
             for seed in range(100):
                 assert fundamental_cycle(graph, seed=seed) == base
 
-    @pytest.mark.parametrize("seed", [[1], 1.5, "7", b"7"])
+    @pytest.mark.parametrize("seed", [[1], 1.5, "7", b"7", True])
     def test_seed_must_be_none_or_an_int(self, seed):
         with pytest.raises(SurfaceError) as info:
             fundamental_cycle(helpers.t13_graph(), seed=seed)
@@ -514,6 +530,8 @@ class TestJungHirzebruch:
                 jung_hirzebruch(n, a)
         with pytest.raises(SurfaceError, match="integers"):
             jung_hirzebruch(5.0, 2)
+        with pytest.raises(SurfaceError, match="integers"):
+            jung_hirzebruch(5, True)
 
     def test_thousand_random_pairs_re_evaluate_exactly(self):
         rng = random.Random(20260817)
@@ -787,7 +805,7 @@ class TestDecomposeMatchesRecognition:
                 edges = [(str(u), str(v)) for u, v in shape]
                 for values in itertools.product((-2, -3), repeat=n):
                     weights = dict(zip(vertices, values))
-                    matrix = intersection_matrix(vertices, edges, weights)
+                    matrix = _intersection_matrix(vertices, edges, weights)
                     if not helpers.oracle_negative_definite(matrix):
                         continue
                     graph = DualGraph(vertices, edges, weights)
