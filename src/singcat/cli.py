@@ -53,6 +53,25 @@ def _write(path: str, text: str) -> None:
         ) from None
 
 
+def _print(text: str) -> None:
+    """Print ``text`` to stdout and flush it, so a failed write shows here.
+
+    A closed pipe stays a ``BrokenPipeError`` for ``run()``; any other
+    failed write is reported as a failed ``--out`` write is.
+    """
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise SingcatError(
+            f"cannot write <stdout>: {exc.strerror or exc}",
+            precondition="output path is writable",
+            witness={"path": "<stdout>"},
+        ) from None
+
+
 def _load_presentation(path: str):
     return parse_presentation(_read(path))
 
@@ -513,7 +532,6 @@ def _cmd_corpus(args):
 _COMMON = [
     (("--format",), {"choices": ("json", "text"), "default": "json", "help": "output format"}),
     (("--out",), {"metavar": "FILE", "help": "write the output to FILE"}),
-    (("--seed",), {"type": int, "metavar": "N", "help": "seed for randomized choices"}),
 ]
 
 _MODULES = {
@@ -552,7 +570,10 @@ _COMMANDS = {
         (("n",), {"type": int}),
         (("a",), {"type": int}),
     ]),
-    ("surface", "fundamental"): (_cmd_surface_fundamental, "fundamental cycle", [_FILE]),
+    ("surface", "fundamental"): (_cmd_surface_fundamental, "fundamental cycle", [
+        _FILE,
+        (("--seed",), {"type": int, "metavar": "N", "help": "seed for randomized choices"}),
+    ]),
     ("surface", "decompose"): (_cmd_surface_decompose, "ADE contraction blocks", [
         _FILE,
         [
@@ -706,9 +727,9 @@ def _plain(argv: list[str]) -> argparse.Namespace | None:
 
 
 def _is_shifts_flag(token: str) -> bool:
-    """``--shifts`` or an abbreviation argparse resolves to it alone
-    (``--sh`` and longer; ``--s`` also abbreviates ``--seed``)."""
-    return len(token) > 3 and "--shifts".startswith(token)
+    """``--shifts`` or an abbreviation of it (``--s`` and longer), which
+    argparse resolves to it alone."""
+    return len(token) > 2 and "--shifts".startswith(token)
 
 
 def _join_shift_windows(argv: list[str]) -> list[str]:
@@ -795,9 +816,13 @@ def run(argv) -> int:
         payload, text, code = args.handler(args)
         rendered = _json(payload) if args.format == "json" else text()
         if args.out is None:
-            print(rendered)
+            _print(rendered)
         else:
             _write(args.out, rendered + "\n")
+    except BrokenPipeError:
+        # the reader went away (``singcat ... | head``): stop quietly, with
+        # the status a shell reports for a process ended by SIGPIPE
+        return 141
     except SingcatError as err:
         sys.stderr.write(
             json.dumps({"error": err.diagnostic()}, ensure_ascii=False) + "\n"
@@ -807,7 +832,12 @@ def run(argv) -> int:
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    if code == 141:
+        # Python's recipe for a closed pipe: what may still be buffered goes
+        # to devnull, so the flush at exit cannot raise BrokenPipeError again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

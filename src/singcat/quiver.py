@@ -135,7 +135,15 @@ def __repr__(self):
 
 def replace(obj, **changes):
     """Copy of the record ``obj`` with ``changes``, built (and checked) anew."""
-    for f in _field(lambda: type(obj)._fields, "obj", "a record"):
+    fields = _field(lambda: type(obj)._fields, "obj", "a record")
+    for f in changes:
+        if f not in fields:
+            raise QuiverError(
+                f"{type(obj).__name__} has no field {f!r}",
+                precondition="changes name fields of the record",
+                witness={"field": f},
+            )
+    for f in fields:
         if f not in changes:
             changes[f] = getattr(obj, f)
     return obj.__class__(**changes)
@@ -159,6 +167,17 @@ class Path:
     arrows: tuple[str, ...]
     source: str
     target: str
+
+    def __post_init__(self):
+        arrows = self.arrows
+        if not (isinstance(arrows, tuple) and all(isinstance(a, str) for a in arrows)):
+            raise QuiverError(
+                f"expected a tuple of str as arrows, got {arrows!r}",
+                precondition="arrows is a tuple of str",
+                witness={"arrows": repr(arrows)},
+            )
+        _expect(self.source, str, "source")
+        _expect(self.target, str, "target")
 
     @property
     def length(self) -> int:

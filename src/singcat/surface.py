@@ -39,44 +39,6 @@ _PAIRS = "a sequence of vertex pairs"
 _WEIGHTS = "a mapping from vertex names to weights"
 
 
-def _intersection_matrix(
-    vertices: Sequence[str],
-    edges: Iterable[tuple[str, str]],
-    weights: Mapping[str, int],
-) -> list[list[int]]:
-    index = {v: i for i, v in enumerate(vertices)}
-    n = len(index)
-    m = [[0] * n for _ in range(n)]
-    for v in vertices:
-        m[index[v]][index[v]] = weights[v]
-    for u, v in edges:
-        m[index[u]][index[v]] = 1
-        m[index[v]][index[u]] = 1
-    return m
-
-
-def _leading_minors(matrix: list[list[int]]) -> list[int] | None:
-    """All leading principal minors by fraction-free elimination.
-
-    Returns None as soon as a zero minor shows up (the matrix is singular
-    in some corner, hence not definite).
-    """
-    m = [row[:] for row in matrix]
-    n = len(m)
-    minors: list[int] = []
-    prev = 1
-    for k in range(n):
-        pivot = m[k][k]
-        if pivot == 0:
-            return None
-        minors.append(pivot)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) // prev
-        prev = pivot
-    return minors
-
-
 def _check_weight(v: str, w) -> None:
     # type(), not isinstance: a bool is not a weight
     if type(w) is not int:
@@ -101,6 +63,67 @@ def _simple_edge(u, v, seen: set, precondition: str) -> None:
             witness={"edge": [u, v]},
         )
     seen.add(key)
+
+
+def _edge_index(
+    vertices: Sequence[str], edges: Iterable[tuple[str, str]], precondition: str
+) -> dict[str, list[str]]:
+    """Each vertex's neighbours, in vertex order and each list in edge order.
+
+    Refuses an edge with an undeclared end, a self-loop or a repeated edge;
+    ``precondition`` names the simplicity the last two break.
+    """
+    nbrs: dict[str, list[str]] = {v: [] for v in vertices}
+    seen: set = set()
+    for u, v in edges:
+        try:
+            declares = u in nbrs and v in nbrs
+        except TypeError:  # an unhashable endpoint is never a declared vertex
+            declares = False
+        if not declares:
+            raise SurfaceError(
+                f"edge ({u}, {v}) uses an undeclared vertex",
+                precondition="edge endpoints are declared vertices",
+                witness={"edge": [u, v]},
+            )
+        _simple_edge(u, v, seen, precondition)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
+
+
+def _negative_definite(
+    vertices: Sequence[str],
+    edges: Iterable[tuple[str, str]],
+    weights: Mapping[str, int],
+) -> bool:
+    """Sylvester's criterion on checked input: the k-th leading principal
+    minor of the intersection matrix has the sign of (-1)^k.
+
+    Fraction-free (Bareiss) elimination leaves the k-th minor as the k-th
+    pivot; the test stops at the first pivot of the wrong sign or zero.
+    """
+    index = {v: i for i, v in enumerate(vertices)}
+    n = len(index)
+    m = [[0] * n for _ in range(n)]
+    for v, i in index.items():
+        m[i][i] = weights[v]
+    for u, v in edges:
+        m[index[u]][index[v]] = m[index[v]][index[u]] = 1
+    prev = 1
+    negative = True  # the sign the next minor must have
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot == 0 or (pivot < 0) != negative:
+            return False
+        row_k = m[k]
+        for row in m[k + 1:]:
+            below = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - below * row_k[j]) // prev
+        prev = pivot
+        negative = not negative
+    return True
 
 
 def is_negative_definite(
@@ -134,26 +157,8 @@ def is_negative_definite(
             )
         _check_weight(v, weights[v])
     edges = _field(lambda: [(u, v) for u, v in edges], "edges", _PAIRS, SurfaceError)
-    seen = set()
-    for u, v in edges:
-        try:
-            declares = u in declared and v in declared
-        except TypeError:  # an unhashable endpoint is never a declared vertex
-            declares = False
-        if not declares:
-            raise SurfaceError(
-                f"edge ({u}, {v}) uses an undeclared vertex",
-                precondition="edge endpoints are declared vertices",
-                witness={"edge": [u, v]},
-            )
-        _simple_edge(u, v, seen, "the graph is simple")
-    minors = _leading_minors(_intersection_matrix(vertices, edges, weights))
-    if minors is None:
-        return False
-    for k, d in enumerate(minors, start=1):
-        if (d > 0) != (k % 2 == 0):
-            return False
-    return True
+    _edge_index(vertices, edges, "the graph is simple")
+    return _negative_definite(vertices, edges, weights)
 
 
 def _component(start: str, nbrs: Mapping, inside: Container | None = None) -> set[str]:
@@ -208,18 +213,7 @@ class DualGraph:
                 "dual graph needs at least one vertex",
                 precondition="at least one exceptional curve",
             )
-        seen = set()
-        nbrs: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            if u not in vset or v not in vset:
-                raise SurfaceError(
-                    f"edge ({u}, {v}) uses an undeclared vertex",
-                    precondition="edge endpoints are declared vertices",
-                    witness={"edge": [u, v]},
-                )
-            _simple_edge(u, v, seen, "the dual graph is a simple tree")
-            nbrs[u].append(v)
-            nbrs[v].append(u)
+        nbrs = _edge_index(self.vertices, self.edges, "the dual graph is a simple tree")
         # tree: connected with |V| - 1 edges
         n = len(self.vertices)
         if len(self.edges) != n - 1 or len(_component(self.vertices[0], nbrs)) != n:
@@ -243,7 +237,7 @@ class DualGraph:
                     precondition="every self-intersection weight is at most -2",
                     witness={"vertex": v, "weight": w},
                 )
-        if not is_negative_definite(self.vertices, self.edges, self.weights):
+        if not _negative_definite(self.vertices, self.edges, self.weights):
             raise SurfaceError(
                 "the intersection form is not negative definite",
                 precondition="negative definite intersection form",

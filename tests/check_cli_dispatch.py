@@ -42,6 +42,7 @@ EDGE_CASES = [
     ["surface", "cyclic", "27", "19", "--bogus"],
     ["surface", "cyclic", "27", "19", "--bogus=1", "x"],
     ["gentle", "check", "a.q", "-x"],
+    ["gentle", "check", "a.q", "--seed", "3"],
     # help at each level
     ["-h"],
     ["--help"],
@@ -101,7 +102,7 @@ EDGE_CASES = [
     ["surface", "cyclic", "27", "19", "--format", "text"],
     ["nodal", "hom", "", "P-"],
     ["nodal", "k0", "S+(1)", ""],
-    ["corpus", "corpus", "--seed", "3", "--format", "text", "--out", "c.txt"],
+    ["corpus", "corpus", "--format", "text", "--out", "c.txt"],
 ]
 
 

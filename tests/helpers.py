@@ -372,6 +372,18 @@ def to_zero_oracle(obj) -> tuple:
 # negative definiteness oracle
 
 
+def intersection_matrix(vertices, edges, weights) -> list[list[int]]:
+    """Weights on the diagonal, 1 where two curves meet, in vertex order."""
+    vertices = list(vertices)
+    return [
+        [
+            weights[u] if u == v else int((u, v) in edges or (v, u) in edges)
+            for v in vertices
+        ]
+        for u in vertices
+    ]
+
+
 def oracle_negative_definite(matrix: list[list[int]]) -> bool:
     """Gaussian elimination over exact fractions, no pivoting.
 

@@ -261,7 +261,10 @@ def test_criterion_10():
         z = surface.fundamental_cycle(star)
         assert sorted(z.values(), reverse=True) == [2, 1, 1, 1]
 
-        candidates = indefinite = 0
+        # every tree on at most 8 curves with weights -2, -3 or -4: each
+        # definite one's cycle is anti-nef, and lowering any coefficient
+        # above 1 breaks that, so no coefficient can be lowered
+        candidates = indefinite = definite = nontrivial = 0
         for n in range(1, 9):
             for shape in helpers.tree_shapes(n):
                 vertices = [str(i) for i in range(n)]
@@ -278,8 +281,13 @@ def test_criterion_10():
                         assert err.precondition == "negative definite intersection form"
                         indefinite += 1
                         continue
+                    definite += 1
                     z = surface.fundamental_cycle(graph)
+                    # the step guard never trips on a definite tree this small
+                    assert surface._laufer(vertices, adjacency, weights, None) == z
                     assert all(z[v] >= 1 for v in vertices)
+                    if any(z[v] > 1 for v in vertices):
+                        nontrivial += 1
                     assert not helpers.violates_anti_nef(
                         z, vertices, adjacency, weights
                     )
@@ -293,6 +301,8 @@ def test_criterion_10():
                         ), (weights, edges, v)
         assert candidates == 180264
         assert indefinite == 9489
+        assert definite > 0
+        assert nontrivial > 0
 
 
 def test_criterion_11():

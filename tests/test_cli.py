@@ -42,6 +42,35 @@ EXIT_ZERO_CASES = [
 NON_GENTLE = "vertices 1 2;\narrow a: 1 -> 2;\narrow b: 1 -> 2;\narrow c: 1 -> 2;\n"
 
 
+# --format text renderings of corpus inputs, run from the corpus directory
+CORPUS_TEXT = [
+    (["gentle", "check", "illustrative.q"], "gentle\n"),
+    (["gentle", "gp", "lambda3.q"], (
+        "projectives: 0 1 2 3\n"
+        "R[b1 a1, 1]: top 2, walk a2\n"
+        "R[b1 a1, 2]: top 1, walk (simple)\n"
+        "R[b2 a2, 2]: top 3, walk (simple)\n"
+        "R[b2 a2, 3]: top 2, walk b1\n"
+    )),
+    (["gentle", "singcat", "final72.q"], "factors: 1 6 7\n"),
+    (["gentle", "compare", "hexagon.q", "hexagon.q"], "compatible\n"),
+    (["surface", "cyclic", "27", "19"], (
+        "expansion: 2 2 4 3\n"
+        "vertex 1 -2;\nvertex 2 -2;\nvertex 3 -4;\nvertex 4 -3;\n"
+        "edge 1 2;\nedge 2 3;\nedge 3 4;\n"
+    )),
+    (["surface", "fundamental", "laufer_witness.graph", "--seed", "3"], (
+        "0: 121\n1: 198\n2: 122\n3: 46\n4: 54\n"
+        "5: 44\n6: 16\n7: 11\n8: 18\n9: 99\n"
+    )),
+    (["surface", "ranks", "m25.graph"], "1: 1\n2: 1\n"),
+    (["surface", "decompose", "g2719.graph", "--all-minus-two"],
+     "A2: 1 2\nA3: 4 5 6\n"),
+    (["surface", "decompose", "g5111.graph", "--all-minus-two"],
+     "empty decomposition\n"),
+]
+
+
 def invoke(capsys, argv):
     """Run the CLI in process and capture both streams."""
     code = run(argv)
@@ -92,6 +121,14 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "error" in err
+
+    def test_only_the_fundamental_cycle_takes_a_seed(self, capsys):
+        argv = ["gentle", "check", str(CORPUS / "illustrative.q"), "--seed", "3"]
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --seed 3" in err
+        argv = ["surface", "fundamental", str(CORPUS / "t13.graph"), "--seed", "3"]
+        assert invoke(capsys, argv)[0] == 0
 
 
 class TestJsonOutput:
@@ -160,6 +197,40 @@ class TestTextFormat:
         code, out, _ = invoke(capsys, argv)
         assert code == 0
         assert out == "terms: P2 P1 P1 P2\ndifferentials: a ba b\n"
+
+    @pytest.mark.parametrize(
+        "argv, text", CORPUS_TEXT, ids=[" ".join(argv) for argv, _ in CORPUS_TEXT]
+    )
+    def test_corpus_inputs_in_text(self, argv, text, monkeypatch, capsys):
+        monkeypatch.chdir(CORPUS)
+        assert invoke(capsys, argv + ["--format", "text"]) == (0, text, "")
+
+    def test_violations_and_no_factors_in_text(self, tmp_path, capsys):
+        fanout = tmp_path / "fanout.q"
+        fanout.write_text(NON_GENTLE, encoding="utf-8")
+        code, out, _ = invoke(capsys, ["gentle", "check", str(fanout), "--format", "text"])
+        assert code == 0
+        assert out.startswith("not gentle\nG1 at 1: ")
+        arrow = tmp_path / "arrow.q"
+        arrow.write_text("vertices 1 2;\narrow a: 1 -> 2;\n", encoding="utf-8")
+        argv = ["gentle", "singcat", str(arrow), "--format", "text"]
+        assert invoke(capsys, argv) == (0, "factors: (none)\n", "")
+
+
+class TestParityArgument:
+    def test_a_dimension_is_read_mod_two(self, capsys):
+        assert invoke(capsys, ["dga", "emit", "A3", "3"]) == invoke(
+            capsys, ["dga", "emit", "A3", "odd"]
+        )
+
+    def test_unreadable_parity_is_a_domain_error(self, capsys):
+        code, out, err = invoke(capsys, ["dga", "emit", "A3", "x"])
+        assert (code, out) == (1, "")
+        assert stderr_error(err) == {
+            "message": "cannot parse parity argument 'x'",
+            "precondition": "parity is 'even', 'odd' or a non-negative dimension",
+            "witness": {"parity": "x"},
+        }
 
 
 class TestOutFlag:
@@ -255,22 +326,12 @@ class TestHomTable:
         assert spaced[0] == 0, spaced[2]
         assert spaced == joined
 
-    @pytest.mark.parametrize("flag", ["--sh", "--shi", "--shif", "--shift"])
+    @pytest.mark.parametrize("flag", ["--s", "--sh", "--shi", "--shif", "--shift"])
     def test_unique_abbreviations_join_a_window(self, flag, capsys):
         spaced = invoke(capsys, ["nodal", "table", flag, "-2..2", "--maxlen", "1"])
         joined = invoke(capsys, ["nodal", "table", "--shifts=-2..2", "--maxlen", "1"])
         assert spaced[0] == 0, spaced[2]
         assert spaced == joined
-
-    def test_ambiguous_abbreviation_is_left_to_argparse(self, capsys):
-        argv = ["nodal", "table", "--s", "-2..2", "--maxlen", "1"]
-        code, out, err = invoke(capsys, argv)
-        with pytest.raises(SystemExit) as exit_info:
-            cli.build_parser().parse_args(argv)
-        expected = capsys.readouterr()
-        assert (code, out, err) == (exit_info.value.code, expected.out, expected.err)
-        assert code == 2
-        assert "ambiguous option: --s could match --seed, --shifts" in err
 
     def test_only_windows_are_joined(self, capsys):
         code, out, err = invoke(
@@ -406,6 +467,35 @@ class TestCorpusRunner:
         assert code == 0
         assert payload["cases"][0]["status"] == "pass"
 
+    def test_output_that_is_not_json_fails(self, tmp_path):
+        argv = ["gentle", "cycles", str(CORPUS / "illustrative.q"), "--format", "text"]
+        write_case(tmp_path, "text.json", {"argv": argv, "expect": ILLUSTRATIVE_CYCLES})
+        payload, code = run_corpus(str(tmp_path))
+        assert code == 1
+        assert payload["cases"] == [{
+            "case": "text.json",
+            "status": "fail",
+            "detail": "output null differs from expectation",
+        }]
+
+    def test_stderr_without_the_needle_fails(self, tmp_path):
+        write_case(
+            tmp_path,
+            "missing.json",
+            {
+                "argv": ["gentle", "cycles", "nope.q"],
+                "exit": 1,
+                "expect_error_contains": "not gentle",
+            },
+        )
+        payload, code = run_corpus(str(tmp_path))
+        assert code == 1
+        assert payload["cases"] == [{
+            "case": "missing.json",
+            "status": "fail",
+            "detail": "stderr does not contain 'not gentle'",
+        }]
+
     def test_empty_directory(self, tmp_path):
         payload, code = run_corpus(str(tmp_path))
         assert code == 0
@@ -533,6 +623,38 @@ def test_module_invocation_round_trip():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout) == ILLUSTRATIVE_CYCLES
+
+
+def test_closed_pipe_ends_quietly():
+    # about 1.5 MB of JSON: more than a pipe holds, so writing goes on after
+    # the reader has gone, as in ``singcat nodal table ... | head -1``
+    argv = ["nodal", "table", "--shifts=-20..20", "--maxlen", "4"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "singcat", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait() == 141
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_a_diagnostic():
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "singcat", "gentle", "cycles", str(CORPUS / "illustrative.q")],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            check=False,
+        )
+    assert result.returncode == 1
+    assert result.stderr == (
+        '{"error": {"message": "cannot write <stdout>: No space left on device", '
+        '"precondition": "output path is writable", "witness": {"path": "<stdout>"}}}\n'
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,20 @@ class TestRadicalEmbeddings:
         with pytest.raises(QuiverError, match="infinite dimensional"):
             radical_embeddings(pres)
 
+    def test_cycle_through_a_vertex_twice_is_refused(self):
+        # dcba runs v -> w -> v -> u -> v, so v would index two radicals
+        pres = Presentation(
+            ["u", "v", "w"],
+            [("a", "v", "w"), ("b", "w", "v"), ("c", "v", "u"), ("d", "u", "v")],
+            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")],
+        )
+        assert check_gentle(pres).is_gentle
+        assert [c.name for c in critical_cycles(pres)] == ["dcba"]
+        with pytest.raises(QuiverError, match="passes through vertex 'v' twice") as info:
+            radical_embeddings(pres)
+        assert info.value.precondition == "critical cycle visits each vertex once"
+        assert info.value.witness == {"cycle": "dcba", "vertex": "v"}
+
     def test_gorenstein_projectives_lists_all_vertices(self):
         gp = gorenstein_projectives(helpers.illustrative())
         assert gp.projectives == tuple(str(i) for i in range(1, 9))

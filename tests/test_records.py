@@ -32,7 +32,7 @@ from singcat.nodal import (
     ZeroProjective,
     ZeroString,
 )
-from singcat.quiver import Arrow, FrozenRecordError, Path, _record, replace
+from singcat.quiver import Arrow, FrozenRecordError, Path, QuiverError, _record, replace
 from singcat.surface import ADEType, Decomposition, ProjectiveInjectives
 
 
@@ -211,8 +211,32 @@ def test_replace_rebuilds_and_checks():
     assert replace(s) == s and replace(s) is not s
     with pytest.raises(NodalError, match="length"):
         replace(s, length=0)
-    with pytest.raises(TypeError):
+    with pytest.raises(QuiverError, match="NodalString has no field 'colour'") as info:
         replace(s, colour="red")
+    assert info.value.precondition == "changes name fields of the record"
+    assert info.value.witness == {"field": "colour"}
+
+
+@pytest.mark.parametrize(
+    "arrows, source, target, field",
+    [
+        (None, "1", "1", "arrows"),
+        (5, "1", "1", "arrows"),
+        (["a"], "1", "2", "arrows"),
+        (("a", 5), "1", "2", "arrows"),
+        (("a",), 5, "2", "source"),
+        (("a",), "1", None, "target"),
+    ],
+)
+def test_path_checks_its_fields(arrows, source, target, field):
+    for build in (
+        lambda: Path(arrows, source, target),
+        lambda: Path(arrows=arrows, source=source, target=target),
+    ):
+        with pytest.raises(QuiverError) as info:
+            build()
+        assert info.value.precondition.startswith(f"{field} is a")
+        assert list(info.value.witness) == [field]
 
 
 def test_post_init_state_is_kept():

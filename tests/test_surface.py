@@ -23,7 +23,6 @@ from singcat.surface import (
     Decomposition,
     DualGraph,
     SurfaceError,
-    _intersection_matrix,
     _laufer,
     ade_recognize,
     all_minus_two,
@@ -74,7 +73,7 @@ class TestNegativeDefiniteness:
     @given(weighted_trees())
     def test_agrees_with_fraction_oracle(self, parts):
         vertices, edges, weights = parts
-        matrix = _intersection_matrix(vertices, edges, weights)
+        matrix = helpers.intersection_matrix(vertices, edges, weights)
         assert is_negative_definite(vertices, edges, weights) == (
             helpers.oracle_negative_definite(matrix)
         )
@@ -315,46 +314,6 @@ class TestLauferAlgorithm:
         with pytest.raises(SurfaceError) as info:
             fundamental_cycle(helpers.t13_graph(), seed=seed)
         assert info.value.precondition == "seed is None or an int"
-
-    def test_exhaustive_minimality_sweep(self):
-        """Anti-nef minimality on every small tree with desk-scale weights.
-
-        For each negative definite candidate the computed cycle must be
-        anti-nef, and removing one curve from it must break that property,
-        so no coefficient can be lowered.
-        """
-        candidates = 0
-        definite = 0
-        nontrivial = 0
-        for n in range(1, 9):
-            for shape in helpers.tree_shapes(n):
-                vertices = [str(i) for i in range(n)]
-                edges = [(str(u), str(v)) for u, v in shape]
-                adjacency = helpers.adjacency_of(vertices, edges)
-                for values in itertools.product(SWEEP_WEIGHTS, repeat=n):
-                    candidates += 1
-                    weights = dict(zip(vertices, values))
-                    if not is_negative_definite(vertices, edges, weights):
-                        continue
-                    definite += 1
-                    z = _laufer(vertices, adjacency, weights, None)
-                    assert all(z[v] >= 1 for v in vertices)
-                    assert not helpers.violates_anti_nef(
-                        z, vertices, adjacency, weights
-                    )
-                    if any(z[v] > 1 for v in vertices):
-                        nontrivial += 1
-                    for v in vertices:
-                        if z[v] == 1:
-                            continue
-                        lowered = dict(z)
-                        lowered[v] -= 1
-                        assert helpers.violates_anti_nef(
-                            lowered, vertices, adjacency, weights
-                        ), (weights, edges, v)
-        assert candidates == 180264
-        assert definite > 0
-        assert nontrivial > 0
 
     def test_small_graphs_box_search_confirms_global_minimality(self):
         """No positive anti-nef cycle below the computed one exists at all.
@@ -805,7 +764,7 @@ class TestDecomposeMatchesRecognition:
                 edges = [(str(u), str(v)) for u, v in shape]
                 for values in itertools.product((-2, -3), repeat=n):
                     weights = dict(zip(vertices, values))
-                    matrix = _intersection_matrix(vertices, edges, weights)
+                    matrix = helpers.intersection_matrix(vertices, edges, weights)
                     if not helpers.oracle_negative_definite(matrix):
                         continue
                     graph = DualGraph(vertices, edges, weights)
