@@ -155,13 +155,13 @@ def _alpha_star(i: int) -> str:
 
 
 def _finish(family, rank, parity, vertices, solid, tau) -> GradedQuiver:
-    names = tuple(str(v) for v in vertices)
+    names = tuple([str(v) for v in vertices])
     translation = {str(v): str(tau[v]) for v in vertices}
     broken = tuple(
-        Arrow(f"ρ_{v}", str(v), translation[str(v)]) for v in vertices
+        [Arrow(f"ρ_{v}", str(v), translation[str(v)]) for v in vertices]
     )
     solid_arrows = tuple(
-        Arrow(lab, str(src), str(tgt)) for lab, src, tgt in solid
+        [Arrow(lab, str(src), str(tgt)) for lab, src, tgt in solid]
     )
     return GradedQuiver(family, rank, parity, names, solid_arrows, broken, translation)
 

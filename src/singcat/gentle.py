@@ -244,7 +244,7 @@ class SingularityDecomposition:
 def singularity_category(pres: Presentation) -> SingularityDecomposition:
     cycles = critical_cycles(pres)
     return SingularityDecomposition(
-        factors=tuple(c.length for c in cycles),
+        factors=tuple([c.length for c in cycles]),
         cycle_of_factor=tuple(cycles),
     )
 

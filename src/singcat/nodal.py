@@ -315,7 +315,7 @@ def minimal_string_complex(sign: str, length: int) -> StringComplex:
     pairs = ("αβ", "γδ") if tau == PLUS else ("γδ", "αβ")
     middle = [pairs[(l - 1 - j) % 2] for j in range(1, l)]
     diffs = ["δ" if sigma == PLUS else "β", *middle, "γ" if tau == PLUS else "α"]
-    return StringComplex(terms, tuple(_nodal_path(d) for d in diffs))
+    return StringComplex(terms, tuple([_nodal_path(d) for d in diffs]))
 
 
 def zero_string_complex(length: int) -> StringComplex:
@@ -324,7 +324,7 @@ def zero_string_complex(length: int) -> StringComplex:
     terms = ("P2",) + ("P1",) * length + ("P2",)
     displays = ["a"] + ["ba"] * (length - 1) + ["b"]
     paths = tuple(
-        ZERO_BLOCK_PRESENTATION.path(tuple(reversed(d))) for d in displays
+        [ZERO_BLOCK_PRESENTATION.path(tuple(reversed(d))) for d in displays]
     )
     return StringComplex(terms, paths)
 

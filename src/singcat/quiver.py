@@ -255,11 +255,11 @@ class Presentation:
             lambda: tuple(vertices), "vertices", "a sequence of vertex names"
         )
         self.arrows: tuple[Arrow, ...] = _field(
-            lambda: tuple(a if isinstance(a, Arrow) else Arrow(*a) for a in arrows),
+            lambda: tuple([a if isinstance(a, Arrow) else Arrow(*a) for a in arrows]),
             "arrows", "a sequence of (label, source, target) triples",
         )
         self.relations: tuple[tuple[str, str], ...] = _field(
-            lambda: tuple((str(a), str(b)) for a, b in relations),
+            lambda: tuple([(str(a), str(b)) for a, b in relations]),
             "relations", "a sequence of arrow label pairs",
         )
         self._validate()

@@ -2,7 +2,9 @@
 
 A dual graph is a tree of exceptional curves with self-intersection weights
 at most -2 and a negative definite intersection form (diagonal = weights,
-off-diagonal = 1 for adjacent curves).  The module computes fundamental
+off-diagonal = 1 for adjacent curves).  Definiteness is tested only on
+forests, leaf first by Sylvester's criterion, which on a tree needs no fill
+and costs one step per vertex and per edge.  The module computes fundamental
 cycles by Laufer's algorithm, continued fraction expansions for cyclic
 quotient singularities, ADE recognition of (-2)-subtrees, and the block
 decompositions obtained by contracting a subset of (-2)-curves.
@@ -13,7 +15,8 @@ Text format for graph files ('#' starts a comment)::
     vertex 2 -5;
     edge 1 2;
 
-All arithmetic is exact (integers and fractions); no floating point.
+All arithmetic is exact (integers, and fractions for continued fractions);
+no floating point.
 """
 
 from __future__ import annotations
@@ -93,36 +96,31 @@ def _edge_index(
 
 
 def _negative_definite(
-    vertices: Sequence[str],
-    edges: Iterable[tuple[str, str]],
-    weights: Mapping[str, int],
+    parent: Mapping[str, str | None], weights: Mapping[str, int]
 ) -> bool:
-    """Sylvester's criterion on checked input: the k-th leading principal
-    minor of the intersection matrix has the sign of (-1)^k.
+    """Sylvester's criterion leaf first on one tree, with no fill.
 
-    Fraction-free (Bareiss) elimination leaves the k-th minor as the k-th
-    pivot; the test stops at the first pivot of the wrong sign or zero.
+    ``parent`` maps each vertex of the tree, in breadth-first order from its
+    root, to the vertex it was reached from (the root to None), as
+    ``_component`` returns it.  Walking that order backwards, every vertex
+    comes after all of its descendants.  Each vertex v carries an integer
+    pair (num, den), starting at (-w_v, 1); folding in a child with pair
+    (a, b) sets num <- num·a - den·b and den <- den·a.  Once all children
+    are folded in, num is det(-M) of v's subtree and den is det(-M) of that
+    subtree without v, so num/den is v's elimination pivot of -M.  The form
+    is negative definite iff every num is positive.  Cost: one step per
+    vertex and per edge, on integers the size of those determinants.
     """
-    index = {v: i for i, v in enumerate(vertices)}
-    n = len(index)
-    m = [[0] * n for _ in range(n)]
-    for v, i in index.items():
-        m[i][i] = weights[v]
-    for u, v in edges:
-        m[index[u]][index[v]] = m[index[v]][index[u]] = 1
-    prev = 1
-    negative = True  # the sign the next minor must have
-    for k in range(n):
-        pivot = m[k][k]
-        if pivot == 0 or (pivot < 0) != negative:
+    num = {v: -weights[v] for v in parent}
+    den = dict.fromkeys(parent, 1)
+    for v in reversed(parent):
+        a = num[v]
+        if a <= 0:
             return False
-        row_k = m[k]
-        for row in m[k + 1:]:
-            below = row[k]
-            for j in range(k + 1, n):
-                row[j] = (pivot * row[j] - below * row_k[j]) // prev
-        prev = pivot
-        negative = not negative
+        p = parent[v]
+        if p is not None:
+            num[p] = num[p] * a - den[p] * den[v]
+            den[p] *= a
     return True
 
 
@@ -131,10 +129,15 @@ def is_negative_definite(
     edges: Iterable[tuple[str, str]],
     weights: Mapping[str, int],
 ) -> bool:
-    """Exact test: leading principal minors alternate in sign, starting < 0.
+    """Exact test of the intersection form of a weighted forest.
+
+    Runs Sylvester's criterion leaf first on each tree of the forest, in
+    time linear in the number of vertices and edges (up to the cost of
+    multiplying integers as large as the subtree determinants).
 
     Raises ``SurfaceError`` unless the vertices are distinct, each has an
-    ``int`` weight, and every edge joins two declared vertices, at most once.
+    ``int`` weight, every edge joins two declared vertices, at most once,
+    and the graph is a forest (has no cycle).
     """
     vertices = _field(lambda: tuple(vertices), "vertices", _NAMES, SurfaceError)
     declared = _field(lambda: set(vertices), "vertices", _NAMES, SurfaceError)
@@ -157,21 +160,40 @@ def is_negative_definite(
             )
         _check_weight(v, weights[v])
     edges = _field(lambda: [(u, v) for u, v in edges], "edges", _PAIRS, SurfaceError)
-    _edge_index(vertices, edges, "the graph is simple")
-    return _negative_definite(vertices, edges, weights)
+    nbrs = _edge_index(vertices, edges, "the graph is simple")
+    trees: list[dict[str, str | None]] = []
+    reached: set[str] = set()
+    for v in vertices:
+        if v not in reached:
+            trees.append(_component(v, nbrs))
+            reached.update(trees[-1])
+    # a forest has one edge fewer than vertices per tree
+    if len(edges) != len(vertices) - len(trees):
+        raise SurfaceError(
+            "the graph has a cycle",
+            precondition="the graph is a forest",
+            witness={"vertices": len(vertices), "edges": len(edges)},
+        )
+    return all(_negative_definite(tree, weights) for tree in trees)
 
 
-def _component(start: str, nbrs: Mapping, inside: Container | None = None) -> set[str]:
-    """Vertices reachable from ``start`` through ``nbrs``, stepping only onto
-    vertices in ``inside`` when it is given."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in nbrs[stack.pop()]:
-            if w not in seen and (inside is None or w in inside):
-                seen.add(w)
-                stack.append(w)
-    return seen
+def _component(
+    start: str, nbrs: Mapping, inside: Container | None = None
+) -> dict[str, str | None]:
+    """Breadth-first walk from ``start`` through ``nbrs``, stepping only onto
+    vertices in ``inside`` when it is given.
+
+    Returns each reached vertex, in the order reached, mapped to the vertex
+    it was reached from (``start`` to None).
+    """
+    parent: dict[str, str | None] = {start: None}
+    queue = [start]
+    for v in queue:
+        for w in nbrs[v]:
+            if w not in parent and (inside is None or w in inside):
+                parent[w] = v
+                queue.append(w)
+    return parent
 
 
 class DualGraph:
@@ -188,10 +210,10 @@ class DualGraph:
         weights: Mapping[str, int],
     ):
         self.vertices: tuple[str, ...] = _field(
-            lambda: tuple(str(v) for v in vertices), "vertices", _NAMES, SurfaceError
+            lambda: tuple([str(v) for v in vertices]), "vertices", _NAMES, SurfaceError
         )
         self.edges: tuple[tuple[str, str], ...] = _field(
-            lambda: tuple((str(u), str(v)) for u, v in edges),
+            lambda: tuple([(str(u), str(v)) for u, v in edges]),
             "edges", _PAIRS, SurfaceError,
         )
         self.weights: dict[str, int] = _field(
@@ -214,9 +236,10 @@ class DualGraph:
                 precondition="at least one exceptional curve",
             )
         nbrs = _edge_index(self.vertices, self.edges, "the dual graph is a simple tree")
-        # tree: connected with |V| - 1 edges
+        # tree: connected with |V| - 1 edges; rooted at the first vertex
         n = len(self.vertices)
-        if len(self.edges) != n - 1 or len(_component(self.vertices[0], nbrs)) != n:
+        tree = _component(self.vertices[0], nbrs)
+        if len(self.edges) != n - 1 or len(tree) != n:
             raise SurfaceError(
                 "the dual graph is not a tree",
                 precondition="the graph is connected and acyclic",
@@ -237,7 +260,7 @@ class DualGraph:
                     precondition="every self-intersection weight is at most -2",
                     witness={"vertex": v, "weight": w},
                 )
-        if not _negative_definite(self.vertices, self.edges, self.weights):
+        if not _negative_definite(tree, self.weights):
             raise SurfaceError(
                 "the intersection form is not negative definite",
                 precondition="negative definite intersection form",
@@ -582,8 +605,8 @@ def decompose(graph: DualGraph, contracted: Iterable[str]) -> Decomposition:
         pieces.append((_ade_shape(comp, nbrs), tuple(comp)))
     pieces.sort(key=lambda p: (p[0].family, p[0].rank, p[1]))
     return Decomposition(
-        blocks=tuple(p[0] for p in pieces),
-        component_vertices=tuple(p[1] for p in pieces),
+        blocks=tuple([p[0] for p in pieces]),
+        component_vertices=tuple([p[1] for p in pieces]),
     )
 
 

@@ -375,32 +375,55 @@ def to_zero_oracle(obj) -> tuple:
 def intersection_matrix(vertices, edges, weights) -> list[list[int]]:
     """Weights on the diagonal, 1 where two curves meet, in vertex order."""
     vertices = list(vertices)
+    pairs = set(edges)
     return [
         [
-            weights[u] if u == v else int((u, v) in edges or (v, u) in edges)
+            weights[u] if u == v else int((u, v) in pairs or (v, u) in pairs)
             for v in vertices
         ]
         for u in vertices
     ]
 
 
-def oracle_negative_definite(matrix: list[list[int]]) -> bool:
-    """Gaussian elimination over exact fractions, no pivoting.
+def fraction_pivots(matrix: list[list[int]]):
+    """Pivots of Gaussian elimination over exact fractions, no pivoting.
 
-    A symmetric matrix is negative definite exactly when elimination
+    Yields each pivot before eliminating below it, and stops after a zero
+    pivot, below which nothing can be eliminated.  A row whose entry below
+    the pivot is already 0, and an entry above a 0 in the pivot row, are
+    left as they are.
+    """
+    n = len(matrix)
+    m = [list(row) for row in matrix]  # ints until a Fraction is subtracted
+    for k in range(n):
+        pivot = Fraction(m[k][k])
+        yield pivot
+        if pivot == 0:
+            return
+        for i in range(k + 1, n):
+            if m[i][k]:
+                f = m[i][k] / pivot
+                for j in range(k, n):
+                    if m[k][j]:
+                        m[i][j] -= f * m[k][j]
+
+
+def oracle_negative_definite(matrix: list[list[int]]) -> bool:
+    """A symmetric matrix is negative definite exactly when elimination
     produces a strictly negative pivot at every step; a zero or positive
     pivot disqualifies it immediately.
     """
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    for k in range(n):
-        if m[k][k] >= 0:
-            return False
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
-    return True
+    return all(p < 0 for p in fraction_pivots(matrix))
+
+
+def oracle_determinant(matrix: list[list[int]]) -> Fraction:
+    """Product of the elimination pivots: the determinant of a matrix whose
+    leading principal minors are all non-zero, as for a definite one."""
+    det = Fraction(1)
+    for p in fraction_pivots(matrix):
+        assert p != 0, "a leading principal minor vanishes"
+        det *= p
+    return det
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,12 @@ exhaustive box search confirms that no smaller positive cycle is.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -53,15 +56,20 @@ edge 6 3; edge 7 5; edge 8 4; edge 9 1;
 
 
 @st.composite
-def weighted_trees(draw):
-    """Random labeled tree with liberal weights, for definiteness testing."""
+def weighted_forests(draw):
+    """Random labeled forest with liberal weights, for definiteness testing:
+    each vertex after the first hangs from an earlier one or starts a tree,
+    and the vertex order (so the root of each tree) is shuffled."""
     n = draw(st.integers(1, 7))
-    vertices = [str(i) for i in range(n)]
-    edges = [
-        (str(draw(st.integers(0, i - 1))), str(i)) for i in range(1, n)
-    ]
-    values = draw(st.lists(st.integers(-9, 0), min_size=n, max_size=n))
-    return vertices, edges, dict(zip(vertices, values))
+    labels = [str(i) for i in range(n)]
+    edges = []
+    for i in range(1, n):
+        parent = draw(st.none() | st.integers(0, i - 1))
+        if parent is not None:
+            edges.append((str(parent), str(i)))
+    values = draw(st.lists(st.integers(-9, 2), min_size=n, max_size=n))
+    vertices = draw(st.permutations(labels))
+    return vertices, edges, dict(zip(labels, values))
 
 
 # edge lists with an edge that is not a pair, or that are no sequence at all
@@ -70,13 +78,29 @@ MALFORMED_EDGES = [[("a",)], [("a", "b", "c")], [("a", "b"), 7], [None], 7, None
 
 class TestNegativeDefiniteness:
     @settings(max_examples=200, deadline=None)
-    @given(weighted_trees())
+    @given(weighted_forests())
     def test_agrees_with_fraction_oracle(self, parts):
         vertices, edges, weights = parts
         matrix = helpers.intersection_matrix(vertices, edges, weights)
         assert is_negative_definite(vertices, edges, weights) == (
             helpers.oracle_negative_definite(matrix)
         )
+
+    def test_every_small_tree_agrees_with_fraction_oracle(self):
+        # every tree on at most 5 vertices, weights -1..-3: near the boundary
+        # of definiteness, where a pivot folded in wrongly flips the verdict
+        definite = 0
+        for n in range(1, 6):
+            for shape in helpers.tree_shapes(n):
+                vertices = [str(i) for i in range(n)]
+                edges = [(str(u), str(v)) for u, v in shape]
+                for values in itertools.product((-1, -2, -3), repeat=n):
+                    weights = dict(zip(vertices, values))
+                    matrix = helpers.intersection_matrix(vertices, edges, weights)
+                    expected = helpers.oracle_negative_definite(matrix)
+                    assert is_negative_definite(vertices, edges, weights) == expected
+                    definite += expected
+        assert definite > 0
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_minus_two_chains_are_definite(self, n):
@@ -93,13 +117,30 @@ class TestNegativeDefiniteness:
         assert is_negative_definite(["v"], [], {"v": -2})
 
     def test_singular_corner_is_caught(self):
-        # det = 0 makes the second fraction-free pivot vanish
+        # det = 0 makes the root's pivot vanish
         vertices = ["a", "b"]
         edges = [("a", "b")]
         assert not is_negative_definite(vertices, edges, {"a": -1, "b": -1})
 
     def test_forest_without_edges(self):
         assert is_negative_definite(["a", "b"], [], {"a": -2, "b": -3})
+
+    @pytest.mark.parametrize(
+        "vertices, edges",
+        [
+            ("abc", [("a", "b"), ("b", "c"), ("c", "a")]),
+            ("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]),
+            # a triangle beside a tree: 5 vertices, 2 components, 4 edges
+            ("abcde", [("d", "e"), ("a", "b"), ("b", "c"), ("a", "c")]),
+        ],
+    )
+    def test_cycle_is_refused(self, vertices, edges):
+        # a definite weighting: the refusal is about the shape alone
+        weights = dict.fromkeys(vertices, -5)
+        with pytest.raises(SurfaceError, match="the graph has a cycle") as info:
+            is_negative_definite(list(vertices), edges, weights)
+        assert info.value.precondition == "the graph is a forest"
+        assert info.value.witness == {"vertices": len(vertices), "edges": len(edges)}
 
     def test_duplicate_vertex(self):
         with pytest.raises(SurfaceError, match="duplicate vertex") as info:
@@ -415,8 +456,8 @@ class TestLauferMatchesOracle:
 
 
 class TestLauferScale:
-    """Closed forms at n = 2,000, called on raw adjacencies: building a
-    ``DualGraph`` would spend its time in the cubic definiteness check."""
+    """Closed forms at n = 2,000, called on raw adjacencies, so that only
+    Laufer's loop runs."""
 
     N = 2000
 
@@ -437,6 +478,56 @@ class TestLauferScale:
         adjacency = helpers.adjacency_of(vertices, edges)
         z = _laufer(vertices, adjacency, dict.fromkeys(vertices, -2), None, guard=False)
         assert z == dict.fromkeys(vertices, 1)
+
+
+class TestDefinitenessScale:
+    """``DualGraph`` validation far past the sweep sizes.  Leaf-first
+    elimination is linear in the tree, so each graph builds in milliseconds."""
+
+    N = 2000
+
+    def test_d_n(self):
+        # chain 0 - 1 - ... - (n-3) with leaf n-2 on vertex 1 and leaf n-1 on
+        # vertex n-4: the affine diagram D~_{n-1}, semidefinite with -2s
+        n = self.N
+        vertices = [str(i) for i in range(n)]
+        edges = [(str(i), str(i + 1)) for i in range(n - 3)]
+        edges += [("1", str(n - 2)), (str(n - 4), str(n - 1))]
+        weights = dict.fromkeys(vertices, -2)
+        with pytest.raises(SurfaceError, match="not negative definite"):
+            DualGraph(vertices, edges, weights)
+        # without the second fork it is D_{n-1}; or one heavier curve
+        d = DualGraph(vertices[:-1], edges[:-1], dict.fromkeys(vertices[:-1], -2))
+        assert len(d.vertices) == n - 1
+        weights[str(n // 2)] = -3
+        assert DualGraph(vertices, edges, weights).weights[str(n // 2)] == -3
+
+    def test_a_n(self):
+        vertices, edges = _path_parts(self.N)
+        g = DualGraph(vertices, edges, dict.fromkeys(vertices, -2))
+        assert fundamental_cycle(g) == dict.fromkeys(vertices, 1)
+
+    def test_random_tree(self):
+        rng = random.Random(self.N)
+        vertices = [str(i) for i in range(self.N)]
+        edges = [(str(rng.randrange(i)), str(i)) for i in range(1, self.N)]
+        degree = {v: 0 for v in vertices}
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        # a curve of degree >= 4 with its neighbours spans the affine D~4, so
+        # all -2s are not definite; weights -max(2, deg) are diagonally
+        # dominant, strictly at the leaves, so they are
+        assert max(degree.values()) >= 4
+        with pytest.raises(SurfaceError, match="not negative definite"):
+            DualGraph(vertices, edges, dict.fromkeys(vertices, -2))
+        weights = {v: -max(2, d) for v, d in degree.items()}
+        assert DualGraph(vertices, edges, weights).weights == weights
+
+    def test_path_of_5000(self):
+        vertices, edges = _path_parts(5000)
+        g = DualGraph(vertices, edges, dict.fromkeys(vertices, -2))
+        assert g.adjacency["0"] == ("1",) and g.adjacency["4999"] == ("4998",)
 
 
 class TestSpecialModules:
@@ -543,6 +634,23 @@ class TestCyclicDualGraph:
         assert g.vertices == ("1",)
         assert g.edges == ()
         assert g.weights == {"1": -2}
+
+    def test_hirzebruch_jung_determinants(self):
+        """For n/a = [b1, ..., br], det(-M) of the chain is n, and a with
+        its first curve removed; by the helpers' own elimination."""
+        pairs = 0
+        for n in range(2, 80):
+            for a in range(1, n):
+                if gcd(n, a) != 1:
+                    continue
+                g = cyclic_dual_graph(n, a)
+                m = helpers.intersection_matrix(g.vertices, g.edges, g.weights)
+                minus = [[-x for x in row] for row in m]
+                assert helpers.oracle_determinant(minus) == n, (n, a)
+                rest = [row[1:] for row in minus[1:]]
+                assert helpers.oracle_determinant(rest) == a, (n, a)
+                pairs += 1
+        assert pairs == 1933
 
 
 def _path_parts(n):
@@ -828,3 +936,22 @@ class TestGraphText:
                 ("4", "5"),
             ],
         }
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython", reason="CPython's tuple free lists"
+)
+def test_building_graphs_leaves_no_tuples_in_free_lists():
+    """``tuple(<generator>)`` takes its block from the size-10 free list and
+    frees the result into the list of its final size, so building graphs
+    of many sizes fills CPython's tuple free lists (up to 2,000 tuples per
+    size) and keeps them allocated: about 12,000 blocks for this loop when
+    ``DualGraph`` and ``decompose`` built their tuples that way."""
+    gc.collect()  # a full collection empties the free lists
+    before = sys.getallocatedblocks()
+    for _ in range(300):
+        for n in range(2, 20):
+            vertices, edges = _path_parts(n)
+            g = DualGraph(vertices, edges, dict.fromkeys(vertices, -2))
+            decompose(g, all_minus_two(g))
+    assert sys.getallocatedblocks() - before < 2000
