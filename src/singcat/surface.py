@@ -23,10 +23,13 @@ from __future__ import annotations
 
 import random
 import re
+from itertools import islice
 from math import gcd
 from typing import TYPE_CHECKING, Container, Iterable, Mapping, NamedTuple, Sequence
 
-from .quiver import INT_DIGITS, ParseError, SingcatError, _expect, _field, _record
+from .quiver import (
+    _COMMENT_RE, INT_DIGITS, ParseError, SingcatError, _blank, _expect, _field, _record,
+)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -58,14 +61,13 @@ def _simple_edge(u, v, seen: set, precondition: str) -> None:
         raise SurfaceError(
             f"self-loop at {u}", precondition=precondition, witness={"vertex": u}
         )
-    key = frozenset((u, v))
-    if key in seen:
+    if (u, v) in seen or (v, u) in seen:
         raise SurfaceError(
             f"duplicate edge ({u}, {v})",
             precondition=precondition,
             witness={"edge": [u, v]},
         )
-    seen.add(key)
+    seen.add((u, v))
 
 
 def _edge_index(
@@ -222,6 +224,21 @@ class DualGraph:
         )
         self._validate()
 
+    @classmethod
+    def _checked(
+        cls,
+        vertices: list[str],
+        edges: list[tuple[str, str]],
+        weights: dict[str, int],
+    ) -> DualGraph:
+        """A graph of fields already of the right types (str names, pairs of
+        them, int weights), as the text parser builds them: skips the
+        conversions of ``__init__``, not its checks."""
+        self = object.__new__(cls)
+        self.vertices, self.edges, self.weights = tuple(vertices), tuple(edges), weights
+        self._validate()
+        return self
+
     def _validate(self):
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
@@ -246,15 +263,15 @@ class DualGraph:
                 witness={"vertices": n, "edges": len(self.edges)},
             )
         self.adjacency = {v: tuple(ns) for v, ns in nbrs.items()}
-        if set(self.weights) != vset:
+        if self.weights.keys() != vset:
             raise SurfaceError(
                 "weights do not cover the vertex set exactly",
                 precondition="every vertex has exactly one weight",
                 witness={"weighted": sorted(self.weights), "vertices": sorted(vset)},
             )
         for v, w in self.weights.items():
-            _check_weight(v, w)
-            if w > -2:
+            if type(w) is not int or w > -2:
+                _check_weight(v, w)
                 raise SurfaceError(
                     f"vertex {v} has weight {w}",
                     precondition="every self-intersection weight is at most -2",
@@ -451,7 +468,7 @@ def cyclic_dual_graph(n: int, a: int) -> DualGraph:
     vertices = [str(i + 1) for i in range(len(coeffs))]
     edges = [(vertices[i], vertices[i + 1]) for i in range(len(coeffs) - 1)]
     weights = {vertices[i]: -coeffs[i] for i in range(len(coeffs))}
-    return DualGraph(vertices, edges, weights)
+    return DualGraph._checked(vertices, edges, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -619,57 +636,99 @@ def all_minus_two(graph: DualGraph) -> list[str]:
 # text format
 
 
-_VERTEX_RE = re.compile(r"^vertex\s+(\S+)\s+(-?\d+)$")
-_EDGE_RE = re.compile(r"^edge\s+(\S+)\s+(\S+)$")
+# the characters str.splitlines ends a line at; each becomes '\n' before the
+# scan, so the patterns need no other ("\r\n" becomes two, which only adds
+# whitespace), and offsets stay those of the text
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_ONE_BREAK = str.maketrans(dict.fromkeys(_LINE_BREAKS, "\n"))
+_SPACE = r"[^\S\n]"  # whitespace within a line
+_NAME = r"[^\s;]+"
+# One statement and what ends it: whitespace, line breaks included, then a
+# vertex (name, weight), an edge (name, name) or any other text up to the
+# next ';' or line break (trailing whitespace included), then whitespace and
+# the end: ';', a line break, or '' at the end of the text.  Some statement
+# matches wherever the previous one ended, so one scan reads every character.
+_STATEMENT_RE = re.compile(
+    rf"\s*(?:vertex{_SPACE}+({_NAME}){_SPACE}+(-?\d+)"
+    rf"|edge{_SPACE}+({_NAME}){_SPACE}+({_NAME})"
+    rf"|([^;\n]*)){_SPACE}*([;\n]|\Z)"
+)
+_GRAPH_TEXT = "well-formed dual graph text"
+
+
+def _statement_error(
+    message: str, text: str, clean: str, index: int,
+    precondition: str = _GRAPH_TEXT, at_line_end: bool = False,
+) -> ParseError:
+    """ParseError at the start of the index-th statement of ``clean``, the
+    scanned form of ``text``, or, with ``at_line_end``, at the length of its
+    line; lines are those of ``str.splitlines``, and columns count from 1."""
+    m = next(islice(_STATEMENT_RE.finditer(clean), index, None))
+    pos = m.end() - len(m.group().lstrip())
+    # the statement's first character stands for it, so a break just
+    # before it opens its line
+    lines = text[: pos + 1].splitlines()
+    column = len(lines[-1])
+    if at_line_end:  # the line ends where the statement does
+        column = m.start(6) - (pos + 1 - column)
+    return ParseError(message, len(lines), column, precondition=precondition)
 
 
 def parse_dual_graph(text: str) -> DualGraph:
+    """Read the text format in one scan.
+
+    Statements are read in order, each ended by ';'.  A statement is
+    ``vertex <name> <weight>`` or ``edge <name> <name>``; a name is a run of
+    characters other than whitespace, ';' and '#', and a weight is an
+    optional '-' and decimal digits.  Blank statements are allowed, and a
+    statement may not span lines.  A statement left without ';' at the end
+    of its line is read, and then refused.  Comments are blanked and line
+    breaks made '\\n' in place, so offsets into the scanned text are offsets
+    into ``text``; positions are worked out only for an error.
+    """
     if not isinstance(text, str):
         raise SurfaceError(
             f"expected text, got {type(text).__name__}",
             precondition="text is a str",
             witness={"text": repr(text)},
         )
+    clean = text.translate(_ONE_BREAK)
+    if "#" in clean:
+        clean = _COMMENT_RE.sub(_blank, clean)
     vertices: list[str] = []
     weights: dict[str, int] = {}
     edges: list[tuple[str, str]] = []
-    line_no = 0
-    for raw in text.splitlines():
-        line_no += 1
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        for stmt in filter(None, (s.strip() for s in line.split(";"))):
-            m = _VERTEX_RE.match(stmt)
-            if m:
-                name = m.group(1)
-                try:
-                    w = int(m.group(2))
-                except ValueError:
-                    raise ParseError(
-                        f"weight of vertex {name!r} has too many digits",
-                        line_no,
-                        1,
-                        precondition=INT_DIGITS,
-                    ) from None
-                if name in weights:
-                    raise ParseError(f"duplicate vertex {name!r}", line_no, 1)
-                vertices.append(name)
-                weights[name] = w
-                continue
-            m = _EDGE_RE.match(stmt)
-            if m:
-                edges.append((m.group(1), m.group(2)))
-                continue
-            raise ParseError(
-                f"cannot parse statement {stmt!r}; expected "
+    for index, (name, weight, u, v, other, end) in enumerate(
+        _STATEMENT_RE.findall(clean)
+    ):
+        if name:
+            try:
+                w = int(weight)
+            except ValueError:
+                raise _statement_error(
+                    f"weight of vertex {name!r} has too many digits",
+                    text, clean, index, INT_DIGITS,
+                ) from None
+            if name in weights:
+                raise _statement_error(f"duplicate vertex {name!r}", text, clean, index)
+            vertices.append(name)
+            weights[name] = w
+        elif u:
+            edges.append((u, v))
+        elif other:
+            raise _statement_error(
+                f"cannot parse statement {other.rstrip()!r}; expected "
                 "'vertex <id> <weight>' or 'edge <id> <id>'",
-                line_no,
-                1,
+                text, clean, index,
             )
-        if line and not line.rstrip().endswith(";"):
-            raise ParseError("statement is not terminated by ';'", line_no, len(raw))
-    return DualGraph(vertices, edges, weights)
+        else:
+            continue
+        if end != ";":
+            raise _statement_error(
+                "statement is not terminated by ';'", text, clean, index,
+                at_line_end=True,
+            )
+    return DualGraph._checked(vertices, edges, weights)
 
 
 def serialize_dual_graph(graph: DualGraph) -> str:

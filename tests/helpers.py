@@ -427,6 +427,73 @@ def oracle_determinant(matrix: list[list[int]]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# dual graph text oracle
+
+
+GRAPH_TEXT = "well-formed dual graph text"
+DIGIT_LIMIT = "integer fits Python's string conversion limit"
+
+
+def _is_weight(word: str) -> bool:
+    """An optional minus sign and one or more decimal digits, any script."""
+    digits = word[1:] if word.startswith("-") else word
+    return digits != "" and all(c.isdecimal() for c in digits)
+
+
+def oracle_parse_dual_graph(text: str):
+    """Read a dual graph text line by line, as the format describes it.
+
+    Lines end where ``str.splitlines`` ends them; '#' starts a comment that
+    runs to the end of its line.  A line is a sequence of statements, each
+    ended by ';', and blank statements are allowed.  A statement is
+    ``vertex <name> <weight>`` or ``edge <name> <name>``, words apart by
+    whitespace, a name being any run of characters other than whitespace,
+    ';' and '#'.  A statement left without ';' at the end of its line is
+    still read, then refused as unterminated.
+
+    Returns (vertices, edges, weights) as a list, a list of pairs and a
+    dict, or the first error as (message, line, column, precondition): the
+    column is where the statement starts, and that of an unterminated
+    statement is the length of its whole line, comment included.
+    """
+    vertices: list = []
+    edges: list = []
+    weights: dict = {}
+    for line_no, raw in enumerate(text.splitlines(), 1):
+        pieces = raw.split("#", 1)[0].split(";")
+        offset = 0
+        for k, piece in enumerate(pieces):
+            column = offset + len(piece) - len(piece.lstrip()) + 1
+            offset += len(piece) + 1
+            words = piece.split()
+            if not words:
+                continue
+            if len(words) == 3 and words[0] == "vertex" and _is_weight(words[2]):
+                name = words[1]
+                try:
+                    weight = int(words[2])
+                except ValueError:
+                    message = f"weight of vertex {name!r} has too many digits"
+                    return message, line_no, column, DIGIT_LIMIT
+                if name in weights:
+                    return f"duplicate vertex {name!r}", line_no, column, GRAPH_TEXT
+                vertices.append(name)
+                weights[name] = weight
+            elif len(words) == 3 and words[0] == "edge":
+                edges.append((words[1], words[2]))
+            else:
+                message = (
+                    f"cannot parse statement {piece.strip()!r}; expected "
+                    "'vertex <id> <weight>' or 'edge <id> <id>'"
+                )
+                return message, line_no, column, GRAPH_TEXT
+            if k == len(pieces) - 1:  # no ';' after this statement
+                message = "statement is not terminated by ';'"
+                return message, line_no, len(raw), GRAPH_TEXT
+    return vertices, edges, weights
+
+
+# ---------------------------------------------------------------------------
 # tree utilities for the exhaustive surface sweeps
 
 

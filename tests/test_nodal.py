@@ -582,6 +582,26 @@ class TestARComponents:
         with pytest.raises(NodalError, match="strings only"):
             ar_translate(NodalProjective(PLUS))
 
+    def test_serre_duality(self):
+        """The Serre functor of a Hom-finite triangulated category is τ[1]
+        (Reiten–Van den Bergh, JAMS 2002): Hom(X, Y) and Hom(Y, τX[1]) have
+        the same dimension for every string X and every object Y.  No other
+        shift τ[k] with k in -3..3 passes, so the test tells them apart."""
+        objs = window_objects(shift_bound=4, max_length=5)
+        strings = [x for x in objs if isinstance(x, NodalString)]
+        assert len(strings) * len(objs) == 9720
+
+        def mismatches(k):
+            return (
+                (x, y) for x in strings for y in objs
+                if hom_dim(x, y) != hom_dim(y, ar_translate(x).shifted(k))
+            )
+
+        assert list(mismatches(1)) == []
+        for k in range(-3, 4):
+            if k != 1:
+                assert next(mismatches(k), None) is not None, k
+
 
 class TestObjectNotation:
     @pytest.mark.parametrize(

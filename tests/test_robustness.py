@@ -473,6 +473,97 @@ def test_dual_graph_weight_beyond_the_digit_limit(text, line):
     assert (info.value.line, info.value.column) == (line, 1)
 
 
+def read_dual_graph(text):
+    """What ``parse_dual_graph`` gives, in the oracle's terms: the graph's
+    lists, a parse error as (message, line, column, precondition), or the
+    diagnostic of a graph the text spells but ``DualGraph`` refuses."""
+    try:
+        graph = parse_dual_graph(text)
+    except ParseError as exc:
+        suffix = f" (line {exc.line}, column {exc.column})"
+        assert exc.message.endswith(suffix)
+        assert exc.witness == {"line": exc.line, "column": exc.column}
+        return exc.message[: -len(suffix)], exc.line, exc.column, exc.precondition
+    except SurfaceError as exc:
+        return exc.diagnostic()
+    return list(graph.vertices), list(graph.edges), graph.weights
+
+
+def oracle_read_dual_graph(text):
+    expected = helpers.oracle_parse_dual_graph(text)
+    if len(expected) == 3:  # the text spells a graph; DualGraph judges it
+        try:
+            DualGraph(*expected)
+        except SurfaceError as exc:
+            return exc.diagnostic()
+    return expected
+
+
+# Statements, pieces of them and layout: line breaks of several kinds,
+# whitespace that ends no line (\x1f, a no-break space, also inside a name),
+# blank statements, comments, non-ASCII digits and a weight past the digit
+# limit.
+GRAPH_FRAGMENTS = [
+    "vertex 1 -2;", "vertex 2 -3;", "vertex 3 -2;", "edge 1 2;", "edge 2 3;",
+    "vertex 1 -2", "edge 1 2", "vertex", "edge", "1", "2", "a\xa0b", "-2", "-3",
+    "-٢", "٣", "+2", "-", f"-{NINES}", ";", ";;", " ", "\t", "\x1f", "\xa0",
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "#", "# c\n", "x",
+]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.sampled_from(GRAPH_FRAGMENTS), max_size=14).map("".join))
+def test_parse_dual_graph_agrees_with_oracle(text):
+    assert read_dual_graph(text) == oracle_read_dual_graph(text)
+
+
+# (text, message, line, column); the precondition is "well-formed dual
+# graph text" unless the message is about digits
+PINNED_GRAPH_ERRORS = [
+    ("vertex 1 -2; vertex 2 -5;\nedge 1 2; edge 2 3 4;",
+     "cannot parse statement 'edge 2 3 4'; expected 'vertex <id> <weight>' or "
+     "'edge <id> <id>'", 2, 11),
+    ("vertex 1 -2; vertex 1 -3;", "duplicate vertex '1'", 1, 14),
+    # the unterminated last statement is read, and refused, first
+    ("vertex 1 -2;\nvertex 2 -2; vertex 1 -3", "duplicate vertex '1'", 2, 14),
+    ("vertex 1 -2; edge 1",
+     "cannot parse statement 'edge 1'; expected 'vertex <id> <weight>' or "
+     "'edge <id> <id>'", 1, 14),
+    ("vertex 1 -2", "statement is not terminated by ';'", 1, 11),
+    # the column of an unterminated statement is the length of its line
+    ("vertex 1 -2 # first curve", "statement is not terminated by ';'", 1, 25),
+    ("vertex 1 -2;\r\nvertex 2 -2\r\nedge 1 2;",
+     "statement is not terminated by ';'", 2, 11),
+    ("vertex 1 -2;\x85  curve 1;",
+     "cannot parse statement 'curve 1'; expected 'vertex <id> <weight>' or "
+     "'edge <id> <id>'", 2, 3),
+    ("vertex 1 -2;;  ;vertex a\xa0b -2;",
+     "cannot parse statement 'vertex a\\xa0b -2'; expected 'vertex <id> <weight>' "
+     "or 'edge <id> <id>'", 1, 17),
+    ("vertex 1 -2;\x1c x\x1fy;",
+     "cannot parse statement 'x\\x1fy'; expected 'vertex <id> <weight>' or "
+     "'edge <id> <id>'", 2, 2),
+    ("vertex ١ -٢;\u2028vertex ١ -٣;", "duplicate vertex '١'", 2, 1),
+    # '\x0c' ends a line of its own, and the '\n' after it another
+    ("# only a comment\n\x0c\nvertex 1 +2;",
+     "cannot parse statement 'vertex 1 +2'; expected 'vertex <id> <weight>' or "
+     "'edge <id> <id>'", 4, 1),
+    (f"vertex 0 -2;\n\tvertex 1 -{NINES};",
+     "weight of vertex '1' has too many digits", 2, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column", PINNED_GRAPH_ERRORS,
+    ids=[repr(case[0])[:32] for case in PINNED_GRAPH_ERRORS],
+)
+def test_dual_graph_parse_error_is_pinned(text, message, line, column):
+    precondition = INT_DIGITS if "digits" in message else "well-formed dual graph text"
+    expected = (message, line, column, precondition)
+    assert helpers.oracle_parse_dual_graph(text) == expected
+    assert read_dual_graph(text) == expected
+
+
 @pytest.mark.parametrize(
     "text",
     [f"S+({NINES})", f"S-(2)[-{NINES}]", f"P+[{NINES}]", f"P2[{NINES}]",

@@ -26,6 +26,7 @@ from singcat.surface import (
     Decomposition,
     DualGraph,
     SurfaceError,
+    _LINE_BREAKS,
     _laufer,
     ade_recognize,
     all_minus_two,
@@ -922,6 +923,13 @@ class TestGraphText:
             parse_dual_graph("vertex 1 -2; vertex 1 -3;")
         with pytest.raises(ParseError, match="cannot parse"):
             parse_dual_graph("curve 1 -2;")
+
+    def test_line_breaks_are_those_of_splitlines(self):
+        # every code point in order has no "\r\n" in it, so each line but
+        # the last ends in exactly one break
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        breaks = {line[-1] for line in every.splitlines(keepends=True)[:-1]}
+        assert set(_LINE_BREAKS) == breaks
 
     def test_json_shape(self):
         payload = dual_graph_to_json(helpers.t13_graph())
