@@ -43,6 +43,9 @@ class SurfaceError(SingcatError):
 _NAMES = "a sequence of vertex names"
 _PAIRS = "a sequence of vertex pairs"
 _WEIGHTS = "a mapping from vertex names to weights"
+# what the text format reads as a name
+_NAME = r"[^\s;#]+"
+_NAME_RE = re.compile(_NAME)
 
 
 def _check_weight(v: str, w) -> None:
@@ -201,8 +204,10 @@ def _component(
 class DualGraph:
     """Validated resolution graph: a weighted negative definite tree.
 
-    ``adjacency`` maps each vertex, in vertex order, to the tuple of its
-    neighbours in edge order; it is built during validation.
+    Vertex names are what the text format can carry: non-empty, with no
+    whitespace, ';' or '#'.  ``adjacency`` maps each vertex, in vertex
+    order, to the tuple of its neighbours in edge order; it is built during
+    validation.
     """
 
     def __init__(
@@ -222,6 +227,14 @@ class DualGraph:
             lambda: {str(v): w for v, w in weights.items()},
             "weights", _WEIGHTS, SurfaceError,
         )
+        for v in self.vertices:
+            if not _NAME_RE.fullmatch(v):
+                raise SurfaceError(
+                    f"invalid vertex name {v!r}",
+                    precondition="vertex names are non-empty and contain no "
+                    "whitespace, ';' or '#'",
+                    witness={"vertex": v},
+                )
         self._validate()
 
     @classmethod
@@ -231,9 +244,10 @@ class DualGraph:
         edges: list[tuple[str, str]],
         weights: dict[str, int],
     ) -> DualGraph:
-        """A graph of fields already of the right types (str names, pairs of
-        them, int weights), as the text parser builds them: skips the
-        conversions of ``__init__``, not its checks."""
+        """A graph of fields already of the right types (str names that the
+        text format can carry, pairs of them, int weights), as the text
+        parser builds them: skips the conversions and the name check of
+        ``__init__``, not its other checks."""
         self = object.__new__(cls)
         self.vertices, self.edges, self.weights = tuple(vertices), tuple(edges), weights
         self._validate()
@@ -307,7 +321,6 @@ def _laufer(
     adjacency: Mapping[str, Sequence[str]],
     weights: Mapping[str, int],
     rng: random.Random | None,
-    guard: bool = True,
 ) -> dict[str, int]:
     """Laufer's increment loop from Z = (1, ..., 1), driven by a worklist.
 
@@ -317,20 +330,15 @@ def _laufer(
     and its neighbours can change state: a step costs O(deg v).  ``rng``
     picks the curve uniformly from ``pending``, a list built in vertex and
     adjacency order, so a seed gives the same run whatever the hash seed.
-    ``adjacency`` lists each curve's neighbours in a loop-free graph.
 
-    Every order of raises reaches the same Z (the minimal anti-nef cycle)
-    after Σz − n steps, so the step count does not depend on ``rng``.  On
-    unvalidated input the loop may diverge, so by default it gives up after
-    64·n + 64 steps.  Callers holding a ``DualGraph`` pass ``guard=False``:
-    its form is negative definite, so the loop terminates, and a
-    near-degenerate form can need far more steps than that.
+    The caller passes a validated ``DualGraph``'s fields: on its negative
+    definite form every order of raises reaches the same Z (the minimal
+    anti-nef cycle) after Σz − n steps, so the step count does not depend
+    on ``rng``.  On other input the loop need not stop.
     """
     z = {v: 1 for v in vertices}
     excess = {v: weights[v] + len(adjacency[v]) for v in vertices}
     pending = [v for v in vertices if excess[v] > 0]
-    bound = 64 * len(vertices) + 64 if guard else None
-    steps = 0
     while pending:
         if rng is not None:
             i = rng.randrange(len(pending))
@@ -344,14 +352,6 @@ def _laufer(
                 pending.append(u)
         if excess[v] > 0:
             pending.append(v)
-        steps += 1
-        if bound is not None and steps > bound:
-            raise SurfaceError(
-                "cycle computation did not stabilize; the intersection form "
-                "is not negative definite",
-                precondition="negative definite intersection form",
-                witness={"iterations": steps},
-            )
     return z
 
 
@@ -369,7 +369,7 @@ def fundamental_cycle(graph: DualGraph, seed: int | None = None) -> dict[str, in
             witness={"seed": repr(seed)},
         )
     rng = None if seed is None else random.Random(seed)
-    return _laufer(graph.vertices, graph.adjacency, graph.weights, rng, guard=False)
+    return _laufer(graph.vertices, graph.adjacency, graph.weights, rng)
 
 
 def special_ranks(graph: DualGraph) -> dict[str, int]:
@@ -642,7 +642,6 @@ def all_minus_two(graph: DualGraph) -> list[str]:
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _ONE_BREAK = str.maketrans(dict.fromkeys(_LINE_BREAKS, "\n"))
 _SPACE = r"[^\S\n]"  # whitespace within a line
-_NAME = r"[^\s;]+"
 # One statement and what ends it: whitespace, line breaks included, then a
 # vertex (name, weight), an edge (name, name) or any other text up to the
 # next ';' or line break (trailing whitespace included), then whitespace and

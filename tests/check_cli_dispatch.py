@@ -3,7 +3,7 @@
 ``run()`` matches a plain ``singcat <module> <op> ...`` line against the
 command table (``cli._plain``) without building argparse's parser, and
 hands every other command line to that parser.  For each request this
-script parses the command line both ways and compares the outcome:
+module parses the command line both ways and compares the outcome:
 ``vars(namespace)`` when parsing succeeds, and the exit code, stdout and
 stderr when it stops (a usage error or ``--help``).  It also compares the
 plain match on its own with the full parse.  The requests are every corpus
@@ -11,26 +11,18 @@ argv, every ``singcat`` line of the README and cases at the edges of the
 match: arguments left over, unknown options after the op, ``-h`` at each
 level, ``--sh -2..2``, ``--`` separators, a module without an op, unknown
 names, ``=`` forms, repeated options and values that start with ``-``.
-argparse changes between Python releases (``--out=--``, for one), so run
-it under each supported interpreter.  Runs without pytest, against
-whichever singcat the interpreter finds::
-
-    python tests/check_cli_dispatch.py
+argparse changes between Python releases (``--out=--``, for one), so
+``tests/test_cli.py::TestLeafDispatch`` runs these comparisons under each
+supported interpreter.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
-import json
-import re
-import shlex
-import sys
-from pathlib import Path
 
+import helpers
 from singcat import cli
-
-ROOT = Path(__file__).resolve().parent.parent
 
 EDGE_CASES = [
     # arguments left over after the command
@@ -106,25 +98,12 @@ EDGE_CASES = [
 ]
 
 
-def corpus_argvs() -> list[list[str]]:
-    return [
-        json.loads(path.read_text(encoding="utf-8"))["argv"]
-        for path in sorted((ROOT / "corpus").glob("*.json"))
-    ]
-
-
 def readme_argvs() -> list[list[str]]:
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    return [
-        shlex.split(line, comments=True)[1:]
-        for block in re.finditer(r"^```sh\n(.*?)^```$", text, re.M | re.S)
-        for line in block.group(1).splitlines()
-        if line.startswith("singcat ")
-    ]
+    return [helpers.readme_argv(line) for line, _, _ in helpers.readme_commands()]
 
 
 def requests() -> list[list[str]]:
-    return corpus_argvs() + readme_argvs() + EDGE_CASES
+    return helpers.corpus_argvs() + readme_argvs() + EDGE_CASES
 
 
 def outcome(parse, argv: list[str]) -> tuple:
@@ -165,18 +144,3 @@ def mismatches(argvs):
         if taken is not None and (taken, None, "", "") != expected:
             yield argv, "plain", taken, expected
 
-
-def main() -> int:
-    argvs = requests()
-    found = list(mismatches(argvs))
-    for argv, path, got, expected in found:
-        print(f"MISMATCH {argv}\n  {path}: {got}\n  full: {expected}")
-    routes = [route(argv) for argv in argvs]
-    print(f"python {sys.version.split()[0]}: {len(argvs)} requests, "
-          f"{routes.count('plain')} plain, {routes.count('argparse')} argparse, "
-          f"{len(found)} mismatches")
-    return int(bool(found))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

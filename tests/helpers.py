@@ -9,9 +9,61 @@ code evaluated twice.
 
 from __future__ import annotations
 
+import json
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 from singcat.quiver import Presentation
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# ---------------------------------------------------------------------------
+# command lines shipped with the repository
+
+
+def corpus_argvs() -> list[list[str]]:
+    """The argv of each corpus case, in file name order."""
+    return [
+        json.loads(path.read_text(encoding="utf-8"))["argv"]
+        for path in sorted((ROOT / "corpus").glob("*.json"))
+    ]
+
+
+def readme_commands() -> list[tuple]:
+    """(line, printed text, printed JSON subset) for each README command.
+
+    Every ``singcat`` line of the README's sh blocks is listed.  An untagged
+    block right after an sh block shows what that block's last command
+    prints; a trailing ``# {...}`` comment shows keys of a command's JSON
+    output, with ``, ...`` standing for the keys left out.
+    """
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = list(re.finditer(r"^```(\w*)\n(.*?)^```$", text, re.M | re.S))
+    cases = []
+    for block, following in zip(blocks, blocks[1:] + [None]):
+        if block.group(1) != "sh":
+            continue
+        lines = [ln for ln in block.group(2).splitlines() if ln.startswith("singcat ")]
+        printed = None
+        if (
+            following is not None
+            and following.group(1) == ""
+            and not text[block.end():following.start()].strip()
+        ):
+            printed = following.group(2).rstrip("\n")
+        for i, line in enumerate(lines):
+            comment = re.search(r"#\s*(\{.*\})\s*$", line)
+            subset = json.loads(comment.group(1).replace(", ...}", "}")) if comment else None
+            cases.append((line, printed if i == len(lines) - 1 else None, subset))
+    return cases
+
+
+def readme_argv(line: str) -> list[str]:
+    """The argv of a README command line, without ``singcat`` and comments."""
+    return shlex.split(line, comments=True)[1:]
+
 
 # ---------------------------------------------------------------------------
 # gentle presentation fixtures
@@ -274,6 +326,88 @@ def scan_mesh_differential(quiver) -> dict[str, tuple[tuple[str, str], ...]]:
             terms.append((a.label, partners[0]))
         result[rho.label] = tuple(sorted(terms, key=_mesh_term_key))
     return result
+
+
+def _reduce(row: dict, rows: dict) -> None:
+    """Clear from ``row`` every pivot column of ``rows`` (in place)."""
+    for col in [c for c in row if c in rows]:
+        f = row[col]
+        for c, x in rows[col].items():
+            row[c] = row.get(c, 0) - f * x
+            if not row[c]:
+                del row[c]
+
+
+def oracle_h0_dimension(payload: dict, limit: int = 10_000) -> int:
+    """Dimension over Q of H^0 of a graded quiver, read from its JSON
+    payload (as ``graded_quiver_to_json`` writes it): the path algebra of
+    the solid arrows modulo the ideal of the broken arrows' differentials.
+
+    Each differential is a sum, coefficients 1, of pairs [b, a] that stand
+    for the composite of a, then b.  These relations are quadratic, so H^0
+    is graded by path length, and A_d = (A_(d-1) x arrows) / (A_(d-2) x
+    relations): each pair (x, a) of a basis element x of A_(d-1) and an
+    arrow a out of x's end spans A_d, and each pair (y, r) of a basis
+    element y of A_(d-2) and a relation r out of y's end gives the linear
+    relation sum_(b, a) in r (y a) b, where y a is read off A_(d-1).  The
+    degrees are built until one is 0; a sum over them is the dimension.
+    Raises ``AssertionError`` once that sum passes ``limit``.
+    """
+    vertices = payload["vertices"]
+    ends = {a["label"]: (a["source"], a["target"]) for a in payload["solid_arrows"]}
+    out_of: dict = {v: [] for v in vertices}
+    for label, (source, _) in ends.items():
+        out_of[source].append(label)
+    relations: dict = {v: [] for v in vertices}
+    for rho in payload["broken_arrows"]:
+        terms = payload["differential"][rho["label"]]
+        for b, a in terms:
+            assert ends[a][0] == rho["source"] and ends[a][1] == ends[b][0]
+            assert ends[b][1] == rho["target"]
+        relations[rho["source"]].append([(a, b) for b, a in terms])
+    # basis of A_(d-1) and A_d as (start, end) pairs; ``times`` maps
+    # (element of A_(d-2), arrow) to its product in A_(d-1), as {index: coeff}
+    previous: list = []
+    current = [(v, v) for v in vertices]
+    times: dict = {}
+    total = 0
+    while current:
+        total += len(current)
+        if total > limit:
+            raise AssertionError(f"H^0 has dimension above {limit}")
+        spanning = [
+            (x, a) for x, (_, end) in enumerate(current) for a in out_of[end]
+        ]
+        column = {pair: i for i, pair in enumerate(spanning)}
+        rows: dict = {}  # reduced echelon form, by pivot column
+        for y, (_, end) in enumerate(previous):
+            for relation in relations[end]:
+                row: dict = {}
+                for a, b in relation:
+                    for x, c in times[y, a].items():
+                        col = column[x, b]
+                        row[col] = row.get(col, 0) + c
+                        if not row[col]:
+                            del row[col]
+                _reduce(row, rows)
+                if row:
+                    pivot = max(row)
+                    f = Fraction(1, 1) / row[pivot]
+                    row = {c: f * x for c, x in row.items()}
+                    for other in rows.values():
+                        _reduce(other, {pivot: row})
+                    rows[pivot] = row
+        free = [i for i in range(len(spanning)) if i not in rows]
+        index = {col: k for k, col in enumerate(free)}
+        products = {}
+        for i, pair in enumerate(spanning):
+            if i in rows:  # pivot = -(the rest of its row)
+                products[pair] = {index[c]: -x for c, x in rows[i].items() if c != i}
+            else:
+                products[pair] = {index[i]: 1}
+        previous, times = current, products
+        current = [(previous[spanning[i][0]][0], ends[spanning[i][1]][1]) for i in free]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -544,21 +678,11 @@ def violates_anti_nef(z, vertices, adjacency, weights) -> bool:
     )
 
 
-class OracleDiverged(Exception):
-    """``oracle_laufer`` took more than its step bound."""
-
-    def __init__(self, iterations: int):
-        super().__init__(f"no anti-nef cycle after {iterations} increments")
-        self.iterations = iterations
-
-
-def oracle_laufer(vertices, adjacency, weights, bound=None) -> dict:
+def oracle_laufer(vertices, adjacency, weights) -> dict:
     """Laufer's loop by rescanning: from Z = (1, ..., 1), recompute Z·E_v
     for every curve after each increment and raise the first violator in
-    vertex order.  Raises ``OracleDiverged`` once more than ``bound``
-    increments were needed."""
+    vertex order.  Stops on a negative definite form."""
     z = {v: 1 for v in vertices}
-    steps = 0
     while True:
         violators = [
             v
@@ -568,9 +692,6 @@ def oracle_laufer(vertices, adjacency, weights, bound=None) -> dict:
         if not violators:
             return z
         z[violators[0]] += 1
-        steps += 1
-        if bound is not None and steps > bound:
-            raise OracleDiverged(steps)
 
 
 # ---------------------------------------------------------------------------

@@ -283,8 +283,6 @@ def test_criterion_10():
                         continue
                     definite += 1
                     z = surface.fundamental_cycle(graph)
-                    # the step guard never trips on a definite tree this small
-                    assert surface._laufer(vertices, adjacency, weights, None) == z
                     assert all(z[v] >= 1 for v in vertices)
                     if any(z[v] > 1 for v in vertices):
                         nontrivial += 1

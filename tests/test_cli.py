@@ -7,8 +7,6 @@ import enum
 import io
 import json
 import os
-import re
-import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -568,36 +566,7 @@ class TestShippedCorpus:
         assert out == json.dumps(case["expect"], ensure_ascii=False, indent=2) + "\n"
 
 
-def readme_commands():
-    """(line, printed text, printed JSON subset) for each README command.
-
-    Every ``singcat`` line of the README's sh blocks is listed.  An untagged
-    block right after an sh block shows what that block's last command
-    prints; a trailing ``# {...}`` comment shows keys of a command's JSON
-    output, with ``, ...`` standing for the keys left out.
-    """
-    text = README.read_text(encoding="utf-8")
-    blocks = list(re.finditer(r"^```(\w*)\n(.*?)^```$", text, re.M | re.S))
-    cases = []
-    for block, following in zip(blocks, blocks[1:] + [None]):
-        if block.group(1) != "sh":
-            continue
-        lines = [ln for ln in block.group(2).splitlines() if ln.startswith("singcat ")]
-        printed = None
-        if (
-            following is not None
-            and following.group(1) == ""
-            and not text[block.end():following.start()].strip()
-        ):
-            printed = following.group(2).rstrip("\n")
-        for i, line in enumerate(lines):
-            comment = re.search(r"#\s*(\{.*\})\s*$", line)
-            subset = json.loads(comment.group(1).replace(", ...}", "}")) if comment else None
-            cases.append((line, printed if i == len(lines) - 1 else None, subset))
-    return cases
-
-
-README_COMMANDS = readme_commands()
+README_COMMANDS = helpers.readme_commands()
 
 
 @pytest.mark.parametrize(
@@ -605,7 +574,7 @@ README_COMMANDS = readme_commands()
 )
 def test_readme_command_runs_as_printed(line, printed, subset, monkeypatch, capsys):
     monkeypatch.chdir(README.parent)
-    code, out, err = invoke(capsys, shlex.split(line, comments=True)[1:])
+    code, out, err = invoke(capsys, helpers.readme_argv(line))
     assert code == 0, err
     if printed is not None:
         assert out.rstrip("\n") == printed
@@ -668,21 +637,11 @@ def fresh_parser_cache():
     cli._parser.cache_clear()
 
 
-def corpus_argvs():
-    return [
-        json.loads(path.read_text(encoding="utf-8"))["argv"]
-        for path in sorted(CORPUS.glob("*.json"))
-    ]
-
-
 def replay_requests():
     """(working directory, argv): every corpus argv and README command in
     order, with a usage error, ``--help`` and a domain error mixed in."""
-    requests = [(CORPUS, argv) for argv in corpus_argvs()]
-    requests += [
-        (README.parent, shlex.split(line, comments=True)[1:])
-        for line, _, _ in README_COMMANDS
-    ]
+    requests = [(CORPUS, argv) for argv in helpers.corpus_argvs()]
+    requests += [(README.parent, helpers.readme_argv(line)) for line, _, _ in README_COMMANDS]
     requests[3:3] = [
         (CORPUS, ["nodal", "table", "--maxlen", "x"]),
         (CORPUS, ["nodal", "table", "--shifts", "-2..2", "--maxlen", "3"]),
@@ -750,7 +709,7 @@ class TestLeafDispatch:
         assert routes == {"plain", "argparse"}
 
     def test_shipped_commands_take_the_plain_route(self):
-        argvs = check_cli_dispatch.corpus_argvs() + check_cli_dispatch.readme_argvs()
+        argvs = helpers.corpus_argvs() + check_cli_dispatch.readme_argvs()
         assert {check_cli_dispatch.route(argv) for argv in argvs} == {"plain"}
 
     def test_plain_requests_build_no_parser(

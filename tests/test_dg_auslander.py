@@ -8,6 +8,8 @@ counts.  Rendered differentials of the small instances are pinned verbatim.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import helpers
@@ -334,3 +336,33 @@ class TestTypeHandling:
             knoerrer_parity(2.0)
         with pytest.raises(DGAError, match="non-negative"):
             knoerrer_parity(True)
+
+
+# ---------------------------------------------------------------------------
+# H^0: the solid path algebra modulo the mesh sums, read from the JSON payload
+
+H0_TYPES = ["A1", "A2", "A3", "A5", "D4", "D5", "D7", "E6", "E7", "E8"]
+COXETER = {"A": lambda n: n + 1, "D": lambda n: 2 * n - 2, "E": {6: 12, 7: 18, 8: 30}.get}
+
+
+def h0_dimension(name: str, parity: str) -> int:
+    payload = json.loads(json.dumps(graded_quiver_to_json(dg_auslander(name, parity))))
+    return helpers.oracle_h0_dimension(payload)
+
+
+@pytest.mark.parametrize("name", H0_TYPES)
+def test_even_h0_is_the_preprojective_algebra(name):
+    # even parity is the double quiver of the Dynkin tree with one mesh
+    # relation per vertex, so H^0 is its preprojective algebra, of dimension
+    # n·h(h+1)/6 with h the Coxeter number (Malkin–Ostrik–Vybornov 2005)
+    n = int(name[1:])
+    h = COXETER[name[0]](n)
+    assert h0_dimension(name, "even") == n * h * (h + 1) // 6
+
+
+@pytest.mark.parametrize(
+    "name, dimension",
+    zip(H0_TYPES, [2, 2, 10, 28, 56, 84, 286, 156, 798, 2480]),
+)
+def test_odd_h0_dimension_is_pinned(name, dimension):
+    assert h0_dimension(name, "odd") == dimension
