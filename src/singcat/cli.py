@@ -401,9 +401,12 @@ def _cmd_dga_emit(args):
         try:
             parity = dga.knoerrer_parity(int(raw))
         except ValueError:
+            long = re.fullmatch(r"[+-]?\d+(?:_\d+)*", raw.strip())  # an int but for its length
             raise SingcatError(
-                f"cannot parse parity argument {raw!r}",
-                precondition="parity is 'even', 'odd' or a non-negative dimension",
+                "the dimension has too many digits" if long
+                else f"cannot parse parity argument {raw!r}",
+                precondition=INT_DIGITS if long
+                else "parity is 'even', 'odd' or a non-negative dimension",
                 witness={"parity": raw},
             ) from None
     quiver = dga.dg_auslander(args.type, parity)

@@ -19,6 +19,7 @@ the Dynkin tree with identity translation.
 from __future__ import annotations
 
 import re
+from functools import partial
 
 from .quiver import INT_DIGITS, Arrow, SingcatError, _expect, _field, _record
 from .surface import ADEType
@@ -99,11 +100,9 @@ class GradedQuiver:
     translation: dict[str, str]
 
     def __post_init__(self):
-        # Check the fields in order, one pass each, and name a malformed one:
-        # distinct str vertices, Arrows with str labels between them, and a
-        # translation that permutes the vertices.  The solid pass indexes the
-        # solid arrows by source and by (source, target), keeping declaration
-        # order, and the translation pass inverts the translation.
+        # Check the fields in order and name a malformed one: distinct str
+        # vertices, Arrows with str labels between them, and a translation
+        # that permutes the vertices.
         def names():
             found = {v for v in self.vertices if isinstance(v, str)}
             if len(found) != len(self.vertices):  # a duplicate or not a str
@@ -112,21 +111,14 @@ class GradedQuiver:
 
         vertices = _field(names, "vertices", "a sequence of distinct strs", DGAError)
 
-        def check(a):
-            if not (isinstance(a, Arrow) and isinstance(a.label, str)
-                    and a.source in vertices and a.target in vertices):
-                raise ValueError
+        def check(arrows):
+            for a in arrows:
+                if not (isinstance(a, Arrow) and isinstance(a.label, str)
+                        and a.source in vertices and a.target in vertices):
+                    raise ValueError
 
-        by_source, by_ends = {}, {}
-
-        def index():
-            for a in self.solid:
-                check(a)
-                by_source.setdefault(a.source, []).append(a)
-                by_ends.setdefault((a.source, a.target), []).append(a)
-
-        _field(index, "solid", _ARROWS, DGAError)
-        _field(lambda: [check(a) for a in self.broken], "broken", _ARROWS, DGAError)
+        _field(lambda: check(self.solid), "solid", _ARROWS, DGAError)
+        _field(lambda: check(self.broken), "broken", _ARROWS, DGAError)
 
         def invert():
             inverse = {v: k for k, v in self.translation.items()}
@@ -135,6 +127,23 @@ class GradedQuiver:
             return inverse
 
         untranslate = _field(invert, "translation", "a dict of vertex names", DGAError)
+        self._index(self.solid, untranslate)
+
+    @classmethod
+    def _checked(cls, *fields) -> GradedQuiver:
+        """A quiver of fields that pass every check, indexed without them."""
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, fields):
+            object.__setattr__(self, name, value)
+        self._index(self.solid, {v: k for k, v in self.translation.items()})
+        return self
+
+    def _index(self, solid, untranslate):
+        """Keep the solid arrows by source and by ends, and the inverse translation."""
+        by_source, by_ends = {}, {}
+        for a in solid:
+            by_source.setdefault(a.source, []).append(a)
+            by_ends.setdefault((a.source, a.target), []).append(a)
         object.__setattr__(self, "_solid_from", by_source)
         object.__setattr__(self, "_solid_between", by_ends)
         object.__setattr__(self, "_untranslate", untranslate)
@@ -155,6 +164,8 @@ def _alpha_star(i: int) -> str:
 
 
 def _finish(family, rank, parity, vertices, solid, tau) -> GradedQuiver:
+    """The quiver of a table over int vertices, built without the checks of
+    ``GradedQuiver``, which every table here passes."""
     names = tuple([str(v) for v in vertices])
     translation = {str(v): str(tau[v]) for v in vertices}
     broken = tuple(
@@ -163,7 +174,7 @@ def _finish(family, rank, parity, vertices, solid, tau) -> GradedQuiver:
     solid_arrows = tuple(
         [Arrow(lab, str(src), str(tgt)) for lab, src, tgt in solid]
     )
-    return GradedQuiver(family, rank, parity, names, solid_arrows, broken, translation)
+    return GradedQuiver._checked(family, rank, parity, names, solid_arrows, broken, translation)
 
 
 def _pairs(edges):
@@ -322,23 +333,45 @@ def k0_rank(quiver: GradedQuiver) -> int:
 # ---------------------------------------------------------------------------
 # mesh differential
 
-_LABEL_RE = re.compile(r"^α_(\d+)(\*?)$")
+_LABEL_RE = re.compile(r"α_(\d+)(\*?)")  # used with fullmatch
 
 
 def _label_key(label: str) -> tuple[int, int]:
-    m = _LABEL_RE.match(label)
+    m = _LABEL_RE.fullmatch(label)
     if m:
         return (int(m.group(1)), 1 if m.group(2) else 0)
     return (10**9, 0)
 
 
-def _term_key(term: tuple[str, str]):
-    first, second = term
-    ka, sa = _label_key(first)
-    kb, sb = _label_key(second)
+def _term_key(term: tuple[str, str], label_key=_label_key):
+    """Display order: 2-cycles α_k α_k* first, by k; then the rest.  α_k has
+    the label key (k, 0), α_k* (k, 1), any other label (10**9, 0)."""
+    (ka, sa), (kb, sb) = label_key(term[0]), label_key(term[1])
     if ka == kb and sa != sb:
         return (0, ka, sa)
     return (1, ka, sa, kb, sb)
+
+
+def _mesh(quiver: GradedQuiver, vertex: str, key) -> tuple[tuple[str, str], ...]:
+    """The mesh sum at a vertex of the quiver, its terms sorted by ``key``."""
+    target = quiver._untranslate[vertex]
+    terms = []
+    for a in quiver._solid_from.get(vertex, ()):
+        partners = quiver._solid_between.get((a.target, target), ())
+        if len(partners) != 1:
+            raise DGAError(
+                f"mesh at {vertex} is not uniquely completable through "
+                f"{a.label}: {len(partners)} candidates",
+                precondition="each mesh summand completes uniquely",
+                witness={
+                    "vertex": vertex,
+                    "arrow": a.label,
+                    "candidates": [b.label for b in partners],
+                },
+            )
+        terms.append((a.label, partners[0].label))
+    terms.sort(key=key)
+    return tuple(terms)
 
 
 def mesh_image(quiver: GradedQuiver, vertex: str) -> tuple[tuple[str, str], ...]:
@@ -357,24 +390,7 @@ def mesh_image(quiver: GradedQuiver, vertex: str) -> tuple[tuple[str, str], ...]
             precondition="vertex belongs to the quiver",
             witness={"vertex": vertex},
         )
-    target = quiver._untranslate[vertex]
-    terms = []
-    for a in quiver._solid_from.get(vertex, ()):
-        partners = quiver._solid_between.get((a.target, target), ())
-        if len(partners) != 1:
-            raise DGAError(
-                f"mesh at {vertex} is not uniquely completable through "
-                f"{a.label}: {len(partners)} candidates",
-                precondition="each mesh summand completes uniquely",
-                witness={
-                    "vertex": vertex,
-                    "arrow": a.label,
-                    "candidates": [b.label for b in partners],
-                },
-            )
-        terms.append((a.label, partners[0].label))
-    terms.sort(key=_term_key)
-    return tuple(terms)
+    return _mesh(quiver, vertex, _term_key)
 
 
 def differential(quiver: GradedQuiver) -> dict[str, tuple[tuple[str, str], ...]]:
@@ -386,7 +402,9 @@ def differential(quiver: GradedQuiver) -> dict[str, tuple[tuple[str, str], ...]]
     _expect(quiver, GradedQuiver, "quiver", DGAError)
     diff = quiver._differential
     if diff is None:
-        diff = {rho.label: mesh_image(quiver, rho.source) for rho in quiver.broken}
+        keys = {a.label: _label_key(a.label) for a in quiver.solid}  # once per label
+        key = partial(_term_key, label_key=keys.__getitem__)
+        diff = {rho.label: _mesh(quiver, rho.source, key) for rho in quiver.broken}
         object.__setattr__(quiver, "_differential", diff)
     return dict(diff)
 

@@ -113,6 +113,8 @@ class NodalProjective(_Shiftable):
     def __post_init__(self):
         _check_sign(self.sign)
         _check_int("shift", self.shift)
+        # the bit hom_dim compares: (sign is '-') XOR (shift is odd)
+        object.__setattr__(self, "_twist", (self.shift & 1) ^ (self.sign == MINUS))
 
 
 @_record
@@ -125,6 +127,7 @@ class NodalString(_Shiftable):
         _check_sign(self.sign)
         _check_length(self.length)
         _check_int("shift", self.shift)
+        object.__setattr__(self, "_twist", (self.shift & 1) ^ (self.sign == MINUS))
 
 
 @_record
@@ -162,39 +165,43 @@ def _kind(obj, first: type, second: type) -> type | None:
     return None
 
 
+def _as_base(obj, base: type):
+    """``obj`` rebuilt as an instance of ``base``, with its checks.  Kept out
+    of ``hom_dim``, where the comprehension would turn x and y into cells."""
+    return base(*[getattr(obj, f) for f in base._fields])
+
+
 def hom_dim(x: NodalIndecomposable, y: NodalIndecomposable) -> int:
     """Dimension of Hom(x, y) in the nodal block; always 0 or 1.
 
-    The formulas compare signs through the shift twist, and
-    delta_n(s) = t exactly when (s != t) == (n is odd), so the twist is read
-    off the parity n & 1 instead of being applied.
+    The formulas compare signs through the shift twist: for n the difference
+    of the shifts, delta_n(s) = t exactly when (s != t) == (n is odd), that
+    is when the two objects' ``_twist`` bits agree.
     """
     tx, ty = x.__class__, y.__class__
-    if tx is not NodalString and tx is not NodalProjective:
-        tx = _kind(x, NodalString, NodalProjective)
-    if ty is not NodalString and ty is not NodalProjective:
-        ty = _kind(y, NodalString, NodalProjective)
     if tx is NodalString:
         if ty is NodalString:
             n = y.shift - x.shift
-            # y.sign == delta(n, x.sign)
-            same = (x.sign != y.sign) == (n & 1)
+            # y.sign == delta(n, x.sign) exactly when the bits agree
             if n <= 0:
-                return 1 if same and 1 <= y.length + n <= x.length else 0
-            return 1 if not same and n >= 2 and 1 <= x.length + 2 - n <= y.length else 0
+                return 1 if 1 <= y.length + n <= x.length and x._twist == y._twist else 0
+            return 1 if n >= 2 and 1 <= x.length + 2 - n <= y.length and x._twist != y._twist else 0
         if ty is NodalProjective:
             n = y.shift - x.shift
             # y.sign != delta(n, x.sign)
-            return 1 if 2 <= n <= x.length + 1 and (x.sign != y.sign) != (n & 1) else 0
+            return 1 if 2 <= n <= x.length + 1 and x._twist != y._twist else 0
     elif tx is NodalProjective:
         if ty is NodalProjective:
-            n = y.shift - x.shift
-            # x.sign == delta(n, y.sign)
-            return 1 if n <= 0 and (x.sign != y.sign) == (n & 1) else 0
+            # n = y.shift - x.shift <= 0 and x.sign == delta(n, y.sign)
+            return 1 if y.shift <= x.shift and x._twist == y._twist else 0
         if ty is NodalString:
             n = x.shift - y.shift
             # x.sign == delta(n, y.sign)
-            return 1 if 0 <= n < y.length and (x.sign != y.sign) == (n & 1) else 0
+            return 1 if 0 <= n < y.length and x._twist == y._twist else 0
+    # an instance of a subclass is read as its base, rebuilt with its checks
+    kx, ky = _kind(x, NodalString, NodalProjective), _kind(y, NodalString, NodalProjective)
+    if kx and ky:
+        return hom_dim(_as_base(x, kx), _as_base(y, ky))
     raise NodalError(
         f"not nodal objects: {x!r}, {y!r}",
         precondition="both arguments are nodal indecomposables",

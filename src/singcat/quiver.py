@@ -240,9 +240,9 @@ def _expect(value, cls: type, name: str, error: type = QuiverError) -> None:
 class Presentation:
     """Immutable quiver presentation with length-two relations.
 
-    Construction indexes it once: ``outgoing``/``incoming`` hold each vertex's
-    arrows in declaration order, ``successors``/``predecessors`` each arrow's
-    relation partners (labels in relation order; absent when there are none).
+    The checks index the fields as they pass: ``outgoing``/``incoming`` hold
+    each vertex's arrows in declaration order, ``successors``/``predecessors``
+    each arrow's relation partners (labels in relation order; absent if none).
     """
 
     def __init__(
@@ -265,30 +265,33 @@ class Presentation:
         self._validate()
 
     @classmethod
-    def _checked(cls, vertices, arrows, relations, by_label, relation_set):
+    def _checked(cls, by_label, outgoing, incoming, relations, *partners):
         """A presentation of fields that already passed every check of
-        ``_validate``, as tuples; ``by_label`` maps each label to its arrow."""
+        ``_validate``, from their index as lists; ``by_label`` and ``outgoing``
+        keep declaration order, so they give the arrows and the vertices."""
         self = object.__new__(cls)
-        self.vertices, self.arrows, self.relations = vertices, arrows, relations
-        self._index(by_label, relation_set)
+        self.vertices, self.arrows = tuple(outgoing), tuple(by_label.values())
+        self.relations = tuple(relations)
+        self._freeze(by_label, outgoing, incoming, *partners)
         return self
 
     def _validate(self):
-        """Check every precondition, then build the index."""
+        """Check every precondition, indexing the fields as they pass."""
         # a list with a bad name is checked name by name in the loops below,
         # so the first violation in list order is the one reported
         vertex_names_ok = _names_ok(self.vertices)
-        declared: set[str] = set()
+        outgoing: dict[str, list[Arrow]] = {}
+        incoming: dict[str, list[Arrow]] = {}
         for v in self.vertices:
             if not vertex_names_ok:
                 _check_name(v, "vertex")
-            if v in declared:
+            if v in outgoing:
                 raise QuiverError(
                     f"duplicate vertex {v!r}",
                     precondition="vertex names are distinct",
                     witness={"vertex": v},
                 )
-            declared.add(v)
+            outgoing[v], incoming[v] = [], []
         labels_ok = _names_ok([a.label for a in self.arrows])
         by_label: dict[str, Arrow] = {}
         for a in self.arrows:
@@ -302,12 +305,16 @@ class Presentation:
                 )
             by_label[a.label] = a
             for v in (a.source, a.target):
-                if not isinstance(v, str) or v not in declared:
+                if not isinstance(v, str) or v not in outgoing:
                     raise QuiverError(
                         f"arrow {a.label!r} uses undeclared vertex {v!r}",
                         precondition="arrow endpoints are declared vertices",
                         witness={"arrow": a.label, "vertex": v},
                     )
+            outgoing[a.source].append(a)
+            incoming[a.target].append(a)
+        successors: dict[str, list[str]] = {}
+        predecessors: dict[str, list[str]] = {}
         relation_set: set[tuple[str, str]] = set()
         for first, second in self.relations:
             for lab in (first, second):
@@ -330,20 +337,12 @@ class Presentation:
                     witness={"first": first, "second": second},
                 )
             relation_set.add((first, second))
-        self._index(by_label, relation_set)
-
-    def _index(self, by_label: dict[str, Arrow], relation_set: set[tuple[str, str]]):
-        """Build the indices of checked fields, for ``_validate`` and the parser."""
-        outgoing: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
-        incoming: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            outgoing[a.source].append(a)
-            incoming[a.target].append(a)
-        successors: dict[str, list[str]] = {}
-        predecessors: dict[str, list[str]] = {}
-        for first, second in self.relations:
             successors.setdefault(first, []).append(second)
             predecessors.setdefault(second, []).append(first)
+        self._freeze(by_label, outgoing, incoming, successors, predecessors, relation_set)
+
+    def _freeze(self, by_label, outgoing, incoming, successors, predecessors, relation_set):
+        """Keep the index of checked fields, its lists as tuples."""
         self._by_label = by_label
         self.outgoing = {v: tuple(arrs) for v, arrs in outgoing.items()}
         self.incoming = {v: tuple(arrs) for v, arrs in incoming.items()}
@@ -495,14 +494,14 @@ def _split_relation_token(token: str, labels: Container[str]):
 
 
 def parse_presentation(text: str) -> Presentation:
-    """Read the text format, checking each statement as it is read.
+    """Read the text format, checking and indexing each statement as it is read.
 
     Comments are blanked in place and separators become spaces, so every
     offset into the cleaned text is an offset into ``text``; positions are
     worked out only for an error.  The statements' checks cover every
     precondition of ``Presentation`` but the name rule, which is checked
-    once per name list at the end, so the index is built once and nothing
-    is checked twice.
+    once per name list at the end.  The index is filled by the statement
+    loop, so no arrow or relation is visited twice.
     """
     if not isinstance(text, str):
         raise QuiverError(
@@ -510,15 +509,15 @@ def parse_presentation(text: str) -> Presentation:
             precondition="text is a str",
             witness={"text": repr(text)},
         )
-    vertices: list[str] = []
-    arrows: list[Arrow] = []
+    labels: dict[str, Arrow] = {}  # the declared arrows
+    outgoing: dict[str, list[Arrow]] = {}  # the declared vertices, with their arrows
+    incoming: dict[str, list[Arrow]] = {}
     relations: list[tuple[str, str]] = []
     relation_set: set[tuple[str, str]] = set()
-    vertex_at: dict[str, tuple[int, int]] = {}  # name -> (statement, word) declaring it
-    labels: dict[str, Arrow] = {}
-    label_at: dict[str, int] = {}  # label -> statement declaring it
+    successors: dict[str, list[str]] = {}
+    predecessors: dict[str, list[str]] = {}
 
-    clean = _COMMENT_RE.sub(_blank, text).translate(_SEPARATORS)
+    clean = (_COMMENT_RE.sub(_blank, text) if "#" in text else text).translate(_SEPARATORS)
     *bodies, tail = clean.split(";")
     # an unterminated final statement is reported before anything else
     if tail.strip(" "):
@@ -549,12 +548,13 @@ def parse_presentation(text: str) -> Presentation:
                 err(_ARROW_SHAPE, 0)
             if label in labels:
                 err(f"duplicate arrow label {label!r}", 1)
-            for j in (i, i + 2):
-                if words[j] not in vertex_at:
-                    err(f"undeclared vertex {words[j]!r}", j)
-            arrows.append(Arrow(label, words[i], words[i + 2]))
-            labels[label] = arrows[-1]
-            label_at[label] = number
+            source, target = words[i], words[i + 2]
+            if source not in outgoing or target not in outgoing:
+                j = i if source not in outgoing else i + 2
+                err(f"undeclared vertex {words[j]!r}", j)
+            labels[label] = arrow = Arrow(label, source, target)
+            outgoing[source].append(arrow)
+            incoming[target].append(arrow)
         elif head == "relation":
             if len(words) == 2:
                 splits = _split_relation_token(words[1], labels)
@@ -573,9 +573,9 @@ def parse_presentation(text: str) -> Presentation:
                 disp_first, disp_second = splits[0]
             elif len(words) == 3:
                 disp_first, disp_second = words[1], words[2]
-                for i in (1, 2):
-                    if words[i] not in labels:
-                        err(f"undeclared arrow {words[i]!r} in relation", i)
+                if disp_first not in labels or disp_second not in labels:
+                    i = 1 if disp_first not in labels else 2
+                    err(f"undeclared arrow {words[i]!r} in relation", i)
             else:
                 err("'relation' expects one juxtaposed token or two labels", 0)
             # display order is right to left: the first displayed label is
@@ -595,33 +595,40 @@ def parse_presentation(text: str) -> Presentation:
                 err(f"duplicate relation {disp_first} {disp_second}", 1)
             relation_set.add(pair)
             relations.append(pair)
+            successors.setdefault(first_applied, []).append(second_applied)
+            predecessors.setdefault(second_applied, []).append(first_applied)
         elif head == "vertices":
             if len(words) < 2:
                 err("'vertices' expects at least one name", 0)
             for i, name in enumerate(words[1:], 1):
-                if name in vertex_at:
+                if name in outgoing:
                     err(f"duplicate vertex {name!r}", i)
                 if name == "->":
                     err("'->' is not a valid vertex name", i)
-                vertex_at[name] = number, i
-                vertices.append(name)
+                outgoing[name], incoming[name] = [], []
         elif head not in ("arrows", "relations") or len(words) > 1:
             # bare section headers declare nothing
             err(f"unknown statement {head!r}", 0)
 
     # the name rule last, vertices first: report the first bad name in list
     # order at the word that declares it
-    for names, kind in ((vertices, "vertex"), (labels, "arrow")):
+    for names, kind, head in ((outgoing, "vertex", "vertices"), (labels, "arrow", "arrow")):
         if _names_ok(names):
             continue
-        for name in names:
+        for k, name in enumerate(names):
             try:
                 _check_name(name, kind)
             except QuiverError as bad:
-                number, index = vertex_at[name] if kind == "vertex" else (label_at[name], 1)
-                err(bad.message, index, precondition=bad.precondition)
+                # 'vertices' declares a name per later word, 'arrow' one at word 1
+                for number, body in enumerate(bodies):
+                    words = [w for w in body.split(" ") if w]
+                    if words[:1] == [head]:
+                        count = len(words) - 1 if kind == "vertex" else 1
+                        if k < count:
+                            err(bad.message, k + 1, precondition=bad.precondition)
+                        k -= count
     return Presentation._checked(
-        tuple(vertices), tuple(arrows), tuple(relations), labels, relation_set
+        labels, outgoing, incoming, relations, successors, predecessors, relation_set
     )
 
 

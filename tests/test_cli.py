@@ -230,6 +230,24 @@ class TestParityArgument:
             "witness": {"parity": "x"},
         }
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_a_dimension_beyond_the_digit_limit_is_not_unreadable(self, capsys, sign):
+        # int() refuses it for its length alone: report that, not a bad parity
+        raw = sign + "7" * 5000
+        code, out, err = invoke(capsys, ["dga", "emit", "A3", raw])
+        assert (code, out) == (1, "")
+        assert stderr_error(err) == {
+            "message": "the dimension has too many digits",
+            "precondition": INT_DIGITS,
+            "witness": {"parity": raw},
+        }
+
+    @pytest.mark.parametrize("raw", ["1.5", "+-3", "3x", "1__0", "7" * 4000 + "x"])
+    def test_other_non_integers_stay_unreadable(self, capsys, raw):
+        code, out, err = invoke(capsys, ["dga", "emit", "A3", raw])
+        assert (code, out) == (1, "")
+        assert stderr_error(err)["message"] == f"cannot parse parity argument {raw!r}"
+
 
 class TestOutFlag:
     def test_out_writes_the_rendering_and_keeps_stdout_quiet(self, tmp_path, capsys):

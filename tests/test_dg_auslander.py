@@ -158,6 +158,29 @@ def test_indexed_mesh_matches_a_full_scan(family, rank, parity):
         assert q.solid_from(v) == [a for a in q.solid if a.source == v]
 
 
+@pytest.mark.parametrize("family, rank, parity", ORACLE_INSTANCES)
+def test_tables_pass_the_public_constructor(family, rank, parity):
+    # the built-in tables skip the constructor's checks: they must pass them
+    q = dg_auslander(ADEType(family, rank), parity)
+    checked = GradedQuiver(*(getattr(q, f) for f in GradedQuiver._fields))
+    assert checked == q
+    for index in ("_solid_from", "_solid_between", "_untranslate"):
+        assert getattr(checked, index) == getattr(q, index)
+
+
+def test_a_label_ending_in_a_newline_is_not_an_alpha_label():
+    # "α_1\n" sorts last, like any label that is not α_k or α_k*, as in the oracle
+    q = GradedQuiver(
+        "A", 3, "even", ("1", "2", "3"),
+        (Arrow("α_1\n", "1", "2"), Arrow("α_2", "1", "3"),
+         Arrow("z", "2", "1"), Arrow("w", "3", "1")),
+        tuple(Arrow(f"ρ_{v}", v, v) for v in "123"),
+        {v: v for v in "123"},
+    )
+    assert differential(q)["ρ_1"] == mesh_image(q, "1") == (("α_2", "w"), ("α_1\n", "z"))
+    assert differential(q) == helpers.scan_mesh_differential(q)
+
+
 class TestPinnedDifferentials:
     def test_odd_a1_is_formal(self):
         assert rendered("A", 1, "odd") == {"ρ_1": "0", "ρ_2": "0"}

@@ -43,7 +43,7 @@ from singcat.nodal import (
     parse_object,
     zero_string_complex,
 )
-from singcat.quiver import path_in_ideal
+from singcat.quiver import path_in_ideal, replace
 
 SIGNS = (PLUS, MINUS)
 
@@ -96,7 +96,66 @@ def tagged(obj):
     return SUBCLASS[type(obj)](*(getattr(obj, f) for f in obj._fields))
 
 
+class Bare(NodalString):
+    """A subclass whose __post_init__ skips the base's checks and twist bit."""
+
+    def __post_init__(self):
+        pass
+
+
+class BareProjective(NodalProjective):
+    def __post_init__(self):
+        pass
+
+
+def every_build(obj) -> list:
+    """``obj`` built every way: the constructor, parse_object, replace,
+    shifted, and subclasses with and without the base's __post_init__."""
+    fields = [getattr(obj, f) for f in obj._fields]
+    # an odd step flips the shift's parity, so a stale twist bit would show
+    away = replace(obj, shift=obj.shift + 7)
+    bare = {NodalString: Bare, NodalProjective: BareProjective}[type(obj)]
+    return [
+        type(obj)(*fields),
+        parse_object(format_object(obj))[0],
+        replace(away, shift=obj.shift),
+        away.shifted(-7),
+        tagged(obj),
+        bare(*fields),
+    ]
+
+
 class TestHomFormulas:
+    def test_objects_built_every_way(self):
+        # both signs, lengths 1-5 and shifts -4..4; every build of each
+        # argument against the other as built by its constructor
+        objs = window_objects(4, 5)
+        builds = [every_build(x) for x in objs]
+        oracle = [helpers.to_oracle(x) for x in objs]
+        for x, xs, ox in zip(objs, builds, oracle):
+            assert [b == x for b in xs] == [True] * 4 + [False] * 2
+            for y, ys, oy in zip(objs, builds, oracle):
+                want = helpers.oracle_hom(ox, oy)
+                assert [hom_dim(b, y) for b in xs] == [want] * len(xs), (x, y)
+                assert [hom_dim(x, b) for b in ys] == [want] * len(ys), (x, y)
+
+    @pytest.mark.parametrize("bad", [
+        None, 3, "P+", ZeroString(1), ZeroProjective(2),
+        Bare("x", 1), Bare(PLUS, 0), Bare(PLUS, 1, 1.5), BareProjective(PLUS, "1"),
+    ], ids=repr)
+    def test_only_a_nodal_error_escapes(self, bad):
+        for good in (NodalString(PLUS, 2, 1), NodalProjective(MINUS), Bare(MINUS, 3, -2)):
+            for args in ((bad, good), (good, bad)):
+                with pytest.raises(NodalError):
+                    hom_dim(*args)
+
+    def test_the_twist_bit_is_not_a_field(self):
+        x = NodalString(MINUS, 2, 3)
+        assert x._fields == ("sign", "length", "shift")
+        assert repr(x) == "NodalString(sign='-', length=2, shift=3)"
+        assert x == NodalString(MINUS, 2, 3) and hash(x) == hash((MINUS, 2, 3))
+        assert replace(x, shift=4) == NodalString(MINUS, 2, 4)
+
     def test_agrees_with_oracle_on_window(self):
         # every ordered pair of 234 objects, so all four type pairs, each
         # argument given as its exact type and as a subclass instance

@@ -275,6 +275,12 @@ PARSE_ERRORS = [
      "invalid vertex name 'c:d'", 2, 12),
     ("vertices 1 ->x; arrow ->: 1 -> ->x; arrow c:: 1 -> 1;",
      "invalid arrow name '->'", 1, 23),
+    # the declaring word is found by counting declarations, not by the name:
+    # word 1 of "arrow a: ..." is also the bad label "a:"
+    ("vertices 1 2;\narrow a: 1 -> 2;\nvertices 3 4;\narrow a:: 1 -> 2;",
+     "invalid arrow name 'a:'", 4, 7),
+    ("vertices 1;\nvertices 2 3;;\nvertices  4 a:b 5;",
+     "invalid vertex name 'a:b'", 3, 13),
 ]
 NAME_RULE = "names contain no whitespace, ';', ':' or '#' and are not '->'"
 
@@ -457,6 +463,47 @@ class TestParsedIndex:
         parsed = parse_presentation(serialize_presentation(pres))
         assert parsed == pres
         assert helpers.presentation_index(parsed) == helpers.presentation_index(pres)
+
+
+    # text the serializer never writes: comments, blank statements, runs of
+    # spaces, tabs and CRs, the "a :" form, bare headers, statements over
+    # several lines, interleaved statements, juxtaposed relation tokens,
+    # loops and parallel arrows
+    UNUSUAL = [
+        (
+            "# a comment; with a semicolon\r\nvertices\t1  2;;\n arrows ;\n"
+            "arrow a : 1 -> 2; # trailing\narrow\tb:\t2\r\n->\n1;\nvertices 3;\n"
+            "relations;\nrelation ab;\narrow l: 3 -> 3;\narrow p: 1 -> 2;\n"
+            "arrow q :\t1 ->  2;\nrelation l  l;\nrelation ba;\nrelation bp;\n"
+            "relation b q;\n\t;",
+            Presentation(
+                ("1", "2", "3"),
+                [("a", "1", "2"), ("b", "2", "1"), ("l", "3", "3"),
+                 ("p", "1", "2"), ("q", "1", "2")],
+                [("b", "a"), ("l", "l"), ("a", "b"), ("p", "b"), ("q", "b")],
+            ),
+        ),
+        (
+            "vertices x;relations\n;vertices y z;arrow c: z -> x;arrow d: x -> z;"
+            "relation dc;arrow e: z -> z;relation ce;relation ee;relation e d;",
+            Presentation(
+                ("x", "y", "z"),
+                [("c", "z", "x"), ("d", "x", "z"), ("e", "z", "z")],
+                [("c", "d"), ("e", "c"), ("e", "e"), ("d", "e")],
+            ),
+        ),
+    ]
+
+    @pytest.mark.parametrize("text, expected", UNUSUAL, ids=["spaced-out", "interleaved"])
+    def test_text_the_serializer_never_writes(self, text, expected):
+        parsed = parse_presentation(text)
+        assert parsed == expected
+        got = helpers.presentation_index(parsed)
+        want = helpers.presentation_index(helpers.rebuilt(parsed))
+        assert got == want
+        # == on dicts ignores key order, which orders the gentle violations
+        for name in ("outgoing", "incoming", "successors", "predecessors", "arrow"):
+            assert list(got[name].items()) == list(want[name].items()), name
 
 
 class TestIndex:
