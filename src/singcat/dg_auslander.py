@@ -333,19 +333,23 @@ def k0_rank(quiver: GradedQuiver) -> int:
 # ---------------------------------------------------------------------------
 # mesh differential
 
-_LABEL_RE = re.compile(r"α_(\d+)(\*?)")  # used with fullmatch
+_LABEL_RE = re.compile(r"α_([0-9]+)(\*?)")  # used with fullmatch
 
 
-def _label_key(label: str) -> tuple[int, int]:
+def _label_key(label: str) -> tuple[tuple, int]:
+    """(number, star): the number of α_k or α_k* is k, compared as its
+    digits without leading zeros (shorter first, then digit by digit), and
+    any other label's number follows every α label's."""
     m = _LABEL_RE.fullmatch(label)
     if m:
-        return (int(m.group(1)), 1 if m.group(2) else 0)
-    return (10**9, 0)
+        digits = m.group(1).lstrip("0")
+        return (0, len(digits), digits), len(m.group(2))
+    return (1,), 0
 
 
 def _term_key(term: tuple[str, str], label_key=_label_key):
-    """Display order: 2-cycles α_k α_k* first, by k; then the rest.  α_k has
-    the label key (k, 0), α_k* (k, 1), any other label (10**9, 0)."""
+    """Display order: 2-cycles α_k α_k* first, by k; then the rest, by the
+    label keys of their two labels."""
     (ka, sa), (kb, sb) = label_key(term[0]), label_key(term[1])
     if ka == kb and sa != sb:
         return (0, ka, sa)

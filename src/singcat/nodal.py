@@ -99,6 +99,8 @@ def _check_length(length) -> None:
 
 
 class _Shiftable:
+    __slots__ = ()
+
     def shifted(self, k: int):
         """The same object with its shift raised by k."""
         _check_int("shift", k)

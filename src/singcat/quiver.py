@@ -24,6 +24,7 @@ juxtaposed form would not round-trip.
 from __future__ import annotations
 
 import re
+from functools import cache, partial
 from typing import Container, Iterable, Sequence
 
 _NAME_RE = re.compile(r"[^\s;:#]+")  # used with fullmatch
@@ -89,28 +90,49 @@ def _no_delattr(self, name):
     raise FrozenRecordError(f"cannot delete field {name!r}")
 
 
+def _repr(self):
+    shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def _reduce(self):
+    return self.__class__, tuple([getattr(self, f) for f in self._fields])
+
+
 def _record(cls):
     """Class decorator: a frozen value class over the annotated fields.
 
-    As for a frozen dataclass, the methods are generated as code: ``__init__``
-    takes the fields in order (a class attribute of the same name is the
-    default) and then calls ``__post_init__`` if the class has one;
-    ``__eq__`` compares the field tuples of two instances of the same class,
-    ``__hash__`` hashes that tuple and ``__repr__`` prints
-    ``Name(field=value, ...)``.  Assigning or deleting an attribute raises
+    The class is rebuilt with one slot per field, so an instance holds its
+    values in fixed places and ``vars()`` does not list them.  A class with
+    a ``__post_init__`` also gets an instance ``__dict__``, for the state
+    that method derives from the fields.  As for a frozen dataclass, the
+    methods that run often are generated as code: ``__init__`` takes the
+    fields in order (a class attribute of the same name is the default),
+    writes each through its slot's descriptor and then calls
+    ``__post_init__``; ``__eq__`` compares the field tuples of two instances
+    of the same class and ``__hash__`` hashes that tuple.  ``__repr__``
+    prints ``Name(field=value, ...)``, and ``__reduce__`` rebuilds an
+    instance from its fields, so a copy or an unpickled record passes
+    ``__init__`` again.  Assigning or deleting an attribute raises
     ``FrozenRecordError``; ``_fields`` names the fields in order.
     """
     fields = tuple(cls.__dict__.get("__annotations__", ()))
     names = {f"_d_{f}": cls.__dict__[f] for f in fields if f in cls.__dict__}
+    namespace = {
+        k: v for k, v in cls.__dict__.items()
+        if k not in fields and k not in ("__dict__", "__weakref__")
+    }
+    post_init = hasattr(cls, "__post_init__")
+    namespace["__slots__"] = fields + (("__dict__",) if post_init else ())
+    namespace["__qualname__"] = cls.__qualname__
+    cls = type(cls)(cls.__name__, cls.__bases__, namespace)
+    names.update({f"_set_{f}": cls.__dict__[f].__set__ for f in fields})
     params = "".join(f", {f}=_d_{f}" if f"_d_{f}" in names else f", {f}" for f in fields)
-    # object.__setattr__ keeps the instance's values inline, as a dataclass
-    # does; writing to self.__dict__ would build a dict for every instance
-    body = "".join(f"\n    _set(self, {f!r}, {f})" for f in fields)
-    if hasattr(cls, "__post_init__"):
+    body = "".join(f"\n    _set_{f}(self, {f})" for f in fields)
+    if post_init:
         body += "\n    self.__post_init__()"
     mine = "".join(f"self.{f}, " for f in fields)
     theirs = "".join(f"other.{f}, " for f in fields)
-    shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
     source = f"""
 def __init__(self{params}):{body or " pass"}
 def __eq__(self, other):
@@ -119,15 +141,13 @@ def __eq__(self, other):
     return NotImplemented
 def __hash__(self):
     return hash(({mine}))
-def __repr__(self):
-    return f"{{self.__class__.__qualname__}}({shown})"
 """
-    names["_set"] = object.__setattr__
     methods: dict = {}
     exec(source, names, methods)
     for name, method in methods.items():
         method.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, method)
+    cls.__repr__, cls.__reduce__ = _repr, _reduce
     cls.__setattr__, cls.__delattr__ = _no_setattr, _no_delattr
     cls._fields = cls.__match_args__ = fields
     return cls
@@ -459,7 +479,6 @@ _COMMENT_RE = re.compile(r"#[^\n]*")
 # a no-break space, stays inside a word for the name check to refuse.  The
 # map is one character to one, so offsets survive it.
 _SEPARATORS = str.maketrans("\t\r\n", "   ")
-_ARROW_SHAPE = "expected 'arrow <label>: <src> -> <tgt>'"
 
 
 def _blank(comment: re.Match) -> str:
@@ -483,6 +502,14 @@ def _word_starts(body: str) -> list[int]:
     return starts
 
 
+def _statement_error(text: str, clean: str, number: int, index: int, message: str, **kw):
+    """ParseError at word ``index`` (negative counts from the end) of
+    statement ``number`` of the cleaned text."""
+    bodies = clean.split(";")
+    start = sum(len(body) + 1 for body in bodies[:number])
+    return _parse_error(message, text, start + _word_starts(bodies[number])[index], **kw)
+
+
 def _split_relation_token(token: str, labels: Container[str]):
     """All ways to split a juxtaposed display token into two declared labels."""
     out = []
@@ -493,15 +520,52 @@ def _split_relation_token(token: str, labels: Container[str]):
     return out
 
 
+# One ';'-terminated statement of the cleaned text, whose separators are all
+# spaces.  ``findall`` gives the nine groups of each statement; a malformed
+# statement falls through to the last, and its error is at its first word.
+_NAME = _NAME_RE.pattern
+_WORD = r"[^ ;]+"
+_STATEMENT = rf"""\ *(?:
+      arrow\ +(?:
+          ((?!->\ *:){_NAME})\ *             # 1: a label that obeys the name rule,
+        | ({_WORD}(?=:\ )                    # 2: or one that breaks it: "<label>: ",
+          | [^\ ;]*[^\ ;:](?=\ +:)           #    or "<label> :" where the label does
+          | :(?=\ +:)                         #    not end in ':' or is ':'
+          )\ *
+      ):\ +({_WORD})\ +->\ +({_WORD})        # 3, 4: source and target
+    | relation\ +({_WORD})(?:\ +({_WORD}))?  # 5, 6: a juxtaposed token, or two labels
+    | vertices((?:\ +{_NAME})+)              # 7: names that obey the rule, but '->'
+    | vertices((?:\ +{_WORD})+)              # 8: any names
+    | ([^;]*)                                # 9: blank, a bare header or malformed
+    )\ *;"""
+
+
+@cache
+def _statement_re() -> re.Pattern:
+    # compiled on the first parse, not at import, as most commands never
+    # read a presentation: about 0.4 ms of a 10 ms import (Python 3.11, a
+    # 2-core x86-64 machine)
+    return re.compile(_STATEMENT, re.VERBOSE)
+
+
+_SHAPES = {  # the error of a malformed statement, by its first word
+    "arrow": "expected 'arrow <label>: <src> -> <tgt>'",
+    "relation": "'relation' expects one juxtaposed token or two labels",
+    "vertices": "'vertices' expects at least one name",
+}
+
+
 def parse_presentation(text: str) -> Presentation:
     """Read the text format, checking and indexing each statement as it is read.
 
     Comments are blanked in place and separators become spaces, so every
     offset into the cleaned text is an offset into ``text``; positions are
-    worked out only for an error.  The statements' checks cover every
-    precondition of ``Presentation`` but the name rule, which is checked
-    once per name list at the end.  The index is filled by the statement
-    loop, so no arrow or relation is visited twice.
+    worked out only for an error.  One ``findall`` splits the cleaned text
+    into statements and their words.  The statements' checks cover every
+    precondition of ``Presentation`` but the name rule, which is checked at
+    the end, and only for a name list that the reading found a bad name in.
+    The index is filled by the statement loop, so no arrow or relation is
+    visited twice.
     """
     if not isinstance(text, str):
         raise QuiverError(
@@ -516,116 +580,98 @@ def parse_presentation(text: str) -> Presentation:
     relation_set: set[tuple[str, str]] = set()
     successors: dict[str, list[str]] = {}
     predecessors: dict[str, list[str]] = {}
+    bad_vertex = bad_label = False
 
     clean = (_COMMENT_RE.sub(_blank, text) if "#" in text else text).translate(_SEPARATORS)
-    *bodies, tail = clean.split(";")
+    end = clean.rfind(";") + 1
     # an unterminated final statement is reported before anything else
-    if tail.strip(" "):
-        pos = len(clean) - len(tail) + _word_starts(tail)[0]
-        raise _parse_error("statement is not terminated by ';'", text, pos)
+    if clean[end:].strip(" "):
+        raise _parse_error(
+            "statement is not terminated by ';'", text, end + _word_starts(clean[end:])[0]
+        )
 
-    def err(msg, index, **kw):
-        # the index-th word of bodies[number], the statement in hand
-        start = sum(len(body) + 1 for body in bodies[:number])
-        raise _parse_error(msg, text, start + _word_starts(bodies[number])[index], **kw)
-
-    for number, body in enumerate(bodies):
-        words = body.strip(" ").split(" ")
-        if "" in words:  # a blank statement, or words apart by more than one space
-            words = [w for w in words if w]
-            if not words:
-                continue
-        head = words[0]
-        if head == "arrow":
-            # accept both "a:" and "a :"; i indexes the source vertex
-            if len(words) > 1 and words[1].endswith(":") and words[1] != ":":
-                label, i = words[1][:-1], 2
-            elif len(words) > 2 and words[2] == ":":
-                label, i = words[1], 3
-            else:
-                err(_ARROW_SHAPE, 0)
-            if len(words) != i + 3 or words[i + 1] != "->":
-                err(_ARROW_SHAPE, 0)
+    at = partial(_statement_error, text, clean)
+    statements = _statement_re().findall(clean, 0, end)
+    for number, (label, odd_label, source, target, first, second,
+                 names, odd_names, other) in enumerate(statements):
+        if source:
+            if not label:
+                label, bad_label = odd_label, True
             if label in labels:
-                err(f"duplicate arrow label {label!r}", 1)
-            source, target = words[i], words[i + 2]
+                raise at(number, 1, f"duplicate arrow label {label!r}")
             if source not in outgoing or target not in outgoing:
-                j = i if source not in outgoing else i + 2
-                err(f"undeclared vertex {words[j]!r}", j)
+                j, name = (-3, source) if source not in outgoing else (-1, target)
+                raise at(number, j, f"undeclared vertex {name!r}")
             labels[label] = arrow = Arrow(label, source, target)
             outgoing[source].append(arrow)
             incoming[target].append(arrow)
-        elif head == "relation":
-            if len(words) == 2:
-                splits = _split_relation_token(words[1], labels)
+        elif first:  # the display labels, right to left
+            if not second:
+                splits = _split_relation_token(first, labels)
                 if not splits:
-                    err(
-                        f"relation token {words[1]!r} does not split into two "
+                    raise at(
+                        number, 1,
+                        f"relation token {first!r} does not split into two "
                         "declared arrow labels",
-                        1,
                     )
                 if len(splits) > 1:
-                    err(
-                        f"relation token {words[1]!r} splits ambiguously; "
+                    raise at(
+                        number, 1,
+                        f"relation token {first!r} splits ambiguously; "
                         "write the two labels separated by a space",
-                        1,
                     )
-                disp_first, disp_second = splits[0]
-            elif len(words) == 3:
-                disp_first, disp_second = words[1], words[2]
-                if disp_first not in labels or disp_second not in labels:
-                    i = 1 if disp_first not in labels else 2
-                    err(f"undeclared arrow {words[i]!r} in relation", i)
-            else:
-                err("'relation' expects one juxtaposed token or two labels", 0)
-            # display order is right to left: the first displayed label is
-            # applied second.
-            first_applied, second_applied = disp_second, disp_first
-            a1 = labels[first_applied]
-            a2 = labels[second_applied]
+                first, second = splits[0]
+            elif first not in labels or second not in labels:
+                i, name = (1, first) if first not in labels else (2, second)
+                raise at(number, i, f"undeclared arrow {name!r} in relation")
+            # the second displayed label is applied first
+            a1, a2 = labels[second], labels[first]
             if a1.target != a2.source:
-                err(
-                    f"relation {disp_first}{disp_second} is not composable: "
-                    f"{first_applied!r} ends at {a1.target!r} but "
-                    f"{second_applied!r} starts at {a2.source!r}",
-                    1,
+                raise at(
+                    number, 1,
+                    f"relation {first}{second} is not composable: "
+                    f"{second!r} ends at {a1.target!r} but "
+                    f"{first!r} starts at {a2.source!r}",
                 )
-            pair = first_applied, second_applied
+            pair = second, first
             if pair in relation_set:
-                err(f"duplicate relation {disp_first} {disp_second}", 1)
+                raise at(number, 1, f"duplicate relation {first} {second}")
             relation_set.add(pair)
             relations.append(pair)
-            successors.setdefault(first_applied, []).append(second_applied)
-            predecessors.setdefault(second_applied, []).append(first_applied)
-        elif head == "vertices":
-            if len(words) < 2:
-                err("'vertices' expects at least one name", 0)
-            for i, name in enumerate(words[1:], 1):
+            successors.setdefault(second, []).append(first)
+            predecessors.setdefault(first, []).append(second)
+        elif names or odd_names:
+            if odd_names:
+                names, bad_vertex = odd_names, True
+            for i, name in enumerate(filter(None, names.split(" ")), 1):
                 if name in outgoing:
-                    err(f"duplicate vertex {name!r}", i)
+                    raise at(number, i, f"duplicate vertex {name!r}")
                 if name == "->":
-                    err("'->' is not a valid vertex name", i)
+                    raise at(number, i, "'->' is not a valid vertex name")
                 outgoing[name], incoming[name] = [], []
-        elif head not in ("arrows", "relations") or len(words) > 1:
-            # bare section headers declare nothing
-            err(f"unknown statement {head!r}", 0)
+        elif other.rstrip(" ") not in ("", "arrows", "relations"):
+            # a blank statement or a bare section header declares nothing
+            head = other.split(" ", 1)[0]
+            raise at(number, 0, _SHAPES.get(head) or f"unknown statement {head!r}")
 
     # the name rule last, vertices first: report the first bad name in list
     # order at the word that declares it
-    for names, kind, head in ((outgoing, "vertex", "vertices"), (labels, "arrow", "arrow")):
-        if _names_ok(names):
+    for names, kind, head, bad in (
+        (outgoing, "vertex", "vertices", bad_vertex), (labels, "arrow", "arrow", bad_label)
+    ):
+        if not bad:
             continue
         for k, name in enumerate(names):
             try:
                 _check_name(name, kind)
-            except QuiverError as bad:
+            except QuiverError as error:
                 # 'vertices' declares a name per later word, 'arrow' one at word 1
-                for number, body in enumerate(bodies):
+                for number, body in enumerate(clean.split(";")):
                     words = [w for w in body.split(" ") if w]
                     if words[:1] == [head]:
                         count = len(words) - 1 if kind == "vertex" else 1
                         if k < count:
-                            err(bad.message, k + 1, precondition=bad.precondition)
+                            raise at(number, k + 1, error.message, precondition=error.precondition)
                         k -= count
     return Presentation._checked(
         labels, outgoing, incoming, relations, successors, predecessors, relation_set

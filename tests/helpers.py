@@ -285,14 +285,21 @@ def scan_gentle_violations(pres: Presentation) -> tuple[tuple[str, str, str], ..
     return tuple(found)
 
 
-def _mesh_label_key(label: str) -> tuple[int, int]:
-    """α_k sorts by (k, 0), α_k* by (k, 1), any other label last."""
-    body = label[2:]
-    starred = body.endswith("*")
-    digits = body[:-1] if starred else body
-    if label.startswith("α_") and digits.isdecimal():
-        return (int(digits), int(starred))
-    return (10**9, 0)
+def _mesh_label_key(label: str) -> tuple[tuple, int]:
+    """(number, star) of a solid label.
+
+    α_k and α_k*, k written in the digits 0-9, have the number k and the
+    star 0 and 1.  A number is compared without converting it to an int:
+    first by how many digits it has once leading zeros are dropped, then
+    digit by digit, so k may have any length and α_01 is α_1.  Every other
+    label has the number (1,), after all numbers k.
+    """
+    starred = label.endswith("*")
+    digits = label[2:-1] if starred else label[2:]
+    if label.startswith("α_") and digits and all(c in "0123456789" for c in digits):
+        significant = digits.lstrip("0")
+        return (0, len(significant), significant), int(starred)
+    return (1,), 0
 
 
 def _mesh_term_key(term: tuple[str, str]):
@@ -558,6 +565,154 @@ def oracle_determinant(matrix: list[list[int]]) -> Fraction:
         assert p != 0, "a leading principal minor vanishes"
         det *= p
     return det
+
+
+# ---------------------------------------------------------------------------
+# presentation text oracle
+
+
+PRESENTATION_TEXT = "well-formed presentation text"
+NAME_RULE = "names contain no whitespace, ';', ':' or '#' and are not '->'"
+
+
+def _presentation_statements(text: str):
+    """The ';'-terminated statements of a presentation text, each a list of
+    (word, line, column), and the words left after the last ';'.
+
+    Words are apart by spaces, tabs, '\\r' and '\\n'; '#' starts a comment
+    that runs to the next '\\n'.  Lines end at '\\n', and every character is
+    one column.
+    """
+    statements, words, word = [], [], None
+    line, column, in_comment = 1, 0, False
+    for ch in text:
+        column += 1
+        if ch == "\n":
+            in_comment = False
+        elif in_comment:
+            continue
+        if ch in " \t\r\n#;":
+            if word is not None:
+                words.append(tuple(word))
+                word = None
+            if ch == "#":
+                in_comment = True
+            elif ch == ";":
+                statements.append(words)
+                words = []
+            elif ch == "\n":
+                line, column = line + 1, 0
+        elif word is None:
+            word = [ch, line, column]
+        else:
+            word[0] += ch
+    if word is not None:
+        words.append(tuple(word))
+    return statements, words
+
+
+def _breaks_name_rule(name: str) -> bool:
+    return name == "->" or any(c.isspace() or c in ";:#" for c in name)
+
+
+def oracle_parse_presentation(text: str):
+    """Read a presentation text statement by statement, as the README's
+    format describes it.
+
+    A statement is ``vertices <name>...``, ``arrow <label>: <src> -> <tgt>``
+    (or ``<label> :``), ``relation <token>`` (two declared labels run
+    together, splitting in exactly one way), ``relation <label> <label>``,
+    a bare ``arrows`` or ``relations`` header, or blank.  A relation's
+    labels are written in composition order, the right one applied first.
+    The name rule is checked once every statement has been read, vertex
+    names before arrow labels, in the order they were declared.
+
+    Returns (vertices, arrows, relations): the vertex names, (label,
+    source, target) triples and (applied first, applied second) pairs, or
+    the first error as (message, line, column, precondition), placed at
+    the offending word.  An unterminated last statement is the first error.
+    """
+    statements, tail = _presentation_statements(text)
+    if tail:
+        return "statement is not terminated by ';'", tail[0][1], tail[0][2], PRESENTATION_TEXT
+    vertex_word: dict = {}  # name -> the word declaring it
+    label_word: dict = {}
+    arrows: dict = {}  # label -> (source, target)
+    relations: list = []
+    for words in statements:
+        names = [w for w, _, _ in words]
+
+        def fail(message, k, precondition=PRESENTATION_TEXT):
+            return message, words[k][1], words[k][2], precondition
+
+        if not names or names in (["arrows"], ["relations"]):
+            continue
+        if names[0] == "vertices":
+            if len(names) == 1:
+                return fail("'vertices' expects at least one name", 0)
+            for k, name in enumerate(names[1:], 1):
+                if name in vertex_word:
+                    return fail(f"duplicate vertex {name!r}", k)
+                if name == "->":
+                    return fail("'->' is not a valid vertex name", k)
+                vertex_word[name] = words[k]
+        elif names[0] == "arrow":
+            joined = len(names) > 1 and names[1].endswith(":") and names[1] != ":"
+            if joined and len(names) == 5 and names[3] == "->":
+                label, source, target = names[1][:-1], 2, 4
+            elif not joined and len(names) == 6 and names[2] == ":" and names[4] == "->":
+                label, source, target = names[1], 3, 5
+            else:
+                return fail("expected 'arrow <label>: <src> -> <tgt>'", 0)
+            if label in arrows:
+                return fail(f"duplicate arrow label {label!r}", 1)
+            for k in (source, target):
+                if names[k] not in vertex_word:
+                    return fail(f"undeclared vertex {names[k]!r}", k)
+            arrows[label] = (names[source], names[target])
+            label_word[label] = words[1]
+        elif names[0] == "relation":
+            if len(names) == 2:
+                token = names[1]
+                splits = [
+                    (token[:cut], token[cut:]) for cut in range(1, len(token))
+                    if token[:cut] in arrows and token[cut:] in arrows
+                ]
+                if not splits:
+                    return fail(
+                        f"relation token {token!r} does not split into two "
+                        "declared arrow labels", 1,
+                    )
+                if len(splits) > 1:
+                    return fail(
+                        f"relation token {token!r} splits ambiguously; write "
+                        "the two labels separated by a space", 1,
+                    )
+                left, right = splits[0]
+            elif len(names) == 3:
+                left, right = names[1], names[2]
+                for k in (1, 2):
+                    if names[k] not in arrows:
+                        return fail(f"undeclared arrow {names[k]!r} in relation", k)
+            else:
+                return fail("'relation' expects one juxtaposed token or two labels", 0)
+            if arrows[right][1] != arrows[left][0]:
+                return fail(
+                    f"relation {left}{right} is not composable: {right!r} ends at "
+                    f"{arrows[right][1]!r} but {left!r} starts at {arrows[left][0]!r}",
+                    1,
+                )
+            if (right, left) in relations:
+                return fail(f"duplicate relation {left} {right}", 1)
+            relations.append((right, left))
+        else:
+            return fail(f"unknown statement {names[0]!r}", 0)
+    for kind, declared in (("vertex", vertex_word), ("arrow", label_word)):
+        for name, (_, line, column) in declared.items():
+            if _breaks_name_rule(name):
+                return f"invalid {kind} name {name!r}", line, column, NAME_RULE
+    triples = [(label, source, target) for label, (source, target) in arrows.items()]
+    return list(vertex_word), triples, relations
 
 
 # ---------------------------------------------------------------------------

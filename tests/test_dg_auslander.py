@@ -181,6 +181,61 @@ def test_a_label_ending_in_a_newline_is_not_an_alpha_label():
     assert differential(q) == helpers.scan_mesh_differential(q)
 
 
+def identity_quiver(*solid) -> GradedQuiver:
+    """Even-parity quiver on the vertices the solid arrows use, identity
+    translation, one broken arrow per vertex."""
+    vertices = tuple(sorted({v for _, s, t in solid for v in (s, t)}))
+    return GradedQuiver(
+        "A", len(vertices), "even", vertices, tuple(Arrow(*a) for a in solid),
+        tuple(Arrow(f"ρ_{v}", v, v) for v in vertices), {v: v for v in vertices},
+    )
+
+
+def test_an_alpha_label_past_the_digit_limit_is_ordered():
+    long = "α_" + "1" * 5000
+    q = identity_quiver((long, "1", "1"))
+    assert mesh_image(q, "1") == ((long, long),)
+    assert differential(q) == helpers.scan_mesh_differential(q)
+    assert graded_quiver_to_json(q)["differential"]["ρ_1"] == [[long, long]]
+    assert f"d(ρ_1) = {long}^2;" in serialize_graded_quiver(q)
+    # a number of 5000 digits follows α_9, and precedes any plain label
+    q = identity_quiver(("z", "1", "2"), (long, "2", "1"), ("α_9", "1", "3"), ("w", "3", "1"))
+    assert mesh_image(q, "1") == (("α_9", "w"), ("z", long))
+    assert mesh_image(q, "2") == ((long, "z"),)
+    assert differential(q) == helpers.scan_mesh_differential(q)
+
+
+def test_an_alpha_label_sorts_before_every_plain_label():
+    # a large k used to share its key with every label that is not α_k
+    q = identity_quiver(
+        ("α_2000000000", "1", "2"), ("z", "2", "1"), ("b", "1", "3"), ("c", "3", "1")
+    )
+    assert mesh_image(q, "1") == (("α_2000000000", "z"), ("b", "c"))
+    assert differential(q) == helpers.scan_mesh_differential(q)
+    # and α_k* with a plain label is no 2-cycle
+    q = identity_quiver(("b", "1", "2"), ("c", "2", "1"), ("α_1000000000*", "1", "3"), ("z", "3", "1"))
+    assert mesh_image(q, "1") == (("α_1000000000*", "z"), ("b", "c"))
+    assert differential(q) == helpers.scan_mesh_differential(q)
+
+
+def test_leading_zeros_do_not_change_the_number():
+    assert helpers._mesh_label_key("α_01") == helpers._mesh_label_key("α_1")
+    assert helpers._mesh_label_key("α_01*") == helpers._mesh_label_key("α_1*")
+    assert helpers._mesh_label_key("α_10") > helpers._mesh_label_key("α_09")
+    # α_01 α_1* is the 2-cycle of the number 1, before the term of α_2
+    q = identity_quiver(("α_2", "1", "3"), ("x", "3", "1"), ("α_01", "1", "2"), ("α_1*", "2", "1"))
+    assert mesh_image(q, "1") == (("α_01", "α_1*"), ("α_2", "x"))
+    assert differential(q) == helpers.scan_mesh_differential(q)
+
+
+@pytest.mark.parametrize("label", ["α_", "α_*", "α_1**", "α_٣", "α_1 ", "a_1", "α_-1"])
+def test_labels_that_are_not_alpha_k_sort_as_plain_labels(label):
+    assert helpers._mesh_label_key(label) == ((1,), 0)
+    q = identity_quiver((label, "1", "2"), ("y", "2", "1"), ("α_7*", "1", "3"), ("x", "3", "1"))
+    assert mesh_image(q, "1") == (("α_7*", "x"), (label, "y"))
+    assert differential(q) == helpers.scan_mesh_differential(q)
+
+
 class TestPinnedDifferentials:
     def test_odd_a1_is_formal(self):
         assert rendered("A", 1, "odd") == {"ρ_1": "0", "ρ_2": "0"}

@@ -324,6 +324,54 @@ class TestParseErrorPositions:
             pass
 
 
+def read_presentation(text):
+    """What ``parse_presentation`` gives, in the oracle's terms: the lists of
+    the presentation, or a parse error as (message, line, column,
+    precondition)."""
+    try:
+        pres = parse_presentation(text)
+    except ParseError as exc:
+        suffix = f" (line {exc.line}, column {exc.column})"
+        assert exc.message.endswith(suffix)
+        assert exc.witness == {"line": exc.line, "column": exc.column}
+        return exc.message[: -len(suffix)], exc.line, exc.column, exc.precondition
+    triples = [(a.label, a.source, a.target) for a in pres.arrows]
+    return list(pres.vertices), triples, list(pres.relations)
+
+
+# Statement heads, both arrow forms, names that break the rule (':', '->',
+# a no-break space, '\x0b'), layout, a comment holding ';' and blank
+# statements, plus a few whole statements so that some texts are valid.
+PRESENTATION_FRAGMENTS = [
+    "arrow", "relation", "vertices", "arrows", "a:", "a :", ":", "->", "ab",
+    "a\xa0b", "\x0b", "\t", "\r\n", "# c; d\n", ";;", " ", " ", ";", "1", "2",
+    "a", "b", "\n", "vertices 1 2;", "arrow a: 1 -> 2;", "arrow b : 2 -> 1;",
+    "relation ab;", "relation b a;",
+]
+
+
+class TestOracle:
+    @settings(max_examples=600, deadline=None)
+    @given(st.lists(st.sampled_from(PRESENTATION_FRAGMENTS), max_size=20).map("".join))
+    def test_parse_presentation_agrees_with_oracle(self, text):
+        assert read_presentation(text) == helpers.oracle_parse_presentation(text)
+
+    @pytest.mark.parametrize("text, message, line, column", PARSE_ERRORS)
+    def test_every_pinned_error_agrees_with_oracle(self, text, message, line, column):
+        rule = NAME_RULE if message.startswith("invalid ") else helpers.PRESENTATION_TEXT
+        assert helpers.oracle_parse_presentation(text) == (message, line, column, rule)
+
+    @pytest.mark.parametrize("text", [CANONICAL_TEXT] + [
+        path.read_text(encoding="utf-8") for path in sorted(
+            (FilePath(__file__).resolve().parent.parent / "corpus").glob("*.q")
+        )
+    ])
+    def test_valid_texts_agree_with_oracle(self, text):
+        expected = helpers.oracle_parse_presentation(text)
+        assert len(expected) == 3
+        assert read_presentation(text) == expected
+
+
 TRIPLES = "(label, source, target) triples"
 PAIRS = "arrow label pairs"
 

@@ -130,22 +130,71 @@ def test_equal_objects_hash_equally(obj, shown):
         assert hash(obj) == hash(tuple(getattr(obj, f) for f in obj._fields))
 
 
+def assert_frozen(obj):
+    for name in obj._fields + ("extra",):
+        with pytest.raises(FrozenRecordError, match=f"cannot assign to field '{name}'"):
+            setattr(obj, name, None)
+        with pytest.raises(FrozenRecordError, match=f"cannot delete field '{name}'"):
+            delattr(obj, name)
+
+
 @pytest.mark.parametrize("obj, shown", SAMPLES, ids=IDS)
 def test_fields_are_frozen(obj, shown):
-    first = obj._fields[0]
-    with pytest.raises(AttributeError, match=f"cannot assign to field '{first}'"):
-        setattr(obj, first, None)
-    with pytest.raises(AttributeError, match=f"cannot delete field '{first}'"):
-        delattr(obj, first)
-    with pytest.raises(FrozenRecordError):
-        obj.extra = 1
+    assert_frozen(obj)
     assert repr(obj) == shown
+
+
+# what ``__post_init__`` derives from the fields and keeps on the instance
+DERIVED = {
+    CriticalCycle: ("display", "name"),
+    NodalProjective: ("_twist",),
+    NodalString: ("_twist",),
+    GradedQuiver: ("_solid_from", "_solid_between", "_untranslate", "_differential"),
+}
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+}
 
 
 @pytest.mark.parametrize("obj, shown", SAMPLES, ids=IDS)
 def test_copies_are_equal(obj, shown):
     assert copy.copy(obj) == obj
+    assert copy.deepcopy(obj) == obj
     assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+@pytest.mark.parametrize("how", COPIES)
+@pytest.mark.parametrize("obj, shown", SAMPLES, ids=IDS)
+def test_copies_keep_derived_state_and_stay_frozen(obj, shown, how):
+    other = COPIES[how](obj)
+    assert type(other) is type(obj) and repr(other) == shown
+    for name in DERIVED.get(type(obj), ()):
+        assert getattr(other, name) == getattr(obj, name)
+    assert_frozen(other)
+
+
+@pytest.mark.parametrize("obj, shown", SAMPLES, ids=IDS)
+def test_fields_live_in_slots(obj, shown):
+    cls = type(obj)
+    assert cls.__slots__[: len(cls._fields)] == cls._fields
+    if cls.__slots__ == cls._fields:  # no __post_init__, no instance dict
+        with pytest.raises(TypeError):
+            vars(obj)
+    else:  # the instance dict holds the derived state only
+        assert set(vars(obj)) == set(DERIVED.get(cls, ()))
+
+
+@pytest.mark.parametrize("how", COPIES)
+def test_a_copied_quiver_is_indexed_anew(how):
+    arrow = Arrow("a", "1", "2")
+    quiver = GradedQuiver("A", 1, "odd", ("1", "2"), (arrow,), (), {"1": "2", "2": "1"})
+    other = COPIES[how](quiver)
+    assert other._solid_from == {"1": [arrow]}
+    assert other._solid_between == {("1", "2"): [arrow]}
+    assert other._untranslate == {"2": "1", "1": "2"}
+    assert other._untranslate is not quiver._untranslate
 
 
 def test_class_mismatch_is_unequal():
