@@ -472,6 +472,12 @@ def run_corpus(directory: str) -> tuple[dict, int]:
                 precondition="argv is a list of strings",
                 witness={"case": name},
             )
+        if argv[:1] == ["corpus"]:
+            raise SingcatError(
+                f"corpus case {name} replays a corpus",
+                precondition="a case replays one command, not a corpus",
+                witness={"case": name},
+            )
         out, err = io.StringIO(), io.StringIO()
         prev = os.getcwd()
         try:

@@ -169,7 +169,8 @@ def _kind(obj, first: type, second: type) -> type | None:
 
 def _as_base(obj, base: type):
     """``obj`` rebuilt as an instance of ``base``, with its checks.  Kept out
-    of ``hom_dim``, where the comprehension would turn x and y into cells."""
+    of the Hom functions, where the comprehension would turn x and y into
+    cells."""
     return base(*[getattr(obj, f) for f in base._fields])
 
 
@@ -214,10 +215,6 @@ def hom_dim(x: NodalIndecomposable, y: NodalIndecomposable) -> int:
 def hom_dim_zero(x: ZeroIndecomposable, y: ZeroIndecomposable) -> int:
     """Dimension of Hom(x, y) in the zero-dimensional block; always 0 or 1."""
     tx, ty = x.__class__, y.__class__
-    if tx is not ZeroString and tx is not ZeroProjective:
-        tx = _kind(x, ZeroString, ZeroProjective)
-    if ty is not ZeroString and ty is not ZeroProjective:
-        ty = _kind(y, ZeroString, ZeroProjective)
     if tx is ZeroString:
         if ty is ZeroString:
             n = y.shift - x.shift
@@ -232,6 +229,10 @@ def hom_dim_zero(x: ZeroIndecomposable, y: ZeroIndecomposable) -> int:
         if ty is ZeroString:
             n = x.shift - y.shift
             return 1 if 0 <= n < y.length else 0
+    # an instance of a subclass is read as its base, rebuilt with its checks
+    kx, ky = _kind(x, ZeroString, ZeroProjective), _kind(y, ZeroString, ZeroProjective)
+    if kx and ky:
+        return hom_dim_zero(_as_base(x, kx), _as_base(y, ky))
     raise NodalError(
         f"not zero-block objects: {x!r}, {y!r}",
         precondition="both arguments are zero-block indecomposables",

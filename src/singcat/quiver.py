@@ -258,11 +258,15 @@ def _expect(value, cls: type, name: str, error: type = QuiverError) -> None:
 
 
 class Presentation:
-    """Immutable quiver presentation with length-two relations.
+    """Quiver presentation with length-two relations.
 
-    The checks index the fields as they pass: ``outgoing``/``incoming`` hold
-    each vertex's arrows in declaration order, ``successors``/``predecessors``
-    each arrow's relation partners (labels in relation order; absent if none).
+    ``vertices``, ``arrows`` and ``relations`` are tuples, and they are all
+    that ``==`` and ``hash`` read.  The checks index the fields as they pass:
+    ``outgoing``/``incoming`` hold each vertex's arrows in declaration order,
+    ``successors``/``predecessors`` each arrow's relation partners (labels in
+    relation order; absent if none) and ``relation_set`` the relation pairs.
+    The index keeps the dicts, lists and set the checks filled, so callers
+    must not change it; ``arrows_from``/``arrows_into`` return copies.
     """
 
     def __init__(
@@ -285,14 +289,18 @@ class Presentation:
         self._validate()
 
     @classmethod
-    def _checked(cls, by_label, outgoing, incoming, relations, *partners):
+    def _checked(cls, by_label, outgoing, incoming, relations,
+                 successors, predecessors, relation_set):
         """A presentation of fields that already passed every check of
-        ``_validate``, from their index as lists; ``by_label`` and ``outgoing``
-        keep declaration order, so they give the arrows and the vertices."""
+        ``_validate``, keeping their index as built; ``by_label`` and
+        ``outgoing`` keep declaration order, so they give the arrows and the
+        vertices."""
         self = object.__new__(cls)
         self.vertices, self.arrows = tuple(outgoing), tuple(by_label.values())
         self.relations = tuple(relations)
-        self._freeze(by_label, outgoing, incoming, *partners)
+        self._by_label, self.outgoing, self.incoming = by_label, outgoing, incoming
+        self.successors, self.predecessors = successors, predecessors
+        self.relation_set = relation_set
         return self
 
     def _validate(self):
@@ -359,16 +367,9 @@ class Presentation:
             relation_set.add((first, second))
             successors.setdefault(first, []).append(second)
             predecessors.setdefault(second, []).append(first)
-        self._freeze(by_label, outgoing, incoming, successors, predecessors, relation_set)
-
-    def _freeze(self, by_label, outgoing, incoming, successors, predecessors, relation_set):
-        """Keep the index of checked fields, its lists as tuples."""
-        self._by_label = by_label
-        self.outgoing = {v: tuple(arrs) for v, arrs in outgoing.items()}
-        self.incoming = {v: tuple(arrs) for v, arrs in incoming.items()}
-        self.successors = {a: tuple(bs) for a, bs in successors.items()}
-        self.predecessors = {a: tuple(bs) for a, bs in predecessors.items()}
-        self.relation_set = frozenset(relation_set)
+        self._by_label, self.outgoing, self.incoming = by_label, outgoing, incoming
+        self.successors, self.predecessors = successors, predecessors
+        self.relation_set = relation_set
 
     def __eq__(self, other):
         return (
@@ -562,10 +563,11 @@ def parse_presentation(text: str) -> Presentation:
     offset into the cleaned text is an offset into ``text``; positions are
     worked out only for an error.  One ``findall`` splits the cleaned text
     into statements and their words.  The statements' checks cover every
-    precondition of ``Presentation`` but the name rule, which is checked at
-    the end, and only for a name list that the reading found a bad name in.
-    The index is filled by the statement loop, so no arrow or relation is
-    visited twice.
+    precondition of ``Presentation``.  A name that breaks the name rule is
+    located where it is read, but raised only after the last statement, so
+    every other error comes first, vertices before labels.  The index is
+    filled by the statement loop and kept as built, so no arrow or relation
+    is visited twice.
     """
     if not isinstance(text, str):
         raise QuiverError(
@@ -580,7 +582,8 @@ def parse_presentation(text: str) -> Presentation:
     relation_set: set[tuple[str, str]] = set()
     successors: dict[str, list[str]] = {}
     predecessors: dict[str, list[str]] = {}
-    bad_vertex = bad_label = False
+    # the first name that breaks the rule, as (statement, word, name)
+    bad_vertex = bad_label = None
 
     clean = (_COMMENT_RE.sub(_blank, text) if "#" in text else text).translate(_SEPARATORS)
     end = clean.rfind(";") + 1
@@ -596,7 +599,11 @@ def parse_presentation(text: str) -> Presentation:
                  names, odd_names, other) in enumerate(statements):
         if source:
             if not label:
-                label, bad_label = odd_label, True
+                # group 2 only ever holds a label that breaks the name rule:
+                # group 1 is tried first on the same text and reads every
+                # label that obeys it (it refuses '->', which breaks it)
+                label = odd_label
+                bad_label = bad_label or (number, 1, label)
             if label in labels:
                 raise at(number, 1, f"duplicate arrow label {label!r}")
             if source not in outgoing or target not in outgoing:
@@ -641,38 +648,24 @@ def parse_presentation(text: str) -> Presentation:
             successors.setdefault(second, []).append(first)
             predecessors.setdefault(first, []).append(second)
         elif names or odd_names:
-            if odd_names:
-                names, bad_vertex = odd_names, True
-            for i, name in enumerate(filter(None, names.split(" ")), 1):
+            for i, name in enumerate(filter(None, (names or odd_names).split(" ")), 1):
                 if name in outgoing:
                     raise at(number, i, f"duplicate vertex {name!r}")
                 if name == "->":
                     raise at(number, i, "'->' is not a valid vertex name")
+                if odd_names and not (bad_vertex or _NAME_RE.fullmatch(name)):
+                    bad_vertex = number, i, name
                 outgoing[name], incoming[name] = [], []
         elif other.rstrip(" ") not in ("", "arrows", "relations"):
             # a blank statement or a bare section header declares nothing
             head = other.split(" ", 1)[0]
             raise at(number, 0, _SHAPES.get(head) or f"unknown statement {head!r}")
 
-    # the name rule last, vertices first: report the first bad name in list
-    # order at the word that declares it
-    for names, kind, head, bad in (
-        (outgoing, "vertex", "vertices", bad_vertex), (labels, "arrow", "arrow", bad_label)
-    ):
-        if not bad:
-            continue
-        for k, name in enumerate(names):
-            try:
-                _check_name(name, kind)
-            except QuiverError as error:
-                # 'vertices' declares a name per later word, 'arrow' one at word 1
-                for number, body in enumerate(clean.split(";")):
-                    words = [w for w in body.split(" ") if w]
-                    if words[:1] == [head]:
-                        count = len(words) - 1 if kind == "vertex" else 1
-                        if k < count:
-                            raise at(number, k + 1, error.message, precondition=error.precondition)
-                        k -= count
+    # the name rule last, vertices first
+    for bad, kind in ((bad_vertex, "vertex"), (bad_label, "arrow")):
+        if bad:
+            number, i, name = bad
+            raise at(number, i, f"invalid {kind} name {name!r}", precondition=_NAME_RULE)
     return Presentation._checked(
         labels, outgoing, incoming, relations, successors, predecessors, relation_set
     )

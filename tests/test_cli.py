@@ -557,6 +557,16 @@ class TestCorpusRunner:
         with pytest.raises(SingcatError, match="malformed argv"):
             run_corpus(str(tmp_path))
 
+    def test_a_case_replaying_a_corpus_is_a_corpus_error(self, tmp_path, capsys):
+        write_case(tmp_path, "a.json", {"argv": ["corpus", "."], "expect": {}})
+        code, out, err = invoke(capsys, ["corpus", str(tmp_path)])
+        assert (code, out) == (1, "")
+        assert stderr_error(err) == {
+            "message": "corpus case a.json replays a corpus",
+            "precondition": "a case replays one command, not a corpus",
+            "witness": {"case": "a.json"},
+        }
+
     def test_missing_directory_is_a_corpus_error(self, tmp_path):
         with pytest.raises(SingcatError, match="does not exist"):
             run_corpus(str(tmp_path / "absent"))

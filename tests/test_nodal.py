@@ -108,13 +108,29 @@ class BareProjective(NodalProjective):
         pass
 
 
+class BareZeroString(ZeroString):
+    def __post_init__(self):
+        pass
+
+
+class BareZeroProjective(ZeroProjective):
+    def __post_init__(self):
+        pass
+
+
+BARE = {
+    NodalString: Bare, NodalProjective: BareProjective,
+    ZeroString: BareZeroString, ZeroProjective: BareZeroProjective,
+}
+
+
 def every_build(obj) -> list:
     """``obj`` built every way: the constructor, parse_object, replace,
     shifted, and subclasses with and without the base's __post_init__."""
     fields = [getattr(obj, f) for f in obj._fields]
     # an odd step flips the shift's parity, so a stale twist bit would show
     away = replace(obj, shift=obj.shift + 7)
-    bare = {NodalString: Bare, NodalProjective: BareProjective}[type(obj)]
+    bare = BARE[type(obj)]
     return [
         type(obj)(*fields),
         parse_object(format_object(obj))[0],
@@ -285,6 +301,30 @@ class TestZeroBlock:
                 want = helpers.frozen_hom_zero(fx, fy)
                 assert hom_dim_zero(x, y) == want, (x, y)
                 assert hom_dim_zero(sx, y) == hom_dim_zero(x, sy) == hom_dim_zero(sx, sy) == want
+
+    def test_objects_built_every_way(self):
+        objs = zero_window_objects(4, 5)
+        builds = [every_build(x) for x in objs]
+        frozen = [helpers.to_zero_oracle(x) for x in objs]
+        for x, xs, fx in zip(objs, builds, frozen):
+            assert [b == x for b in xs] == [True] * 4 + [False] * 2
+            for y, ys, fy in zip(objs, builds, frozen):
+                want = helpers.frozen_hom_zero(fx, fy)
+                assert [hom_dim_zero(b, y) for b in xs] == [want] * len(xs), (x, y)
+                assert [hom_dim_zero(x, b) for b in ys] == [want] * len(ys), (x, y)
+
+    @pytest.mark.parametrize("bad", [
+        None, 3, "S(1)", NodalString(PLUS, 1), NodalProjective(MINUS),
+        BareZeroString("1", 0), BareZeroString(0, 0), BareZeroString(2, 1.5),
+        BareZeroProjective("1"), BareZeroProjective(True),
+    ], ids=repr)
+    def test_only_a_nodal_error_escapes(self, bad):
+        for good in (ZeroString(2, 1), ZeroProjective(3), BareZeroString(1, -2)):
+            for args in ((bad, good), (good, bad)):
+                with pytest.raises(NodalError):
+                    hom_dim_zero(*args)
+                with pytest.raises(NodalError):
+                    hom_dim_sum([args[0]], [args[1]])
 
     @pytest.mark.parametrize(
         "x, y",

@@ -275,12 +275,24 @@ PARSE_ERRORS = [
      "invalid vertex name 'c:d'", 2, 12),
     ("vertices 1 ->x; arrow ->: 1 -> ->x; arrow c:: 1 -> 1;",
      "invalid arrow name '->'", 1, 23),
-    # the declaring word is found by counting declarations, not by the name:
-    # word 1 of "arrow a: ..." is also the bad label "a:"
+    # the error is at the word the bad name was read from, not at the first
+    # word that spells it: word 1 of "arrow a: ..." is also the bad label "a:"
     ("vertices 1 2;\narrow a: 1 -> 2;\nvertices 3 4;\narrow a:: 1 -> 2;",
      "invalid arrow name 'a:'", 4, 7),
     ("vertices 1;\nvertices 2 3;;\nvertices  4 a:b 5;",
      "invalid vertex name 'a:b'", 3, 13),
+    # the first bad name in declaration order wins, and every other error,
+    # even in a later statement or later in the same one, comes first
+    ("vertices 1 a:b;\nvertices c:d;",
+     "invalid vertex name 'a:b'", 1, 12),
+    ("vertices 1; arrow a:: 1 -> 1;\narrow a:: 1 -> 1;",
+     "duplicate arrow label 'a:'", 2, 7),
+    ("vertices a:b 1 ->;",
+     "'->' is not a valid vertex name", 1, 16),
+    ("vertices 1; arrow b\xa0c: 1 -> 1; arrow d:: 1 -> 1;",
+     "invalid arrow name 'b\\xa0c'", 1, 19),
+    ("vertices 1 x:y; arrow a: 1 -> 9;",
+     "undeclared vertex '9'", 1, 31),
 ]
 NAME_RULE = "names contain no whitespace, ';', ':' or '#' and are not '->'"
 
