@@ -43,6 +43,7 @@ class SurfaceError(SingcatError):
 _NAMES = "a sequence of vertex names"
 _PAIRS = "a sequence of vertex pairs"
 _WEIGHTS = "a mapping from vertex names to weights"
+_SIMPLE_TREE = "the dual graph is a simple tree"
 # what the text format reads as a name
 _NAME = r"[^\s;#]+"
 _NAME_RE = re.compile(_NAME)
@@ -73,19 +74,14 @@ def _simple_edge(u, v, seen: set, precondition: str) -> None:
     seen.add((u, v))
 
 
-def _edge_index(
-    vertices: Sequence[str], edges: Iterable[tuple[str, str]], precondition: str
-) -> dict[str, list[str]]:
-    """Each vertex's neighbours, in vertex order and each list in edge order.
-
-    Refuses an edge with an undeclared end, a self-loop or a repeated edge;
-    ``precondition`` names the simplicity the last two break.
-    """
-    nbrs: dict[str, list[str]] = {v: [] for v in vertices}
+def _edge_faults(declared: Container, edges: Iterable, precondition: str) -> None:
+    """Raise at the first edge, in edge order, with an undeclared end, that is
+    a self-loop or that repeats an earlier edge in either orientation;
+    ``precondition`` names the simplicity the last two break."""
     seen: set = set()
     for u, v in edges:
         try:
-            declares = u in nbrs and v in nbrs
+            declares = u in declared and v in declared
         except TypeError:  # an unhashable endpoint is never a declared vertex
             declares = False
         if not declares:
@@ -95,28 +91,40 @@ def _edge_index(
                 witness={"edge": [u, v]},
             )
         _simple_edge(u, v, seen, precondition)
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return nbrs
 
 
-def _negative_definite(
-    parent: Mapping[str, str | None], weights: Mapping[str, int]
-) -> bool:
+def _edge_index(nbrs: dict[str, list[str]], edges: Iterable, precondition: str) -> None:
+    """Append each edge to its ends' lists in ``nbrs``, so each is in edge order.
+
+    Refuses an edge with an undeclared end, but lets loops and repeated edges
+    through: a multigraph on n vertices in c components has at least n - c
+    distinct edges that are not loops, so one with exactly n - c edges, as a
+    tree or forest has, has neither.  Callers that accept only those scan
+    for them, with ``_edge_faults``, only when that count fails.
+    """
+    try:
+        for u, v in edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    except (KeyError, TypeError):  # an undeclared or unhashable end
+        _edge_faults(nbrs, edges, precondition)
+
+
+def _negative_definite(parent: Mapping[str, str | None], num: dict[str, int]) -> bool:
     """Sylvester's criterion leaf first on one tree, with no fill.
 
     ``parent`` maps each vertex of the tree, in breadth-first order from its
     root, to the vertex it was reached from (the root to None), as
     ``_component`` returns it.  Walking that order backwards, every vertex
     comes after all of its descendants.  Each vertex v carries an integer
-    pair (num, den), starting at (-w_v, 1); folding in a child with pair
-    (a, b) sets num <- num·a - den·b and den <- den·a.  Once all children
-    are folded in, num is det(-M) of v's subtree and den is det(-M) of that
-    subtree without v, so num/den is v's elimination pivot of -M.  The form
-    is negative definite iff every num is positive.  Cost: one step per
-    vertex and per edge, on integers the size of those determinants.
+    pair (num, den), starting at (-w_v, 1) with -w_v given in ``num``, which
+    is folded in place: folding in a child with pair (a, b) sets
+    num <- num·a - den·b and den <- den·a.  Once all children are folded in,
+    num is det(-M) of v's subtree and den is det(-M) of that subtree without
+    v, so num/den is v's elimination pivot of -M.  The form is negative
+    definite iff every num is positive.  Cost: one step per vertex and per
+    edge, on integers the size of those determinants.
     """
-    num = {v: -weights[v] for v in parent}
     den = dict.fromkeys(parent, 1)
     for v in reversed(parent):
         a = num[v]
@@ -142,11 +150,14 @@ def is_negative_definite(
 
     Raises ``SurfaceError`` unless the vertices are distinct, each has an
     ``int`` weight, every edge joins two declared vertices, at most once,
-    and the graph is a forest (has no cycle).
+    and the graph is a forest (has no cycle); in that order, and the edges
+    in edge order.  A forest of c trees on n vertices has n - c edges, which
+    rules out loops and repeats, so they are looked for only when that count
+    fails.
     """
     vertices = _field(lambda: tuple(vertices), "vertices", _NAMES, SurfaceError)
-    declared = _field(lambda: set(vertices), "vertices", _NAMES, SurfaceError)
-    if len(declared) != len(vertices):
+    nbrs = _field(lambda: {v: [] for v in vertices}, "vertices", _NAMES, SurfaceError)
+    if len(nbrs) != len(vertices):
         raise SurfaceError(
             "duplicate vertex in dual graph",
             precondition="vertex names are distinct",
@@ -156,6 +167,7 @@ def is_negative_definite(
         lambda: {v: weights[v] for v in vertices if v in weights},
         "weights", _WEIGHTS, SurfaceError,
     )
+    num = {}
     for v in vertices:
         if v not in weights:
             raise SurfaceError(
@@ -164,8 +176,9 @@ def is_negative_definite(
                 witness={"vertex": v},
             )
         _check_weight(v, weights[v])
+        num[v] = -weights[v]
     edges = _field(lambda: [(u, v) for u, v in edges], "edges", _PAIRS, SurfaceError)
-    nbrs = _edge_index(vertices, edges, "the graph is simple")
+    _edge_index(nbrs, edges, "the graph is simple")
     trees: list[dict[str, str | None]] = []
     reached: set[str] = set()
     for v in vertices:
@@ -174,12 +187,13 @@ def is_negative_definite(
             reached.update(trees[-1])
     # a forest has one edge fewer than vertices per tree
     if len(edges) != len(vertices) - len(trees):
+        _edge_faults(nbrs, edges, "the graph is simple")
         raise SurfaceError(
             "the graph has a cycle",
             precondition="the graph is a forest",
             witness={"vertices": len(vertices), "edges": len(edges)},
         )
-    return all(_negative_definite(tree, weights) for tree in trees)
+    return all(_negative_definite(tree, num) for tree in trees)
 
 
 def _component(
@@ -207,7 +221,9 @@ class DualGraph:
     Vertex names are what the text format can carry: non-empty, with no
     whitespace, ';' or '#'.  ``adjacency`` maps each vertex, in vertex
     order, to the tuple of its neighbours in edge order; it is built during
-    validation.
+    validation, which walks the edges once: a connected graph with n - 1
+    edges is a simple tree, so loops and repeated edges are looked for only
+    when that test fails.
     """
 
     def __init__(
@@ -254,35 +270,38 @@ class DualGraph:
         return self
 
     def _validate(self):
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+        vertices, edges = self.vertices, self.edges
+        n = len(vertices)
+        nbrs: dict[str, list[str]] = {v: [] for v in vertices}
+        if len(nbrs) != n:
             raise SurfaceError(
                 "duplicate vertex in dual graph",
                 precondition="vertex names are distinct",
-                witness={"vertices": list(self.vertices)},
+                witness={"vertices": list(vertices)},
             )
-        if not self.vertices:
+        if not n:
             raise SurfaceError(
                 "dual graph needs at least one vertex",
                 precondition="at least one exceptional curve",
             )
-        nbrs = _edge_index(self.vertices, self.edges, "the dual graph is a simple tree")
-        # tree: connected with |V| - 1 edges; rooted at the first vertex
-        n = len(self.vertices)
-        tree = _component(self.vertices[0], nbrs)
-        if len(self.edges) != n - 1 or len(tree) != n:
+        _edge_index(nbrs, edges, _SIMPLE_TREE)
+        # tree: connected with |V| - 1 edges, so simple; rooted at the first vertex
+        tree = _component(vertices[0], nbrs)
+        if len(edges) != n - 1 or len(tree) != n:
+            _edge_faults(nbrs, edges, _SIMPLE_TREE)
             raise SurfaceError(
                 "the dual graph is not a tree",
                 precondition="the graph is connected and acyclic",
-                witness={"vertices": n, "edges": len(self.edges)},
+                witness={"vertices": n, "edges": len(edges)},
             )
         self.adjacency = {v: tuple(ns) for v, ns in nbrs.items()}
-        if self.weights.keys() != vset:
+        if self.weights.keys() != nbrs.keys():
             raise SurfaceError(
                 "weights do not cover the vertex set exactly",
                 precondition="every vertex has exactly one weight",
-                witness={"weighted": sorted(self.weights), "vertices": sorted(vset)},
+                witness={"weighted": sorted(self.weights), "vertices": sorted(nbrs)},
             )
+        num = {}
         for v, w in self.weights.items():
             if type(w) is not int or w > -2:
                 _check_weight(v, w)
@@ -291,7 +310,8 @@ class DualGraph:
                     precondition="every self-intersection weight is at most -2",
                     witness={"vertex": v, "weight": w},
                 )
-        if not _negative_definite(tree, self.weights):
+            num[v] = -w
+        if not _negative_definite(tree, num):
             raise SurfaceError(
                 "the intersection form is not negative definite",
                 precondition="negative definite intersection form",
@@ -521,7 +541,7 @@ def ade_recognize(
                 precondition="edges join distinct declared vertices",
                 witness={"edge": [u, v]},
             )
-        _simple_edge(u, v, seen, "the dual graph is a simple tree")
+        _simple_edge(u, v, seen, _SIMPLE_TREE)
         nbrs[u].append(v)
         nbrs[v].append(u)
     n = len(vertices)

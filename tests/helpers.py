@@ -568,6 +568,82 @@ def oracle_determinant(matrix: list[list[int]]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# dual graph refusal oracle
+
+
+def oracle_graph_refusal(vertices, edges, weights, forest=False):
+    """The first fault of a weighted graph of named curves, in the order
+    the README gives, as ``DualGraph`` (a tree, weights at most -2, a
+    definite form) or, with ``forest``, ``is_negative_definite`` (a forest,
+    whose definiteness is the answer, not a fault) states it.
+
+    The order: distinct names; then at least one vertex for a tree, or an
+    int weight on every vertex in vertex order for a forest; then the first
+    edge, in edge order, with an undeclared end, that is a self-loop or that
+    repeats an earlier edge in either orientation; then the shape, a tree
+    being connected with n - 1 edges and a forest of c trees having n - c;
+    then, for a tree, weights on exactly the vertices, each weight in
+    weights order an int and at most -2, and a definite form.
+
+    Returns (message, precondition, witness), or None when nothing is
+    wrong.  The last step runs fraction elimination on the whole matrix, so
+    a large graph should be one that an earlier step refuses.
+    """
+    vertices, edges = list(vertices), list(edges)
+    n, m = len(vertices), len(edges)
+    declared = set(vertices)
+    if len(declared) != n:
+        return "duplicate vertex in dual graph", "vertex names are distinct", {"vertices": vertices}
+
+    def not_an_int(v):
+        message = f"vertex {v} has weight {weights[v]!r}, not an integer"
+        return message, "weights are ints", {"vertex": v, "weight": repr(weights[v])}
+
+    if forest:
+        for v in vertices:
+            if v not in weights:
+                return f"vertex {v} has no weight", "every vertex has a weight", {"vertex": v}
+            if type(weights[v]) is not int:
+                return not_an_int(v)
+    elif not vertices:
+        return "dual graph needs at least one vertex", "at least one exceptional curve", None
+    simple = "the graph is simple" if forest else "the dual graph is a simple tree"
+    seen = set()
+    for u, v in edges:
+        if u not in declared or v not in declared:
+            message = f"edge ({u}, {v}) uses an undeclared vertex"
+            return message, "edge endpoints are declared vertices", {"edge": [u, v]}
+        if u == v:
+            return f"self-loop at {u}", simple, {"vertex": u}
+        if frozenset((u, v)) in seen:
+            return f"duplicate edge ({u}, {v})", simple, {"edge": [u, v]}
+        seen.add(frozenset((u, v)))
+    components = len(induced_components(vertices, edges, declared))
+    shape = {"vertices": n, "edges": m}
+    if forest:
+        if m != n - components:
+            return "the graph has a cycle", "the graph is a forest", shape
+        return None
+    if components != 1 or m != n - 1:
+        return "the dual graph is not a tree", "the graph is connected and acyclic", shape
+    if set(weights) != declared:
+        message = "weights do not cover the vertex set exactly"
+        witness = {"weighted": sorted(weights), "vertices": sorted(vertices)}
+        return message, "every vertex has exactly one weight", witness
+    for v, w in weights.items():
+        if type(w) is not int:
+            return not_an_int(v)
+        if w > -2:
+            bound = "every self-intersection weight is at most -2"
+            return f"vertex {v} has weight {w}", bound, {"vertex": v, "weight": w}
+    if not oracle_negative_definite(intersection_matrix(vertices, edges, weights)):
+        message = "the intersection form is not negative definite"
+        witness = {"weights": {v: weights[v] for v in sorted(weights)}}
+        return message, "negative definite intersection form", witness
+    return None
+
+
+# ---------------------------------------------------------------------------
 # presentation text oracle
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 from functools import partial
 from pathlib import Path as FilePath
@@ -382,6 +383,50 @@ class TestOracle:
         expected = helpers.oracle_parse_presentation(text)
         assert len(expected) == 3
         assert read_presentation(text) == expected
+
+    def test_planted_bad_names_agree_with_oracle(self):
+        # fragments rarely spell a whole text, so name-rule errors, which come
+        # only after every statement has read cleanly, are seldom reached there
+        rng, texts, name_rule = random.Random(22), 3000, 0
+        for _ in range(texts):
+            text = _text_with_planted_names(rng)
+            expected = helpers.oracle_parse_presentation(text)
+            assert read_presentation(text) == expected, text
+            name_rule += len(expected) == 4 and expected[3] == NAME_RULE
+        assert name_rule * 10 >= texts
+
+
+# names the text reads as one word that break the name rule: a ':', a
+# space other than ' ', '\t', '\r' and '\n' (a line ends only at '\n'), or
+# the arrow token (as a label)
+BAD_NAMES = ["a:b", ":", "c:", "x\xa0y", "p\x0bq", "u\x0cv", "w\u2028z", "m\u3000n"]
+
+
+def _text_with_planted_names(rng):
+    """A presentation text over declared names, each arrow between declared
+    vertices and each relation composable, in which some vertex names and
+    arrow labels break the name rule, and rarely a statement has another
+    fault; the statements are spread over lines at random."""
+    vertices = rng.sample(["1", "2", "3", "4"], rng.randint(1, 4))
+    labels = rng.sample(["a", "b", "c", "d"], rng.randint(0, 4))
+    for names, extra in ((vertices, BAD_NAMES), (labels, BAD_NAMES + ["->"])):
+        for _ in range(rng.choice((0, 0, 1, 1, 2))):
+            names.insert(rng.randrange(len(names) + 1), rng.choice(extra))
+    vertices = list(dict.fromkeys(vertices))
+    ends = {label: (rng.choice(vertices), rng.choice(vertices)) for label in labels}
+    if labels and rng.random() < 0.1:  # a fault other than a name
+        ends[rng.choice(labels)] = ("9", vertices[0])
+    cut = rng.randint(1, len(vertices))
+    statements = [f"vertices {' '.join(vertices[:cut])};"]
+    if cut < len(vertices):
+        statements.append(f"vertices {' '.join(vertices[cut:])};")
+    for label, (source, target) in ends.items():
+        colon = rng.choice((":", " :"))
+        statements.append(f"arrow {label}{colon} {source} -> {target};")
+    composable = [(x, y) for x in ends for y in ends if ends[y][1] == ends[x][0]]
+    for left, right in rng.sample(composable, min(len(composable), rng.randint(0, 2))):
+        statements.append(f"relation {left} {right};")
+    return "".join(s + rng.choice((" ", "\n", "\n\n", "  # note\n")) for s in statements)
 
 
 TRIPLES = "(label, source, target) triples"

@@ -491,11 +491,10 @@ def read_dual_graph(text):
 
 def oracle_read_dual_graph(text):
     expected = helpers.oracle_parse_dual_graph(text)
-    if len(expected) == 3:  # the text spells a graph; DualGraph judges it
-        try:
-            DualGraph(*expected)
-        except SurfaceError as exc:
-            return exc.diagnostic()
+    if len(expected) == 3:  # the text spells a graph; the refusal oracle judges it
+        refusal = helpers.oracle_graph_refusal(*expected)
+        if refusal:
+            return dict(zip(("message", "precondition", "witness"), refusal))
     return expected
 
 

@@ -289,6 +289,112 @@ class TestDualGraphValidation:
             DualGraph(vertices, edges, weights)
 
 
+def _refusal(function, *args):
+    """``function``'s diagnostic as (message, precondition, witness), None
+    when it builds a graph, or its answer."""
+    try:
+        result = function(*args)
+    except SurfaceError as exc:
+        return exc.message, exc.precondition, exc.witness
+    return None if isinstance(result, DualGraph) else result
+
+
+def _faulty_graph(rng):
+    """At most 5 vertices, often a tree or forest, then damaged: a repeated
+    name, an edge to the stray name 'x', loops, repeats in either
+    orientation, weights missing, extra, not ints or above -2."""
+    names = [str(i) for i in range(rng.randrange(6))]
+    vertices = list(names)
+    if names and rng.random() < 0.1:
+        vertices.insert(rng.randrange(len(names) + 1), rng.choice(names))
+    edges = []
+    for i in range(1, len(names)):
+        if rng.random() < 0.9:
+            edges.append((names[rng.randrange(i)], names[i]))
+    ends = names + ["x"] if rng.random() < 0.15 else names
+    for _ in range(rng.choice((0, 0, 0, 1, 2)) if ends else 0):
+        edges.insert(rng.randrange(len(edges) + 1), (rng.choice(ends), rng.choice(ends)))
+    if edges and rng.random() < 0.15:
+        u, v = rng.choice(edges)
+        edges.insert(rng.randrange(len(edges) + 1), rng.choice([(u, v), (v, u)]))
+    rng.shuffle(edges)
+    weights = {}
+    for v in rng.sample(names, len(names)):
+        r = rng.random()
+        if r < 0.03:
+            continue
+        weights[v] = rng.choice((-1, 0, -2.0, True, "-2")) if r < 0.08 else rng.choice((-2, -2, -3))
+    if rng.random() < 0.03:
+        weights["x"] = -2
+    return vertices, edges, weights
+
+
+class TestRefusalOrder:
+    """Every entry point refuses the fault that ``oracle_graph_refusal``,
+    which states the README's order, names first."""
+
+    TREE_FAULTS = {
+        "vertex names are distinct", "at least one exceptional curve",
+        "edge endpoints are declared vertices", "the dual graph is a simple tree",
+        "the graph is connected and acyclic", "every vertex has exactly one weight",
+        "weights are ints", "every self-intersection weight is at most -2",
+        "negative definite intersection form",
+    }
+    FOREST_FAULTS = {
+        "vertex names are distinct", "every vertex has a weight", "weights are ints",
+        "edge endpoints are declared vertices", "the graph is simple",
+        "the graph is a forest",
+    }
+
+    def test_small_faulty_graphs_agree_with_oracle(self):
+        rng = random.Random(23)
+        seen, forest_seen, parsed = set(), set(), 0
+        for _ in range(6000):
+            graph = vertices, edges, weights = _faulty_graph(rng)
+            expected = helpers.oracle_graph_refusal(*graph)
+            assert _refusal(DualGraph, *graph) == expected, graph
+            seen.add(expected and expected[1])
+            # text spells distinct names with one int weight each, in their order
+            if len(set(vertices)) == len(vertices) == len(weights) and all(
+                type(weights.get(v)) is int for v in vertices
+            ):
+                in_order = {v: weights[v] for v in vertices}
+                text = "".join(f"vertex {v} {w};\n" for v, w in in_order.items())
+                text += "".join(f"edge {u} {v};\n" for u, v in edges)
+                expected = helpers.oracle_graph_refusal(vertices, edges, in_order)
+                assert _refusal(parse_dual_graph, text) == expected, text
+                parsed += 1
+            expected = helpers.oracle_graph_refusal(*graph, forest=True)
+            if expected is None:  # a forest: the answer is its definiteness
+                matrix = helpers.intersection_matrix(*graph)
+                expected = helpers.oracle_negative_definite(matrix)
+            assert _refusal(is_negative_definite, *graph) == expected, graph
+            forest_seen.add(expected if type(expected) is bool else expected[1])
+        assert seen == self.TREE_FAULTS | {None}
+        assert forest_seen == self.FOREST_FAULTS | {True, False}
+        assert parsed > 1000
+
+    @pytest.mark.parametrize("last", [("4998", "4999"), ("4999", "4998")])
+    def test_long_path_with_its_last_edge_repeated(self, last):
+        # a single refusal scan, in edge order, over 5,000 edges
+        vertices, edges = _path_parts(5000)
+        edges.append(last)
+        weights = dict.fromkeys(vertices, -2)
+        expected = helpers.oracle_graph_refusal(vertices, edges, weights)
+        assert expected == (
+            f"duplicate edge ({last[0]}, {last[1]})",
+            "the dual graph is a simple tree",
+            {"edge": list(last)},
+        )
+        assert _refusal(DualGraph, vertices, edges, weights) == expected
+        text = "".join(f"vertex {v} -2;" for v in vertices)
+        text += "".join(f"edge {u} {v};" for u, v in edges)
+        assert _refusal(parse_dual_graph, text) == expected
+        forest = helpers.oracle_graph_refusal(vertices, edges, weights, forest=True)
+        assert forest == (expected[0], "the graph is simple", expected[2])
+        assert _refusal(is_negative_definite, vertices, edges, weights) == forest
+
+
 class TestLauferAlgorithm:
     def test_affine_star_stabilizes_at_the_radical_vector(self):
         # the form is semidefinite, not definite, yet the loop stops, in
