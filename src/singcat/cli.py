@@ -19,7 +19,7 @@ import sys
 
 from . import dg_auslander as dga
 from . import gentle, nodal, surface
-from .quiver import INT_DIGITS, SingcatError, parse_presentation
+from .quiver import INT_DIGITS, SingcatError, _read_int, parse_presentation
 
 
 def _read(path: str) -> str:
@@ -34,23 +34,24 @@ def _read(path: str) -> str:
         ) from None
 
 
+def _unwritable(path, shown: str, reason) -> SingcatError:
+    """The refusal of a failed write to ``path``, shown as ``shown``."""
+    return SingcatError(
+        f"cannot write {shown}: {reason}",
+        precondition="output path is writable",
+        witness={"path": path},
+    )
+
+
 def _write(path: str, text: str) -> None:
     # "--out=" gives "", and some argparse releases store [] for "--out=--"
     if not isinstance(path, str) or not path:
-        raise SingcatError(
-            f"cannot write {path!r}: not a file name",
-            precondition="output path is writable",
-            witness={"path": path},
-        )
+        raise _unwritable(path, repr(path), "not a file name")
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise SingcatError(
-            f"cannot write {path}: {exc.strerror or exc}",
-            precondition="output path is writable",
-            witness={"path": path},
-        ) from None
+        raise _unwritable(path, path, exc.strerror or exc) from None
 
 
 def _print(text: str) -> None:
@@ -65,11 +66,7 @@ def _print(text: str) -> None:
     except BrokenPipeError:
         raise
     except OSError as exc:
-        raise SingcatError(
-            f"cannot write <stdout>: {exc.strerror or exc}",
-            precondition="output path is writable",
-            witness={"path": "<stdout>"},
-        ) from None
+        raise _unwritable("<stdout>", "<stdout>", exc.strerror or exc) from None
 
 
 def _load_presentation(path: str):
@@ -196,25 +193,21 @@ def _cmd_nodal_hom(args):
     return {"dim": dim}, lambda: str(dim), 0
 
 
-_WINDOW_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
+_WINDOW_RE = re.compile(r"(-?\d+)\.\.(-?\d+)")  # used with fullmatch
 
 
 def _parse_shifts(window: str) -> tuple[int, int]:
-    m = _WINDOW_RE.match(window)
+    m = _WINDOW_RE.fullmatch(window)
     if not m:
         raise SingcatError(
             f"cannot parse shift window {window!r}",
             precondition="window looks like -4..4",
             witness={"shifts": window},
         )
-    try:
-        lo, hi = int(m.group(1)), int(m.group(2))
-    except ValueError:
-        raise SingcatError(
-            "a bound of the shift window has too many digits",
-            precondition=INT_DIGITS,
-            witness={"shifts": window},
-        ) from None
+    lo, hi = [
+        _read_int(bound, SingcatError, "a bound of the shift window", "shifts", window)
+        for bound in m.groups()
+    ]
     if lo > hi:
         raise SingcatError(
             f"empty shift window {window!r}",
@@ -325,8 +318,8 @@ def _cmd_nodal_k0(args):
 
 
 def _cmd_surface_cyclic(args):
-    expansion = surface.jung_hirzebruch(args.n, args.a)
     graph = surface.cyclic_dual_graph(args.n, args.a)
+    expansion = [-graph.weights[v] for v in graph.vertices]
     payload = {
         "n": args.n,
         "a": args.a,
@@ -752,7 +745,7 @@ def _join_shift_windows(argv: list[str]) -> list[str]:
     for i, token in enumerate(argv):
         if token == "--":
             return joined + argv[i:]
-        if joined and _is_shifts_flag(joined[-1]) and _WINDOW_RE.match(token):
+        if joined and _is_shifts_flag(joined[-1]) and _WINDOW_RE.fullmatch(token):
             joined[-1] = f"{joined[-1]}={token}"
         else:
             joined.append(token)

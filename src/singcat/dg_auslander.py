@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from functools import partial
 
-from .quiver import INT_DIGITS, Arrow, SingcatError, _expect, _field, _record
+from .quiver import Arrow, SingcatError, _expect, _field, _read_int, _record
 from .surface import ADEType
 
 
@@ -45,21 +45,15 @@ def knoerrer_parity(dimension: int) -> str:
 
 def check_ade_type(ade) -> ADEType:
     if isinstance(ade, str):
-        m = re.match(r"^([ADE])(\d+)$", ade)
+        m = re.fullmatch(r"([ADE])(\d+)", ade)
         if not m:
             raise DGAError(
                 f"cannot parse ADE type {ade!r}",
                 precondition="type looks like A7, D4 or E8",
                 witness={"type": ade},
             )
-        try:
-            ade = ADEType(m.group(1), int(m.group(2)))
-        except ValueError:
-            raise DGAError(
-                "the rank of the ADE type has too many digits",
-                precondition=INT_DIGITS,
-                witness={"type": ade},
-            ) from None
+        rank = _read_int(m.group(2), DGAError, "the rank of the ADE type", "type", ade)
+        ade = ADEType(m.group(1), rank)
     try:
         family, rank = ade
     except (TypeError, ValueError):
@@ -89,7 +83,12 @@ _ARROWS = "a sequence of Arrows"
 
 @_record
 class GradedQuiver:
-    """Vertices, degree-0 solid arrows, degree -1 broken arrows, translation."""
+    """Vertices, degree-0 solid arrows, degree -1 broken arrows, translation.
+
+    The constructor is the one way in, for the built-in tables too: it
+    checks every field and, in the walk that checks the solid arrows,
+    indexes them by source and by ends for the mesh differential.
+    """
 
     family: str
     rank: int
@@ -110,15 +109,19 @@ class GradedQuiver:
             return found
 
         vertices = _field(names, "vertices", "a sequence of distinct strs", DGAError)
+        by_source, by_ends = {}, {}
 
-        def check(arrows):
+        def check(arrows, index):
             for a in arrows:
                 if not (isinstance(a, Arrow) and isinstance(a.label, str)
                         and a.source in vertices and a.target in vertices):
                     raise ValueError
+                if index:
+                    by_source.setdefault(a.source, []).append(a)
+                    by_ends.setdefault((a.source, a.target), []).append(a)
 
-        _field(lambda: check(self.solid), "solid", _ARROWS, DGAError)
-        _field(lambda: check(self.broken), "broken", _ARROWS, DGAError)
+        _field(lambda: check(self.solid, True), "solid", _ARROWS, DGAError)
+        _field(lambda: check(self.broken, False), "broken", _ARROWS, DGAError)
 
         def invert():
             inverse = {v: k for k, v in self.translation.items()}
@@ -127,23 +130,6 @@ class GradedQuiver:
             return inverse
 
         untranslate = _field(invert, "translation", "a dict of vertex names", DGAError)
-        self._index(self.solid, untranslate)
-
-    @classmethod
-    def _checked(cls, *fields) -> GradedQuiver:
-        """A quiver of fields that pass every check, indexed without them."""
-        self = object.__new__(cls)
-        for name, value in zip(cls._fields, fields):
-            object.__setattr__(self, name, value)
-        self._index(self.solid, {v: k for k, v in self.translation.items()})
-        return self
-
-    def _index(self, solid, untranslate):
-        """Keep the solid arrows by source and by ends, and the inverse translation."""
-        by_source, by_ends = {}, {}
-        for a in solid:
-            by_source.setdefault(a.source, []).append(a)
-            by_ends.setdefault((a.source, a.target), []).append(a)
         object.__setattr__(self, "_solid_from", by_source)
         object.__setattr__(self, "_solid_between", by_ends)
         object.__setattr__(self, "_untranslate", untranslate)
@@ -164,8 +150,8 @@ def _alpha_star(i: int) -> str:
 
 
 def _finish(family, rank, parity, vertices, solid, tau) -> GradedQuiver:
-    """The quiver of a table over int vertices, built without the checks of
-    ``GradedQuiver``, which every table here passes."""
+    """The quiver of a table over int vertices, checked and indexed by
+    ``GradedQuiver`` like any other."""
     names = tuple([str(v) for v in vertices])
     translation = {str(v): str(tau[v]) for v in vertices}
     broken = tuple(
@@ -174,7 +160,7 @@ def _finish(family, rank, parity, vertices, solid, tau) -> GradedQuiver:
     solid_arrows = tuple(
         [Arrow(lab, str(src), str(tgt)) for lab, src, tgt in solid]
     )
-    return GradedQuiver._checked(family, rank, parity, names, solid_arrows, broken, translation)
+    return GradedQuiver(family, rank, parity, names, solid_arrows, broken, translation)
 
 
 def _pairs(edges):

@@ -20,12 +20,12 @@ import re
 from typing import NamedTuple, Sequence, Union
 
 from .quiver import (
-    INT_DIGITS,
     Arrow,
     Path,
     Presentation,
     SingcatError,
     _field,
+    _read_int,
     _record,
     compose,
     replace,
@@ -512,18 +512,9 @@ def ar_translate(obj: NodalIndecomposable) -> NodalIndecomposable:
 # ---------------------------------------------------------------------------
 # object notation
 
-_OBJECT_RE = re.compile(r"^(?:P([+\-12*])|S([+-]?)\((\d+)\))(?:\[(-?\d+)\])?$")
-
-
-def _integer(digits: str | None, part: str) -> int:
-    try:
-        return int(digits or 0)
-    except ValueError:
-        raise NodalError(
-            f"an integer in object {part!r} has too many digits",
-            precondition=INT_DIGITS,
-            witness={"object": part},
-        ) from None
+# used with fullmatch
+_OBJECT_RE = re.compile(r"(?:P([+\-12*])|S([+-]?)\((\d+)\))(?:\[(-?\d+)\])?")
+_OBJECT_INT = "an integer in object {!r}"
 
 
 def parse_object(text: str) -> list:
@@ -552,7 +543,7 @@ def parse_object(text: str) -> list:
                 precondition="summands are non-empty",
                 witness={"object": text},
             )
-        m = _OBJECT_RE.match(part)
+        m = _OBJECT_RE.fullmatch(part)
         if not m:
             raise NodalError(
                 f"cannot parse object {part!r}",
@@ -562,14 +553,14 @@ def parse_object(text: str) -> list:
         projective, sign, length, shift = m.groups()
         if projective in ("*", "1"):
             continue
+        shift = _read_int(shift, NodalError, _OBJECT_INT, "object", part) if shift else 0
         if projective in (PLUS, MINUS):
-            obj = NodalProjective(projective, _integer(shift, part))
+            obj = NodalProjective(projective, shift)
         elif projective:
-            obj = ZeroProjective(_integer(shift, part))
-        elif sign:
-            obj = NodalString(sign, _integer(length, part), _integer(shift, part))
+            obj = ZeroProjective(shift)
         else:
-            obj = ZeroString(_integer(length, part), _integer(shift, part))
+            length = _read_int(length, NodalError, _OBJECT_INT, "object", part)
+            obj = NodalString(sign, length, shift) if sign else ZeroString(length, shift)
         summands.append(obj)
     return summands
 

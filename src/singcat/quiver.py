@@ -227,14 +227,6 @@ def _check_name(name: str, kind: str):
     )
 
 
-def _names_ok(names: Sequence) -> bool:
-    """True when ``_check_name`` accepts every name: one regex pass per list."""
-    try:
-        return all(map(_NAME_RE.fullmatch, names)) and "->" not in names
-    except TypeError:  # a name that is not a string
-        return False
-
-
 def _field(build, field: str, shape: str, error: type = QuiverError):
     """Run ``build`` and report a malformed argument by name, as ``error``."""
     try:
@@ -244,6 +236,34 @@ def _field(build, field: str, shape: str, error: type = QuiverError):
             f"{field} is not {shape}",
             precondition=f"{field} is {shape}",
             witness={"field": field},
+        ) from None
+
+
+def _expect_text(text, error: type) -> None:
+    """Refuse ``text`` unless it is a str, as ``error``: the parsers' check."""
+    if not isinstance(text, str):
+        raise error(
+            f"expected text, got {type(text).__name__}",
+            precondition="text is a str",
+            witness={"text": repr(text)},
+        )
+
+
+def _read_int(digits: str, error: type, subject: str, key: str, text: str) -> int:
+    """``int(digits)``, for decimal digits read from the argument ``text``.
+
+    Digits beyond ``int()``'s limit are refused as ``error``, whose message
+    says that ``subject`` (a format string given ``text``) has too many
+    digits and whose witness holds ``text`` under ``key``.  The refusal is
+    built only when raised, as readers call this once or twice per object.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        raise error(
+            f"{subject.format(text)} has too many digits",
+            precondition=INT_DIGITS,
+            witness={key: text},
         ) from None
 
 
@@ -305,14 +325,12 @@ class Presentation:
 
     def _validate(self):
         """Check every precondition, indexing the fields as they pass."""
-        # a list with a bad name is checked name by name in the loops below,
-        # so the first violation in list order is the one reported
-        vertex_names_ok = _names_ok(self.vertices)
+        # each name is checked before it is looked up, so the first
+        # violation in list order is the one reported
         outgoing: dict[str, list[Arrow]] = {}
         incoming: dict[str, list[Arrow]] = {}
         for v in self.vertices:
-            if not vertex_names_ok:
-                _check_name(v, "vertex")
+            _check_name(v, "vertex")
             if v in outgoing:
                 raise QuiverError(
                     f"duplicate vertex {v!r}",
@@ -320,11 +338,9 @@ class Presentation:
                     witness={"vertex": v},
                 )
             outgoing[v], incoming[v] = [], []
-        labels_ok = _names_ok([a.label for a in self.arrows])
         by_label: dict[str, Arrow] = {}
         for a in self.arrows:
-            if not labels_ok:
-                _check_name(a.label, "arrow")
+            _check_name(a.label, "arrow")
             if a.label in by_label:
                 raise QuiverError(
                     f"duplicate arrow label {a.label!r}",
@@ -569,12 +585,7 @@ def parse_presentation(text: str) -> Presentation:
     filled by the statement loop and kept as built, so no arrow or relation
     is visited twice.
     """
-    if not isinstance(text, str):
-        raise QuiverError(
-            f"expected text, got {type(text).__name__}",
-            precondition="text is a str",
-            witness={"text": repr(text)},
-        )
+    _expect_text(text, QuiverError)
     labels: dict[str, Arrow] = {}  # the declared arrows
     outgoing: dict[str, list[Arrow]] = {}  # the declared vertices, with their arrows
     incoming: dict[str, list[Arrow]] = {}

@@ -28,7 +28,8 @@ from math import gcd
 from typing import TYPE_CHECKING, Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .quiver import (
-    _COMMENT_RE, INT_DIGITS, ParseError, SingcatError, _blank, _expect, _field, _record,
+    _COMMENT_RE, INT_DIGITS, ParseError, SingcatError, _blank, _expect, _expect_text, _field,
+    _record,
 )
 
 if TYPE_CHECKING:
@@ -110,6 +111,19 @@ def _edge_index(nbrs: dict[str, list[str]], edges: Iterable, precondition: str) 
         _edge_faults(nbrs, edges, precondition)
 
 
+def _neighbour_lists(vertices: Sequence[str]) -> dict[str, list[str]]:
+    """An empty neighbour list per vertex, in vertex order; refuses a
+    repeated vertex name."""
+    nbrs: dict[str, list[str]] = {v: [] for v in vertices}
+    if len(nbrs) != len(vertices):
+        raise SurfaceError(
+            "duplicate vertex in dual graph",
+            precondition="vertex names are distinct",
+            witness={"vertices": list(vertices)},
+        )
+    return nbrs
+
+
 def _negative_definite(parent: Mapping[str, str | None], num: dict[str, int]) -> bool:
     """Sylvester's criterion leaf first on one tree, with no fill.
 
@@ -156,13 +170,7 @@ def is_negative_definite(
     fails.
     """
     vertices = _field(lambda: tuple(vertices), "vertices", _NAMES, SurfaceError)
-    nbrs = _field(lambda: {v: [] for v in vertices}, "vertices", _NAMES, SurfaceError)
-    if len(nbrs) != len(vertices):
-        raise SurfaceError(
-            "duplicate vertex in dual graph",
-            precondition="vertex names are distinct",
-            witness={"vertices": list(vertices)},
-        )
+    nbrs = _field(lambda: _neighbour_lists(vertices), "vertices", _NAMES, SurfaceError)
     weights = _field(
         lambda: {v: weights[v] for v in vertices if v in weights},
         "weights", _WEIGHTS, SurfaceError,
@@ -254,31 +262,21 @@ class DualGraph:
         self._validate()
 
     @classmethod
-    def _checked(
-        cls,
-        vertices: list[str],
-        edges: list[tuple[str, str]],
-        weights: dict[str, int],
-    ) -> DualGraph:
+    def _checked(cls, edges: list[tuple[str, str]], weights: dict[str, int]) -> DualGraph:
         """A graph of fields already of the right types (str names that the
         text format can carry, pairs of them, int weights), as the text
-        parser builds them: skips the conversions and the name check of
-        ``__init__``, not its other checks."""
+        parser builds them, whose vertices are the keys of ``weights`` in
+        order: skips the conversions and the name check of ``__init__``, not
+        its other checks."""
         self = object.__new__(cls)
-        self.vertices, self.edges, self.weights = tuple(vertices), tuple(edges), weights
+        self.vertices, self.edges, self.weights = tuple(weights), tuple(edges), weights
         self._validate()
         return self
 
     def _validate(self):
         vertices, edges = self.vertices, self.edges
         n = len(vertices)
-        nbrs: dict[str, list[str]] = {v: [] for v in vertices}
-        if len(nbrs) != n:
-            raise SurfaceError(
-                "duplicate vertex in dual graph",
-                precondition="vertex names are distinct",
-                witness={"vertices": list(vertices)},
-            )
+        nbrs = _neighbour_lists(vertices)
         if not n:
             raise SurfaceError(
                 "dual graph needs at least one vertex",
@@ -484,11 +482,9 @@ def evaluate_expansion(coefficients: Iterable[int]) -> Fraction:
 
 def cyclic_dual_graph(n: int, a: int) -> DualGraph:
     """String of curves with weights -c1, ..., -ct from the expansion of n/a."""
-    coeffs = jung_hirzebruch(n, a)
-    vertices = [str(i + 1) for i in range(len(coeffs))]
-    edges = [(vertices[i], vertices[i + 1]) for i in range(len(coeffs) - 1)]
-    weights = {vertices[i]: -coeffs[i] for i in range(len(coeffs))}
-    return DualGraph._checked(vertices, edges, weights)
+    weights = {str(i): -c for i, c in enumerate(jung_hirzebruch(n, a), 1)}
+    vertices = list(weights)
+    return DualGraph._checked(list(zip(vertices, vertices[1:])), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -705,17 +701,11 @@ def parse_dual_graph(text: str) -> DualGraph:
     breaks made '\\n' in place, so offsets into the scanned text are offsets
     into ``text``; positions are worked out only for an error.
     """
-    if not isinstance(text, str):
-        raise SurfaceError(
-            f"expected text, got {type(text).__name__}",
-            precondition="text is a str",
-            witness={"text": repr(text)},
-        )
+    _expect_text(text, SurfaceError)
     clean = text.translate(_ONE_BREAK)
     if "#" in clean:
         clean = _COMMENT_RE.sub(_blank, clean)
-    vertices: list[str] = []
-    weights: dict[str, int] = {}
+    weights: dict[str, int] = {}  # the declared vertices, in order
     edges: list[tuple[str, str]] = []
     for index, (name, weight, u, v, other, end) in enumerate(
         _STATEMENT_RE.findall(clean)
@@ -730,7 +720,6 @@ def parse_dual_graph(text: str) -> DualGraph:
                 ) from None
             if name in weights:
                 raise _statement_error(f"duplicate vertex {name!r}", text, clean, index)
-            vertices.append(name)
             weights[name] = w
         elif u:
             edges.append((u, v))
@@ -747,7 +736,7 @@ def parse_dual_graph(text: str) -> DualGraph:
                 "statement is not terminated by ';'", text, clean, index,
                 at_line_end=True,
             )
-    return DualGraph._checked(vertices, edges, weights)
+    return DualGraph._checked(edges, weights)
 
 
 def serialize_dual_graph(graph: DualGraph) -> str:

@@ -120,6 +120,20 @@ class TestExitCodes:
         assert out == ""
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["dga", "emit", "A3\n", "odd"], "cannot parse ADE type 'A3\\n'"),
+            (["nodal", "table", "--shifts", "0..1\n", "--maxlen", "1"],
+             "cannot parse shift window '0..1\\n'"),
+        ],
+    )
+    def test_a_trailing_newline_is_not_read(self, argv, message, capsys):
+        # patterns match whole words: a final '$' would also match before '\n'
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (1, "")
+        assert stderr_error(err)["message"] == message
+
     def test_only_the_fundamental_cycle_takes_a_seed(self, capsys):
         argv = ["gentle", "check", str(CORPUS / "illustrative.q"), "--seed", "3"]
         code, out, err = invoke(capsys, argv)
@@ -358,11 +372,16 @@ class TestHomTable:
         assert "--shifts: expected one argument" in err
 
     def test_window_bound_beyond_the_digit_limit(self, capsys):
-        argv = ["nodal", "table", f"--shifts=-{'9' * 5000}..2", "--maxlen", "1"]
+        window = f"-{'9' * 5000}..2"
+        argv = ["nodal", "table", f"--shifts={window}", "--maxlen", "1"]
         code, out, err = invoke(capsys, argv)
         assert code == 1
         assert out == ""
-        assert stderr_error(err)["precondition"] == INT_DIGITS
+        assert stderr_error(err) == {
+            "message": "a bound of the shift window has too many digits",
+            "precondition": INT_DIGITS,
+            "witness": {"shifts": window},
+        }
 
     def test_maxlen_must_be_positive(self, capsys):
         argv = ["nodal", "table", "--shifts", "0..1", "--maxlen", "0"]
@@ -620,6 +639,30 @@ def test_module_invocation_round_trip():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout) == ILLUSTRATIVE_CYCLES
+
+
+def test_runs_on_the_standard_library_alone():
+    # ``-S`` loads no site module, so no installed package is importable:
+    # every module of singcat imports, and ``python -m singcat corpus``
+    # replays the corpus, with the standard library and the source alone
+    source = Path(cli.__file__).resolve().parent
+    code = f"""
+import importlib, pkgutil, runpy, sys
+assert "site" not in sys.modules
+sys.path.insert(0, {str(source.parent)!r})
+for module in pkgutil.iter_modules([{str(source)!r}]):
+    if module.name != "__main__":  # which runs the command line
+        importlib.import_module("singcat." + module.name)
+sys.argv = ["singcat", "corpus", {str(CORPUS)!r}]
+runpy.run_module("singcat", run_name="__main__")
+"""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, encoding="utf-8", env=env, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["failed"] == 0
 
 
 def test_closed_pipe_ends_quietly():

@@ -160,7 +160,8 @@ def test_indexed_mesh_matches_a_full_scan(family, rank, parity):
 
 @pytest.mark.parametrize("family, rank, parity", ORACLE_INSTANCES)
 def test_tables_pass_the_public_constructor(family, rank, parity):
-    # the built-in tables skip the constructor's checks: they must pass them
+    # the built-in tables are built through the constructor; rebuilding one
+    # from its fields gives the same quiver and the same index
     q = dg_auslander(ADEType(family, rank), parity)
     checked = GradedQuiver(*(getattr(q, f) for f in GradedQuiver._fields))
     assert checked == q
@@ -388,6 +389,12 @@ class TestTypeHandling:
     def test_rejected_types(self, bad):
         with pytest.raises(DGAError):
             check_ade_type(bad)
+
+    def test_a_trailing_newline_is_not_a_type(self):
+        # the whole string must be a type: '$' would also match before '\n'
+        with pytest.raises(DGAError) as info:
+            check_ade_type("A3\n")
+        assert info.value.message == "cannot parse ADE type 'A3\\n'"
 
     @pytest.mark.parametrize("bad", [5, ("A", "x"), ("A",), (1, 7), None, ("A", True)])
     def test_malformed_type_objects(self, bad):

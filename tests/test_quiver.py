@@ -505,6 +505,39 @@ class TestPresentationValidation:
         with pytest.raises(QuiverError, match=re.escape(message)):
             Presentation(vertices, arrows)
 
+    @pytest.mark.parametrize(
+        "vertices, labels, diagnostic",
+        [
+            # a list with both a repeat and a rule-breaking name: whichever
+            # comes first in the list is reported, in full
+            (["a", "a", "b c"], [], {
+                "message": "duplicate vertex 'a'",
+                "precondition": "vertex names are distinct",
+                "witness": {"vertex": "a"},
+            }),
+            (["b c", "a", "a"], [], {
+                "message": "invalid vertex name 'b c'",
+                "precondition": NAME_RULE,
+                "witness": {"vertex": "b c"},
+            }),
+            (["1"], ["a", "a", "b c"], {
+                "message": "duplicate arrow label 'a'",
+                "precondition": "arrow labels are distinct",
+                "witness": {"arrow": "a"},
+            }),
+            (["1"], ["b c", "a", "a"], {
+                "message": "invalid arrow name 'b c'",
+                "precondition": NAME_RULE,
+                "witness": {"arrow": "b c"},
+            }),
+        ],
+    )
+    def test_first_fault_diagnostic_is_exact(self, vertices, labels, diagnostic):
+        with pytest.raises(QuiverError) as info:
+            Presentation(vertices, [(label, "1", "1") for label in labels])
+        assert type(info.value) is QuiverError
+        assert info.value.diagnostic() == diagnostic
+
     def test_arrow_over_undeclared_vertex(self):
         with pytest.raises(QuiverError, match="undeclared vertex"):
             Presentation(["1"], [("a", "1", "2")])

@@ -9,8 +9,11 @@ raw Python exception.
 
 from __future__ import annotations
 
+import ast
 import inspect
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -569,15 +572,40 @@ def test_dual_graph_parse_error_is_pinned(text, message, line, column):
      f"S({NINES})", f"P-, S({NINES})[1]"],
 )
 def test_object_integer_beyond_the_digit_limit(text):
+    part = text.rpartition(", ")[2]  # the summand that holds the number
     with pytest.raises(NodalError) as info:
         parse_object(text)
-    assert info.value.precondition == INT_DIGITS
+    assert info.value.diagnostic() == {
+        "message": f"an integer in object {part!r} has too many digits",
+        "precondition": INT_DIGITS,
+        "witness": {"object": part},
+    }
 
 
 def test_ade_rank_beyond_the_digit_limit():
     with pytest.raises(DGAError) as info:
         dg_auslander(f"A{NINES}", "odd")
-    assert info.value.precondition == INT_DIGITS
+    assert info.value.diagnostic() == {
+        "message": "the rank of the ADE type has too many digits",
+        "precondition": INT_DIGITS,
+        "witness": {"type": f"A{NINES}"},
+    }
+
+
+def test_no_string_in_the_source_ends_in_a_bare_dollar():
+    """``$`` also matches before a final newline, so a pattern ending in it
+    reads text such as "A3\\n" that its diagnostics call malformed: whole
+    words are matched with ``fullmatch``.  Patterns are built from pieces,
+    so every string literal of ``src/singcat`` is checked, not only those
+    passed to ``re``."""
+    bare = re.compile(r"(?<!\\)(?:\\\\)*\$\Z")  # '$' after an even run of backslashes
+    found = []
+    for path in sorted(Path(singcat.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if bare.search(node.value):
+                    found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert found == []
 
 
 # Every public callable of the library, and every public method of one valid
