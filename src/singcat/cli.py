@@ -8,7 +8,6 @@ diagnostic on stderr; usage errors exit with code 2.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import io
@@ -16,6 +15,7 @@ import json
 import os
 import re
 import sys
+import types
 
 from . import dg_auslander as dga
 from . import gentle, nodal, surface
@@ -44,8 +44,7 @@ def _unwritable(path, shown: str, reason) -> SingcatError:
 
 
 def _write(path: str, text: str) -> None:
-    # "--out=" gives "", and some argparse releases store [] for "--out=--"
-    if not isinstance(path, str) or not path:
+    if not path:  # "--out="
         raise _unwritable(path, repr(path), "not a file name")
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -529,11 +528,12 @@ def _cmd_corpus(args):
 # command table
 
 # The options every command takes, ahead of its own arguments.  An argument
-# is (flags, add_argument keywords); only ``store`` arguments with one value
-# and ``store_true`` options occur, which is what ``_plain`` matches.
+# is (name, keywords): an option ("-" name) takes one value unless it is a
+# ``flag``, a positional takes one word.  Keywords: ``type``, ``choices``,
+# ``default``, ``required``, and ``metavar`` and ``help`` for help.
 _COMMON = [
-    (("--format",), {"choices": ("json", "text"), "default": "json", "help": "output format"}),
-    (("--out",), {"metavar": "FILE", "help": "write the output to FILE"}),
+    ("--format", {"choices": ("json", "text"), "default": "json", "help": "output format"}),
+    ("--out", {"metavar": "FILE", "help": "write the output to FILE"}),
 ]
 
 _MODULES = {
@@ -543,7 +543,7 @@ _MODULES = {
     "dga": "dg-Auslander quivers",
 }
 
-_FILE = (("file",), {})
+_FILE = ("file", {})
 
 # (module, op) or ("corpus",) -> (handler, help, arguments).  A list among
 # the arguments is a required mutually exclusive group.
@@ -552,214 +552,213 @@ _COMMANDS = {
     ("gentle", "cycles"): (_cmd_gentle_cycles, "critical cycles", [_FILE]),
     ("gentle", "gp"): (_cmd_gentle_gp, "Gorenstein projectives", [_FILE]),
     ("gentle", "singcat"): (_cmd_gentle_singcat, "singularity block factors", [_FILE]),
-    ("gentle", "compare"): (_cmd_gentle_compare, "compare block factors", [
-        (("first",), {}),
-        (("second",), {}),
-    ]),
-    ("nodal", "hom"): (_cmd_nodal_hom, "Hom dimension between objects", [
-        (("source",), {}),
-        (("target",), {}),
-    ]),
+    ("gentle", "compare"): (_cmd_gentle_compare, "compare block factors",
+                            [("first", {}), ("second", {})]),
+    ("nodal", "hom"): (_cmd_nodal_hom, "Hom dimension between objects",
+                       [("source", {}), ("target", {})]),
     ("nodal", "table"): (_cmd_nodal_table, "Hom table over a window", [
-        (("--shifts",), {"required": True, "help": "shift window, e.g. -2..2"}),
-        (("--maxlen",), {"type": int, "required": True, "help": "largest string length"}),
+        ("--shifts", {"required": True, "help": "shift window, e.g. -2..2"}),
+        ("--maxlen", {"type": int, "required": True, "help": "largest string length"}),
     ]),
-    ("nodal", "complex"): (_cmd_nodal_complex, "minimal string complex", [
-        (("string",), {"help": "e.g. S+(2) or S(3)"}),
-    ]),
-    ("nodal", "k0"): (_cmd_nodal_k0, "class in the Grothendieck group", [(("object",), {})]),
-    ("surface", "cyclic"): (_cmd_surface_cyclic, "cyclic quotient data", [
-        (("n",), {"type": int}),
-        (("a",), {"type": int}),
-    ]),
+    ("nodal", "complex"): (_cmd_nodal_complex, "minimal string complex",
+                           [("string", {"help": "e.g. S+(2) or S(3)"})]),
+    ("nodal", "k0"): (_cmd_nodal_k0, "class in the Grothendieck group", [("object", {})]),
+    ("surface", "cyclic"): (_cmd_surface_cyclic, "cyclic quotient data",
+                            [("n", {"type": int}), ("a", {"type": int})]),
     ("surface", "fundamental"): (_cmd_surface_fundamental, "fundamental cycle", [
         _FILE,
-        (("--seed",), {"type": int, "metavar": "N", "help": "seed for randomized choices"}),
+        ("--seed", {"type": int, "metavar": "N", "help": "seed for randomized choices"}),
     ]),
     ("surface", "decompose"): (_cmd_surface_decompose, "ADE contraction blocks", [
         _FILE,
         [
-            (("--contract",), {"help": "comma separated vertices"}),
-            (("--all-minus-two",), {"action": "store_true", "help": "contract every (-2)-curve"}),
+            ("--contract", {"help": "comma separated vertices"}),
+            ("--all-minus-two", {"flag": True, "help": "contract every (-2)-curve"}),
         ],
     ]),
     ("surface", "ranks"): (_cmd_surface_ranks, "special module ranks", [_FILE]),
     ("dga", "emit"): (_cmd_dga_emit, "emit a graded quiver", [
-        (("type",), {"help": "ADE type, e.g. A7 or E8"}),
-        (("parity",), {"help": "'even', 'odd' or an ambient dimension"}),
+        ("type", {"help": "ADE type, e.g. A7 or E8"}),
+        ("parity", {"help": "'even', 'odd' or an ambient dimension"}),
     ]),
-    ("corpus",): (_cmd_corpus, "run recorded examples", [(("directory",), {})]),
+    ("corpus",): (_cmd_corpus, "run recorded examples", [("directory", {})]),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Return a fresh argparse parser for the ``singcat`` command line.
+# ---------------------------------------------------------------------------
+# command line reader
 
-    ``run()`` does not call this per request: a plain command line needs no
-    parser (``_plain``), and the others share one per process
-    (``_parser()``), which keeps no request's state.
-    """
-    parser = argparse.ArgumentParser(prog="singcat", description=__doc__)
-    top = parser.add_subparsers(dest="module", required=True)
-    ops = {}
-    for words, (handler, summary, arguments) in _COMMANDS.items():
-        if len(words) == 1:
-            choices = top
+# an argument as the reader holds it: (name, namespace attribute, keywords)
+_HELP = ("-h, --help", "help", {"flag": True, "help": "show this help message and exit"})
+_HELPS = {"-h": _HELP, "--help": _HELP}
+_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")  # a positional, not an option (fullmatch)
+
+
+class _UsageError(Exception):
+    """A command line the table does not read: its usage and error lines."""
+
+
+def _shown(name: str, keywords: dict) -> str:
+    """An argument as usage and help show it: an option with its value."""
+    if name[0] != "-" or keywords.get("flag"):
+        return name
+    choices = keywords.get("choices")
+    value = "{" + ",".join(choices) + "}" if choices else name.lstrip("-").upper()
+    return f"{name} {keywords.get('metavar', value)}"
+
+
+class _Reader:
+    """The ``singcat`` command line, read against ``_COMMANDS``.  After the
+    command's words, a word that starts with ``-`` is an option, unless it is
+    ``-``, a negative number or after ``--``.  An option is named in full, by
+    a unique ``--`` prefix or as ``--name=value``; one that takes a value reads
+    the next word as it, whatever it is.  The last of repeated options wins."""
+
+    def __init__(self):
+        # the words that may follow a prefix of command words, with help; each
+        # command's arguments, options by name, positionals, required
+        # arguments, exclusive group and namespace of defaults
+        self.choices, self.commands = {}, {}
+        for words, (handler, summary, table) in _COMMANDS.items():
+            for n, word in enumerate(words):
+                shown = summary if n == len(words) - 1 else _MODULES[word]
+                self.choices.setdefault(words[:n], {})[word] = shown
+            arguments = [_HELP] + [
+                (name, name.lstrip("-").replace("-", "_"), keywords)
+                for entry in _COMMON + table
+                for name, keywords in (entry if isinstance(entry, list) else [entry])
+            ]
+            options = {**_HELPS, **{a[0]: a for a in arguments[1:] if a[0][0] == "-"}}
+            self.commands[words] = (
+                arguments, options, [a for a in arguments if a[0][0] != "-"],
+                [a[0] for a in arguments if a[0][0] != "-" or a[2].get("required")],
+                [name for entry in table if isinstance(entry, list) for name, _ in entry],
+                {"handler": handler, **{a[1]: a[2].get("default") for a in options.values()}},
+            )
+
+    def parse(self, argv) -> types.SimpleNamespace:
+        """The namespace of ``argv``: the command's ``handler`` and one
+        attribute per argument.  Help is a namespace whose handler renders
+        it; anything else the table does not read raises ``_UsageError``."""
+        words, rest = (), list(argv)
+        while words not in self.commands:
+            slot = ("op" if words else "module", None, {"choices": self.choices[words]})
+            if not rest:
+                raise self.error(words, f"the following arguments are required: {slot[0]}")
+            if self.option(_HELPS, rest[0])[0]:
+                return self.help(words)
+            words += (self.value(words, slot, rest.pop(0)),)
+        _, options, positionals, required, group, values = self.commands[words]
+        values, given, extras = dict(values), set(), []
+        args, slots, dashed = iter(rest), iter(positionals), False
+        for word in args:
+            if word == "--" and not dashed:
+                dashed = True
+                continue
+            if dashed or word[:1] != "-" or word == "-" or _NEGATIVE.fullmatch(word):
+                argument, value = next(slots, None), word
+            else:
+                argument, value = self.option(options, word)
+            if argument is None:
+                extras.append(word)
+                continue
+            name, dest, keywords = argument
+            if keywords.get("flag"):
+                if value is not None:
+                    raise self.error(words, f"argument {name}: ignored explicit argument {value!r}")
+                if argument is _HELP:
+                    return self.help(words)
+                value = True
+            else:
+                value = next(args, None) if value is None else value
+                if value is None:
+                    raise self.error(words, f"argument {name}: expected one argument")
+                value = self.value(words, argument, value)
+            values[dest] = value
+            given.add(name)
+        missing = [name for name in required if name not in given]
+        if missing:
+            raise self.error(words, "the following arguments are required: " + ", ".join(missing))
+        if group and len(given.intersection(group)) != 1:
+            raise self.error(words, f"exactly one of the arguments {' '.join(group)} is required")
+        if extras:
+            raise self.error(words, "unrecognized arguments: " + " ".join(extras))
+        return types.SimpleNamespace(**values)
+
+    @staticmethod
+    def option(options: dict, word: str) -> tuple:
+        """(the argument of ``options`` that ``word`` names in full or by a
+        unique ``--`` prefix, or None; the value after its ``=``, or None)."""
+        name, eq, value = word.partition("=") if word[:2] == "--" else (word, "", "")
+        if name not in options and name[:2] == "--" and len(name) > 2:
+            matches = [flag for flag in options if flag.startswith(name)]
+            name = matches[0] if len(matches) == 1 else name
+        return options.get(name), value if eq else None
+
+    def value(self, words, argument: tuple, word: str):
+        """``word`` as the value of ``argument``: converted, then checked
+        against its choices."""
+        name, _, keywords = argument
+        kind, choices = keywords.get("type", str), keywords.get("choices")
+        try:
+            value = kind(word)
+        except ValueError:
+            problem = f"invalid {kind.__name__} value: {word!r}"
         else:
-            choices = ops.get(words[0])
-            if choices is None:
-                module = top.add_parser(words[0], help=_MODULES[words[0]])
-                choices = ops[words[0]] = module.add_subparsers(dest="op", required=True)
-        p = choices.add_parser(words[-1], help=summary)
-        for entry in _COMMON + arguments:
+            if choices is None or value in choices:
+                return value
+            problem = f"invalid choice: {word!r} (choose from {', '.join(map(repr, choices))})"
+        raise self.error(words, f"argument {name}: {problem}")
+
+    def usage(self, words) -> str:
+        parts = ["singcat", *words, "[-h]"]
+        if words not in self.commands:
+            return " ".join(parts + ["{" + ",".join(self.choices[words]) + "}", "..."])
+        for entry in _COMMON + _COMMANDS[words][2]:
             if isinstance(entry, list):
-                group = p.add_mutually_exclusive_group(required=True)
-                for flags, keywords in entry:
-                    group.add_argument(*flags, **keywords)
+                parts.append("(" + " | ".join(_shown(*argument) for argument in entry) + ")")
             else:
-                p.add_argument(*entry[0], **entry[1])
-        p.set_defaults(handler=handler)
-    return parser
+                optional = entry[0][0] == "-" and not entry[1].get("required")
+                parts.append(f"[{_shown(*entry)}]" if optional else _shown(*entry))
+        return " ".join(parts)
 
+    def error(self, words, message: str) -> _UsageError:
+        prog = " ".join(("singcat", *words))
+        return _UsageError(f"usage: {self.usage(words)}\n{prog}: error: {message}\n")
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
-
-
-class _NotPlain(Exception):
-    """Input the fast paths leave to argparse or ``json.dumps``."""
-
-
-def _value(keywords: dict, word: str):
-    """The value argparse stores for ``word``: type conversion, then choices."""
-    try:
-        value = keywords.get("type", str)(word)
-    except ValueError:
-        raise _NotPlain from None
-    if value not in keywords.get("choices", (value,)):
-        raise _NotPlain
-    return value
-
-
-@functools.cache
-def _spec(words: tuple[str, ...]):
-    """What ``_plain`` reads of the command ``words``: its options by flag
-    as (dest, keywords, or None for ``store_true``), its positionals as
-    (dest, keywords), the dests of each required option and of the group,
-    exactly one of which must be given, and the namespace of defaults."""
-    handler, _, arguments = _COMMANDS[words]
-    options, positionals, one_of = {}, [], []
-    defaults = dict(zip(("module", "op"), words))
-    for entry in _COMMON + arguments:
-        exclusive = isinstance(entry, list)
-        dests = []
-        for flags, keywords in entry if exclusive else [entry]:
-            if not flags[0].startswith("-"):
-                positionals.append((flags[0], keywords))
-                continue
-            dest = flags[0].lstrip("-").replace("-", "_")
-            if keywords.get("action") == "store_true":
-                options.update(dict.fromkeys(flags, (dest, None)))
-                defaults[dest] = False
-            else:
-                options.update(dict.fromkeys(flags, (dest, keywords)))
-                defaults[dest] = keywords.get("default")
-            if exclusive or keywords.get("required"):
-                dests.append(dest)
-        if dests:
-            one_of.append(dests)
-    defaults["handler"] = handler
-    return options, positionals, one_of, defaults
-
-
-def _plain(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace ``_parser().parse_args(argv)`` builds, when ``argv`` is
-    a command of ``_COMMANDS`` followed by plain words only; otherwise None.
-
-    Plain words are exact option strings, each given once, a value word
-    after a ``store`` option that is non-empty and does not start with
-    ``-`` (or a ``--option=value`` word, whose value is taken verbatim), and
-    one word for each positional, such that every conversion and choice
-    passes, every required option is present and the mutually exclusive
-    group has exactly one member.  Help, abbreviations, ``--``, negative
-    numbers and every error are left to argparse.
-    """
-    words = tuple(argv[:2])
-    if words not in _COMMANDS:
-        words = words[:1]
-        if words not in _COMMANDS:
-            return None
-    options, positionals, one_of, defaults = _spec(words)
-    seen: dict = {}
-    given = []
-    rest = iter(argv[len(words):])
-    try:
-        for word in rest:
-            if word[:1] != "-":
-                if not word:
-                    return None
-                given.append(word)
-                continue
-            option = options.get(word)
-            if option is None:
-                name, _, value = word.partition("=")
-                option = options.get(name)
-                # argparse releases differ on an explicit "--" value
-                if option is None or option[1] is None or value == "--":
-                    return None
-            elif option[1] is not None:
-                value = next(rest, "")
-                if value[:1] in ("", "-"):
-                    return None
-            dest, keywords = option
-            if dest in seen:
-                return None
-            seen[dest] = True if keywords is None else _value(keywords, value)
-        if len(given) != len(positionals):
-            return None
-        for (dest, keywords), word in zip(positionals, given):
-            seen[dest] = _value(keywords, word)
-    except _NotPlain:
-        return None
-    for dests in one_of:
-        if sum(dest in seen for dest in dests) != 1:
-            return None
-    return argparse.Namespace(**{**defaults, **seen})
-
-
-def _is_shifts_flag(token: str) -> bool:
-    """``--shifts`` or an abbreviation of it (``--s`` and longer), which
-    argparse resolves to it alone."""
-    return len(token) > 2 and "--shifts".startswith(token)
-
-
-def _join_shift_windows(argv: list[str]) -> list[str]:
-    """Rewrite ``--shifts -2..2`` as ``--shifts=-2..2``, up to a ``--``.
-
-    argparse reads a separate token that starts with ``-`` and is no plain
-    negative number as an option, so the window needs the ``=`` form.  The
-    flag is kept as typed, so ``--shift -2..2`` becomes ``--shift=-2..2``.
-    """
-    joined: list[str] = []
-    for i, token in enumerate(argv):
-        if token == "--":
-            return joined + argv[i:]
-        if joined and _is_shifts_flag(joined[-1]) and _WINDOW_RE.fullmatch(token):
-            joined[-1] = f"{joined[-1]}={token}"
+    def help(self, words) -> types.SimpleNamespace:
+        """A namespace whose handler renders the help of ``words``: the usage
+        line, then each argument or each word that may follow, with its help."""
+        if words in self.commands:
+            rows = [(_shown(a[0], a[2]), a[2].get("help", "")) for a in self.commands[words][0]]
         else:
-            joined.append(token)
-    return joined
+            rows = [(_HELP[0], _HELP[2]["help"]), *self.choices[words].items()]
+        width = max(len(left) for left, _ in rows)
+        text = "\n".join([f"usage: {self.usage(words)}", ""] + [
+            f"  {left:<{width}}  {right}".rstrip() for left, right in rows
+        ])
+        return types.SimpleNamespace(handler=lambda _: (None, lambda: text, 0),
+                                     format="text", out=None)
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, without building argparse's parser
-    for a plain command line."""
-    return _plain(argv) or _parser().parse_args(argv)
+def build_parser() -> _Reader:
+    """A fresh reader of the command line; ``run()`` reads every request of
+    a process with one (``_parser()``), which keeps no request's state."""
+    return _Reader()
+
+
+@functools.cache
+def _parser() -> _Reader:
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
 # JSON output
+
+
+class _NotPlain(Exception):
+    """A value the JSON writer leaves to ``json.dumps``."""
+
 
 _QUOTE = json.encoder.encode_basestring  # the ensure_ascii=False quoting
 _SCALAR_LIST = {int: int.__repr__, str: _QUOTE}  # one join for such a list
@@ -811,10 +810,7 @@ def _json(payload) -> str:
 
 def run(argv) -> int:
     try:
-        args = _parse(_join_shift_windows(list(argv)))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _parser().parse(argv)
         payload, text, code = args.handler(args)
         rendered = _json(payload) if args.format == "json" else text()
         if args.out is None:
@@ -825,6 +821,9 @@ def run(argv) -> int:
         # the reader went away (``singcat ... | head``): stop quietly, with
         # the status a shell reports for a process ended by SIGPIPE
         return 141
+    except _UsageError as error:
+        sys.stderr.write(str(error))
+        return 2
     except SingcatError as err:
         sys.stderr.write(
             json.dumps({"error": err.diagnostic()}, ensure_ascii=False) + "\n"

@@ -101,17 +101,21 @@ class GradedQuiver:
     def __post_init__(self):
         # Check the fields in order and name a malformed one: distinct str
         # vertices, Arrows with str labels between them, and a translation
-        # that permutes the vertices.
+        # that permutes the vertices.  The sequences are kept as tuples, so
+        # a one-shot iterator keeps what it gave.
         def names():
-            found = {v for v in self.vertices if isinstance(v, str)}
-            if len(found) != len(self.vertices):  # a duplicate or not a str
+            given = tuple(self.vertices)
+            found = {v for v in given if isinstance(v, str)}
+            if len(found) != len(given):  # a duplicate or not a str
                 raise ValueError
+            object.__setattr__(self, "vertices", given)
             return found
 
         vertices = _field(names, "vertices", "a sequence of distinct strs", DGAError)
         by_source, by_ends = {}, {}
 
-        def check(arrows, index):
+        def check(field, index):
+            arrows = tuple(getattr(self, field))
             for a in arrows:
                 if not (isinstance(a, Arrow) and isinstance(a.label, str)
                         and a.source in vertices and a.target in vertices):
@@ -119,9 +123,10 @@ class GradedQuiver:
                 if index:
                     by_source.setdefault(a.source, []).append(a)
                     by_ends.setdefault((a.source, a.target), []).append(a)
+            object.__setattr__(self, field, arrows)
 
-        _field(lambda: check(self.solid, True), "solid", _ARROWS, DGAError)
-        _field(lambda: check(self.broken, False), "broken", _ARROWS, DGAError)
+        _field(lambda: check("solid", True), "solid", _ARROWS, DGAError)
+        _field(lambda: check("broken", False), "broken", _ARROWS, DGAError)
 
         def invert():
             inverse = {v: k for k, v in self.translation.items()}

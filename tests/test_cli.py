@@ -7,6 +7,8 @@ import enum
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import check_cli_dispatch
 import helpers
 from singcat import cli, nodal
 from singcat.cli import run, run_corpus
@@ -126,6 +127,8 @@ class TestExitCodes:
             (["dga", "emit", "A3\n", "odd"], "cannot parse ADE type 'A3\\n'"),
             (["nodal", "table", "--shifts", "0..1\n", "--maxlen", "1"],
              "cannot parse shift window '0..1\\n'"),
+            (["nodal", "table", "--shifts", "-1..1\n", "--maxlen", "1"],
+             "cannot parse shift window '-1..1\\n'"),
         ],
     )
     def test_a_trailing_newline_is_not_read(self, argv, message, capsys):
@@ -133,6 +136,14 @@ class TestExitCodes:
         code, out, err = invoke(capsys, argv)
         assert (code, out) == (1, "")
         assert stderr_error(err)["message"] == message
+
+    def test_a_usage_error_shows_the_command_usage(self, capsys):
+        code, out, err = invoke(capsys, ["nodal", "hom", "P+", "P-", "extra", "--x"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "usage: singcat nodal hom [-h] [--format {json,text}] [--out FILE] source target\n"
+            "singcat nodal hom: error: unrecognized arguments: extra --x\n"
+        )
 
     def test_only_the_fundamental_cycle_takes_a_seed(self, capsys):
         argv = ["gentle", "check", str(CORPUS / "illustrative.q"), "--seed", "3"]
@@ -217,6 +228,20 @@ class TestTextFormat:
         monkeypatch.chdir(CORPUS)
         assert invoke(capsys, argv + ["--format", "text"]) == (0, text, "")
 
+    def test_text_is_rendered_only_when_asked(self, monkeypatch, capsys):
+        rendered = []
+        serialize = cli.dga.serialize_graded_quiver
+
+        def counting(quiver):
+            rendered.append(quiver)
+            return serialize(quiver)
+
+        monkeypatch.setattr(cli.dga, "serialize_graded_quiver", counting)
+        assert invoke(capsys, ["dga", "emit", "A3", "odd"])[0] == 0
+        assert rendered == []
+        assert invoke(capsys, ["dga", "emit", "A3", "odd", "--format", "text"])[0] == 0
+        assert len(rendered) == 1
+
     def test_violations_and_no_factors_in_text(self, tmp_path, capsys):
         fanout = tmp_path / "fanout.q"
         fanout.write_text(NON_GENTLE, encoding="utf-8")
@@ -290,17 +315,12 @@ class TestOutFlag:
         assert list(tmp_path.iterdir()) == []
 
     def test_explicit_dash_dash_out_value(self, tmp_path, monkeypatch, capsys):
-        # argparse stores "--" under Python 3.13 and [], which names no file, under 3.11
+        # the word after --out, or after its "=", is the file name, whatever it is
         monkeypatch.chdir(tmp_path)
-        argv = ["nodal", "hom", "P+", "P-[-1]", "--out=--"]
-        stored = cli._parser().parse_args(argv).out
-        code, out, err = invoke(capsys, argv)
-        if stored == "--":
-            assert (code, out, err) == (0, "", "")
-            assert (tmp_path / "--").read_text(encoding="utf-8") == '{\n  "dim": 1\n}\n'
-        else:
-            assert (code, out) == (1, "")
-            assert stderr_error(err)["witness"] == {"path": stored}
+        for words in (["--out=--"], ["--out", "--"], ["--out", "-x"]):
+            assert invoke(capsys, ["nodal", "hom", "P+", "P-[-1]", *words]) == (0, "", "")
+            path = tmp_path / words[-1].removeprefix("--out=")
+            assert path.read_text(encoding="utf-8") == '{\n  "dim": 1\n}\n'
 
     def test_unwritable_out_path_diagnostic_is_pinned(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -337,7 +357,8 @@ class TestHomTable:
 
     @pytest.mark.parametrize(
         "shifts, needle",
-        [("4..1", "empty shift window"), ("abc", "cannot parse shift window")],
+        [("4..1", "empty shift window"), ("abc", "cannot parse shift window"),
+         ("-x", "cannot parse shift window")],
     )
     def test_bad_shift_windows(self, shifts, needle, capsys):
         argv = ["nodal", "table", "--shifts", shifts, "--maxlen", "2"]
@@ -362,14 +383,6 @@ class TestHomTable:
         joined = invoke(capsys, ["nodal", "table", "--shifts=-2..2", "--maxlen", "1"])
         assert spaced[0] == 0, spaced[2]
         assert spaced == joined
-
-    def test_only_windows_are_joined(self, capsys):
-        code, out, err = invoke(
-            capsys, ["nodal", "table", "--shifts", "-x", "--maxlen", "3"]
-        )
-        assert code == 2
-        assert out == ""
-        assert "--shifts: expected one argument" in err
 
     def test_window_bound_beyond_the_digit_limit(self, capsys):
         window = f"-{'9' * 5000}..2"
@@ -772,100 +785,187 @@ class TestParserReuse:
         assert (["surface", "--help"], 0) in [(argv, code) for argv, code, _, _ in reused]
 
 
-class TestLeafDispatch:
-    def test_dispatch_matches_the_full_parse(self, fresh_parser_cache):
-        argvs = check_cli_dispatch.requests() + [argv for _, argv in replay_requests()]
-        assert list(check_cli_dispatch.mismatches(argvs)) == []
-        routes = {check_cli_dispatch.route(argv) for argv in argvs}
-        assert routes == {"plain", "argparse"}
-
-    def test_shipped_commands_take_the_plain_route(self):
-        argvs = helpers.corpus_argvs() + check_cli_dispatch.readme_argvs()
-        assert {check_cli_dispatch.route(argv) for argv in argvs} == {"plain"}
-
-    def test_plain_requests_build_no_parser(
-        self, fresh_parser_cache, monkeypatch, capsys, tmp_path
-    ):
-        def refuse():
-            raise AssertionError("argparse ran")
-
-        monkeypatch.setattr(cli, "build_parser", refuse)
-        assert invoke(capsys, ["nodal", "hom", "P+", "P-[-1]", "--format=text"])[:2] == (
-            0, "1\n"
-        )
-        assert invoke(capsys, ["corpus", str(tmp_path), "--format", "text"])[:2] == (
-            0, "0 passed, 0 failed\n"
-        )
-        with pytest.raises(AssertionError, match="argparse ran"):
-            run(["nodal", "hom", "P+", "P-[-1]", "--form", "text"])
-
-    def test_usage_errors_come_from_argparse(self, capsys):
-        code, out, err = invoke(capsys, ["nodal", "hom", "P+", "P-", "extra", "--x"])
-        assert (code, out) == (2, "")
-        assert err.startswith("usage: singcat [-h]")
-        assert err.endswith("singcat: error: unrecognized arguments: extra --x\n")
-
-    def test_text_is_rendered_only_when_asked(self, fresh_parser_cache, monkeypatch, capsys):
-        rendered = []
-        serialize = cli.dga.serialize_graded_quiver
-
-        def counting(quiver):
-            rendered.append(quiver)
-            return serialize(quiver)
-
-        monkeypatch.setattr(cli.dga, "serialize_graded_quiver", counting)
-        assert invoke(capsys, ["dga", "emit", "A3", "odd"])[0] == 0
-        assert rendered == []
-        assert invoke(capsys, ["dga", "emit", "A3", "odd", "--format", "text"])[0] == 0
-        assert len(rendered) == 1
-
-
 # ---------------------------------------------------------------------------
-# plain match and JSON writer against argparse and json.dumps
-
-COMMANDS = sorted(cli._COMMANDS)
-VALUES = ["json", "text", "x", "3", "07", "-1", "-2..2", "0..1", "a.q", "1,2", "P+", "S+(1)"]
+# the grammar of the command table
 
 
 def table_arguments(words):
-    """(flags, keywords) of each argument the table declares for ``words``."""
+    """(name, keywords) of each argument the table declares for ``words``."""
     for entry in cli._COMMON + cli._COMMANDS[words][2]:
         yield from entry if isinstance(entry, list) else [entry]
 
 
-@st.composite
-def command_words(draw, words):
-    """Words for the command ``words``: one value per positional and a few
-    option chunks in any order.  The chunks draw on the command's option
-    strings, ``-h``, ``--help``, their abbreviations and ``=`` forms, values
-    with and without a leading ``-``, ``""`` and ``--``."""
-    arguments = list(table_arguments(words))
-    options = sorted(
-        flag for flags, _ in arguments for flag in flags if flag.startswith("-")
-    ) + ["--help", "-h"]
-    flags = options + [s[:n] for s in options if s.startswith("--") for n in range(3, len(s))]
-    value = st.sampled_from(VALUES + ["", "--"])
-    chunk = (
-        st.tuples(st.sampled_from(flags), value).map(list)
-        | st.builds("{}={}".format, st.sampled_from(flags), value).map(lambda w: [w])
-        | st.sampled_from(flags + VALUES + ["", "--", "-h"]).map(lambda w: [w])
-    )
-    positionals = sum(not flags[0].startswith("-") for flags, _ in arguments)
-    chunks = draw(st.lists(value.map(lambda w: [w]), min_size=positionals, max_size=positionals))
-    chunks += draw(st.lists(chunk, max_size=4))
-    return [word for chunk in draw(st.permutations(chunks)) for word in chunk]
+def assert_refused(code, out, err):
+    """Nothing on stdout, and a JSON diagnostic (exit 1) or a usage line and
+    an error line (exit 2) on stderr."""
+    assert out == ""
+    if code == 1:
+        stderr_error(err)
+    else:
+        assert code == 2
+        assert re.fullmatch(r"usage: singcat .*\nsingcat[^\n]*: error: .+\n", err, re.S), err
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_plain_parse_is_argparse_or_declines(data):
-    words = data.draw(st.sampled_from(COMMANDS))
-    argv = [*words, *data.draw(command_words(words))]
-    taken = check_cli_dispatch.plain(argv)
-    if taken is not None:
-        full = check_cli_dispatch.outcome(cli._parser().parse_args, argv)
-        assert (taken, None, "", "") == full
+def help_levels() -> dict:
+    """The names ``-h`` lists at each level: the words that may follow a
+    prefix of command words, in table order, and a command's arguments."""
+    levels = {}
+    for words in cli._COMMANDS:
+        for n in range(len(words)):
+            levels.setdefault(words[:n], {})[words[n]] = None
+        levels[words] = dict.fromkeys(name for name, _ in table_arguments(words))
+    return {words: list(names) for words, names in levels.items()}
 
+
+HELP_LEVELS = help_levels()
+
+
+@pytest.mark.parametrize(
+    "words, names", HELP_LEVELS.items(), ids=[" ".join(w) or "-" for w in HELP_LEVELS]
+)
+def test_help_lists_every_argument(words, names, capsys):
+    for flag in ("-h", "--help"):
+        code, out, err = invoke(capsys, [*words, flag])
+        assert (code, err) == (0, "")
+        assert out.startswith(" ".join(["usage: singcat", *words, "[-h] "]))
+        assert re.findall(r"^  (\S+)", out, re.M) == ["-h,", *names]
+
+
+def slot_cases():
+    """(command words, argument, README argv, index of its value) for each
+    argument that takes a value: a README line of the command that gives
+    the option, else the command's first line with the option added.  A
+    README line gives its positionals right after the command words."""
+    readme = [
+        [part for word in helpers.readme_argv(line)
+         for part in (word.split("=", 1) if word[:2] == "--" else [word])]
+        for line, _, _ in README_COMMANDS
+    ]
+    added = {"--format": "text", "--out": "out.txt"}
+    for words in cli._COMMANDS:
+        lines = [argv for argv in readme if tuple(argv[:len(words)]) == words]
+        positionals = 0
+        for name, keywords in table_arguments(words):
+            if name[0] != "-":
+                yield words, name, lines[0], len(words) + positionals
+                positionals += 1
+            elif not keywords.get("flag"):
+                giving = [argv for argv in lines if name in argv]
+                argv = giving[0] if giving else lines[0] + [name, added[name]]
+                yield words, name, argv, argv.index(name) + 1
+
+
+SLOT_CASES = list(slot_cases())
+
+
+@pytest.mark.parametrize(
+    "words, name, argv, at", SLOT_CASES, ids=[f"{' '.join(c[0])} {c[1]}" for c in SLOT_CASES]
+)
+def test_a_damaged_value_is_read_or_refused(words, name, argv, at, tmp_path, monkeypatch, capsys):
+    # a space before, a newline or tab after, a "-" before and, for an int,
+    # too many digits: the clean value's output or a refusal, never a traceback
+    (tmp_path / "corpus").symlink_to(CORPUS)
+    monkeypatch.chdir(tmp_path)
+    clean = invoke(capsys, argv)
+    assert clean[0] == 0, clean[2]
+    value = argv[at]
+    damaged = [" " + value, value + "\n", value + "\t", "-" + value]
+    if dict(table_arguments(words))[name].get("type") is int:
+        damaged.append("9" * 5000)
+    for word in damaged:
+        code, out, err = invoke(capsys, argv[:at] + [word] + argv[at + 1:])
+        if code == 0:
+            assert (out, err) == clean[1:], word
+        else:
+            assert_refused(code, out, err)
+
+
+# The exit code of each command line at the edges of the grammar, run where
+# no input file exists: arguments left over, unknown options, help at each
+# level, abbreviations, "--", missing and unknown command words, bad values,
+# "=" forms, repeats and words that start with "-".  The word after an
+# option is its value, so "--shifts -x" is a bad window (1) and "--out=--"
+# writes the file "--" (0).
+EDGE_CASES = """
+2 nodal hom P+ P- extra
+2 nodal hom P+ P- extra --x
+2 gentle compare a.q b.q c.q d.q
+2 corpus . extra
+2 surface cyclic 27 19 --bogus
+2 surface cyclic 27 19 --bogus=1 x
+2 gentle check a.q -x
+2 gentle check a.q --seed 3
+0 -h
+0 --help
+0 nodal -h
+0 surface --help
+0 nodal table -h
+0 dga emit A3 odd --help
+0 corpus -h
+0 nodal hom P+ P- --he
+0 nodal table --sh -2..2 --maxlen 1
+0 nodal table --shifts -2..2 --maxlen 1 --format text
+0 nodal table --shifts=-2..-1 --maxlen 2
+0 nodal table --s -2..2 --maxlen 1
+1 nodal table --shifts -x --maxlen 3
+2 nodal table --maxlen x --shifts=0..1
+0 nodal hom P+ P- --form text
+0 nodal hom -- P+ P-
+1 nodal hom P+ -- -P
+2 nodal table --maxlen 1 --shifts -- -2..2
+2 nodal -- hom P+ P-
+2 -- nodal hom P+ P-
+2
+2 nodal
+2 corpus
+2 gentle bogus
+2 bogus
+2 bogus hom
+2 nodal --format text hom P+ P-
+2 --format text nodal hom P+ P-
+2 gentle check
+2 gentle check --format xml a.q
+2 surface decompose g.graph --contract 1 --all-minus-two
+2 surface decompose g.graph
+1 surface fundamental t.graph --seed 3 --out z.json
+2 surface fundamental t.graph --seed x
+1 surface cyclic -5 3
+1 dga emit A3 -1
+2 nodal hom P+ P- --out
+0 nodal hom P+ P- --format=json
+2 nodal hom P+ P- --format=
+1 nodal hom P+ P- --out=
+0 nodal hom P+ P- --out=--
+0 nodal hom P+ P- --format text --format json
+2 surface decompose g.graph --all-minus-two=x
+1 surface decompose g.graph --all-minus-two --out d.json
+1 surface decompose --contract=1,2 g.graph
+1 surface fundamental t.graph --seed -1
+1 surface fundamental t.graph --seed=-1
+0 nodal table --shifts=0..1 --maxlen 07
+2 nodal table --shifts=0..1
+1 surface cyclic -27 19
+0 surface cyclic 27 19 --format text
+1 nodal hom '' P-
+2 nodal k0 'S+(1)' ''
+1 corpus corpus --format text --out c.txt
+""".strip().splitlines()
+
+
+@pytest.mark.parametrize("line", EDGE_CASES)
+def test_edge_case_exit_codes(line, tmp_path, monkeypatch, capsys):
+    expected, *argv = shlex.split(line)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(capsys, argv)
+    assert code == int(expected), err
+    if code:
+        assert_refused(code, out, err)
+    else:
+        assert err == ""
+
+
+# ---------------------------------------------------------------------------
+# JSON writer against json.dumps
 
 scalars = (
     st.none()

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from singcat.dg_auslander import GradedQuiver
+from singcat.dg_auslander import GradedQuiver, dg_auslander, serialize_graded_quiver
 from singcat.gentle import (
     CriticalCycle,
     GentleReport,
@@ -289,6 +289,15 @@ def test_path_checks_its_fields(arrows, source, target, field):
         assert list(info.value.witness) == [field]
 
 
+def test_graded_quiver_keeps_what_an_iterator_gives():
+    built = dg_auslander("A3", "odd")
+    fields = [built.family, built.rank, built.parity, built.vertices, built.solid, built.broken]
+    once = GradedQuiver(*fields[:3], *map(iter, fields[3:]), built.translation)
+    assert (once.vertices, once.solid, once.broken) == tuple(fields[3:])
+    assert once == built and repr(once) == repr(built)
+    assert serialize_graded_quiver(once) == serialize_graded_quiver(built)
+
+
 def test_post_init_state_is_kept():
     quiver = GradedQuiver("A", 1, "odd", ("1",), (), (), {"1": "1"})
     assert quiver._untranslate == {"1": "1"}
@@ -304,11 +313,23 @@ def loaded(statement: str) -> set[str]:
     return set(result.stdout.split())
 
 
+# a request, help and a usage error, read and answered in memory
+CLI_RUNS = """
+import contextlib, io
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [singcat.cli.run(argv) for argv in (["nodal", "hom", "P+", "P-"], ["-h"], ["bogus"])]
+assert codes == [0, 0, 2], codes
+"""
+
+
 @pytest.mark.parametrize("target", ["singcat.cli", "singcat"])
 def test_import_skips_heavy_modules(target):
     """``dataclasses`` (which pulls in ``inspect``, ``ast``, ``dis`` and
     ``tokenize``) and ``fractions`` (with ``decimal``) cost milliseconds on
-    every start, and no command needs them up front."""
-    added = loaded(f"import {target}") - loaded("pass")
+    every start, and no command needs them up front; the command line is
+    read, and its help and usage errors written, without ``argparse`` and
+    ``gettext``."""
+    statement = f"import {target}" + (CLI_RUNS if target == "singcat.cli" else "")
+    added = loaded(statement) - loaded("pass")
     assert target in added
-    assert not {"dataclasses", "inspect", "fractions"} & added
+    assert not {"dataclasses", "inspect", "fractions", "argparse", "gettext"} & added
