@@ -21,7 +21,9 @@ from __future__ import annotations
 import re
 from functools import partial
 
-from .quiver import Arrow, SingcatError, _expect, _field, _read_int, _record
+from .quiver import (
+    Arrow, SingcatError, _MALFORMED, _expect, _field_error, _read_int, _record,
+)
 from .surface import ADEType
 
 
@@ -86,8 +88,8 @@ class GradedQuiver:
     """Vertices, degree-0 solid arrows, degree -1 broken arrows, translation.
 
     The constructor is the one way in, for the built-in tables too: it
-    checks every field and, in the walk that checks the solid arrows,
-    indexes them by source and by ends for the mesh differential.
+    checks every field, then indexes the solid arrows by source and by
+    ends for the mesh differential.
     """
 
     family: str
@@ -99,42 +101,35 @@ class GradedQuiver:
     translation: dict[str, str]
 
     def __post_init__(self):
-        # Check the fields in order and name a malformed one: distinct str
-        # vertices, Arrows with str labels between them, and a translation
-        # that permutes the vertices.  The sequences are kept as tuples, so
-        # a one-shot iterator keeps what it gave.
-        def names():
+        # Check the fields in order and name the first malformed one:
+        # distinct str vertices, Arrows with str labels between them, and a
+        # translation that permutes the vertices.  The sequences are kept as
+        # tuples, so a one-shot iterator keeps what it gave.
+        field, shape = "vertices", "a sequence of distinct strs"
+        try:
             given = tuple(self.vertices)
-            found = {v for v in given if isinstance(v, str)}
-            if len(found) != len(given):  # a duplicate or not a str
+            vertices = {v for v in given if isinstance(v, str)}
+            if len(vertices) != len(given):  # a duplicate or not a str
                 raise ValueError
             object.__setattr__(self, "vertices", given)
-            return found
-
-        vertices = _field(names, "vertices", "a sequence of distinct strs", DGAError)
-        by_source, by_ends = {}, {}
-
-        def check(field, index):
-            arrows = tuple(getattr(self, field))
-            for a in arrows:
-                if not (isinstance(a, Arrow) and isinstance(a.label, str)
-                        and a.source in vertices and a.target in vertices):
-                    raise ValueError
-                if index:
-                    by_source.setdefault(a.source, []).append(a)
-                    by_ends.setdefault((a.source, a.target), []).append(a)
-            object.__setattr__(self, field, arrows)
-
-        _field(lambda: check("solid", True), "solid", _ARROWS, DGAError)
-        _field(lambda: check("broken", False), "broken", _ARROWS, DGAError)
-
-        def invert():
-            inverse = {v: k for k, v in self.translation.items()}
-            if self.translation.keys() != vertices or inverse.keys() != vertices:
+            shape = _ARROWS
+            for field in ("solid", "broken"):
+                arrows = tuple(getattr(self, field))
+                for a in arrows:
+                    if not (isinstance(a, Arrow) and isinstance(a.label, str)
+                            and a.source in vertices and a.target in vertices):
+                        raise ValueError
+                object.__setattr__(self, field, arrows)
+            field, shape = "translation", "a dict of vertex names"
+            untranslate = {v: k for k, v in self.translation.items()}
+            if self.translation.keys() != vertices or untranslate.keys() != vertices:
                 raise ValueError
-            return inverse
-
-        untranslate = _field(invert, "translation", "a dict of vertex names", DGAError)
+        except _MALFORMED:
+            raise _field_error(field, shape, DGAError) from None
+        by_source, by_ends = {}, {}
+        for a in self.solid:
+            by_source.setdefault(a.source, []).append(a)
+            by_ends.setdefault((a.source, a.target), []).append(a)
         object.__setattr__(self, "_solid_from", by_source)
         object.__setattr__(self, "_solid_between", by_ends)
         object.__setattr__(self, "_untranslate", untranslate)
@@ -157,14 +152,11 @@ def _alpha_star(i: int) -> str:
 def _finish(family, rank, parity, vertices, solid, tau) -> GradedQuiver:
     """The quiver of a table over int vertices, checked and indexed by
     ``GradedQuiver`` like any other."""
-    names = tuple([str(v) for v in vertices])
-    translation = {str(v): str(tau[v]) for v in vertices}
-    broken = tuple(
-        [Arrow(f"ρ_{v}", str(v), translation[str(v)]) for v in vertices]
-    )
-    solid_arrows = tuple(
-        [Arrow(lab, str(src), str(tgt)) for lab, src, tgt in solid]
-    )
+    text = {v: str(v) for v in vertices}  # each str(v) once
+    names = tuple(text.values())
+    translation = {text[v]: text[tau[v]] for v in vertices}
+    broken = tuple([Arrow(f"ρ_{v}", v, translation[v]) for v in names])
+    solid_arrows = tuple([Arrow(lab, text[src], text[tgt]) for lab, src, tgt in solid])
     return GradedQuiver(family, rank, parity, names, solid_arrows, broken, translation)
 
 
@@ -324,23 +316,22 @@ def k0_rank(quiver: GradedQuiver) -> int:
 # ---------------------------------------------------------------------------
 # mesh differential
 
-_LABEL_RE = re.compile(r"α_([0-9]+)(\*?)")  # used with fullmatch
-
-
 def _label_key(label: str) -> tuple[tuple, int]:
-    """(number, star): the number of α_k or α_k* is k, compared as its
-    digits without leading zeros (shorter first, then digit by digit), and
-    any other label's number follows every α label's."""
-    m = _LABEL_RE.fullmatch(label)
-    if m:
-        digits = m.group(1).lstrip("0")
-        return (0, len(digits), digits), len(m.group(2))
+    """(number, star): the number of α_k or α_k*, k in the digits 0-9, is
+    k, compared as its digits without leading zeros (shorter first, then
+    digit by digit), and any other label's number follows every α label's."""
+    if label[:2] == "α_":
+        star = 1 if label[-1] == "*" else 0
+        digits = label[2:len(label) - star]
+        if digits.isascii() and digits.isdigit():
+            digits = digits.lstrip("0")
+            return (0, len(digits), digits), star
     return (1,), 0
 
 
-def _term_key(term: tuple[str, str], label_key=_label_key):
-    """Display order: 2-cycles α_k α_k* first, by k; then the rest, by the
-    label keys of their two labels."""
+def _term_key(label_key, term: tuple[str, str]):
+    """Display order, given the label keys: 2-cycles α_k α_k* first, by k;
+    then the rest, by the label keys of their two labels."""
     (ka, sa), (kb, sb) = label_key(term[0]), label_key(term[1])
     if ka == kb and sa != sb:
         return (0, ka, sa)
@@ -349,10 +340,10 @@ def _term_key(term: tuple[str, str], label_key=_label_key):
 
 def _mesh(quiver: GradedQuiver, vertex: str, key) -> tuple[tuple[str, str], ...]:
     """The mesh sum at a vertex of the quiver, its terms sorted by ``key``."""
-    target = quiver._untranslate[vertex]
+    target, between = quiver._untranslate[vertex], quiver._solid_between
     terms = []
     for a in quiver._solid_from.get(vertex, ()):
-        partners = quiver._solid_between.get((a.target, target), ())
+        partners = between.get((a.target, target), ())
         if len(partners) != 1:
             raise DGAError(
                 f"mesh at {vertex} is not uniquely completable through "
@@ -365,7 +356,8 @@ def _mesh(quiver: GradedQuiver, vertex: str, key) -> tuple[tuple[str, str], ...]
                 },
             )
         terms.append((a.label, partners[0].label))
-    terms.sort(key=key)
+    if len(terms) > 1:
+        terms.sort(key=key)
     return tuple(terms)
 
 
@@ -385,7 +377,7 @@ def mesh_image(quiver: GradedQuiver, vertex: str) -> tuple[tuple[str, str], ...]
             precondition="vertex belongs to the quiver",
             witness={"vertex": vertex},
         )
-    return _mesh(quiver, vertex, _term_key)
+    return _mesh(quiver, vertex, partial(_term_key, _label_key))
 
 
 def differential(quiver: GradedQuiver) -> dict[str, tuple[tuple[str, str], ...]]:
@@ -398,7 +390,7 @@ def differential(quiver: GradedQuiver) -> dict[str, tuple[tuple[str, str], ...]]
     diff = quiver._differential
     if diff is None:
         keys = {a.label: _label_key(a.label) for a in quiver.solid}  # once per label
-        key = partial(_term_key, label_key=keys.__getitem__)
+        key = partial(_term_key, keys.__getitem__)
         diff = {rho.label: _mesh(quiver, rho.source, key) for rho in quiver.broken}
         object.__setattr__(quiver, "_differential", diff)
     return dict(diff)
@@ -412,10 +404,10 @@ def _render_term(term: tuple[str, str]) -> str:
 
 
 def render_sum(terms) -> str:
-    rendered = _field(
-        lambda: " + ".join(map(_render_term, terms)),
-        "terms", "an iterable of (str, str) pairs", DGAError,
-    )
+    try:
+        rendered = " + ".join(map(_render_term, terms))
+    except _MALFORMED:
+        raise _field_error("terms", "an iterable of (str, str) pairs", DGAError) from None
     return rendered or "0"
 
 

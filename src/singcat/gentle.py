@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .quiver import Presentation, QuiverError, _expect, _field, _record
+from .quiver import Presentation, QuiverError, _MALFORMED, _expect, _field_error, _record
 
 
 @_record
@@ -79,19 +79,56 @@ def check_gentle(pres: Presentation) -> GentleReport:
     return GentleReport(not violations, tuple(violations))
 
 
+def _is_gentle(pres: Presentation) -> bool:
+    """Whether ``check_gentle`` would find no violation, read from the index.
+
+    Once G1 and G3 hold, an arrow into v has at most two arrows after it and
+    at most one relation successor among them, so G4 fails after it exactly
+    when v has two outgoing arrows and the arrow has no relation successor;
+    dually before an arrow out of a vertex with two incoming arrows.
+    """
+    outgoing, incoming = pres.outgoing, pres.incoming
+    successors, predecessors = pres.successors, pres.predecessors
+    out_degree = max(map(len, outgoing.values()), default=0)
+    in_degree = max(map(len, incoming.values()), default=0)
+    if (
+        out_degree > 2 or in_degree > 2
+        or max(map(len, successors.values()), default=0) > 1
+        or max(map(len, predecessors.values()), default=0) > 1
+    ):
+        return False
+    if out_degree == 2:
+        for v, after in outgoing.items():
+            if len(after) == 2:
+                for a in incoming[v]:
+                    if a.label not in successors:
+                        return False
+    if in_degree == 2:
+        for v, before in incoming.items():
+            if len(before) == 2:
+                for a in outgoing[v]:
+                    if a.label not in predecessors:
+                        return False
+    return True
+
+
 def _require_gentle(pres: Presentation) -> None:
+    """Refuse ``pres`` unless it is gentle; the refusal's witness lists the
+    whole report, which is built only then."""
+    _expect(pres, Presentation, "presentation")
+    if _is_gentle(pres):
+        return
     report = check_gentle(pres)
-    if not report.is_gentle:
-        first = report.violations[0]
-        raise QuiverError(
-            f"presentation is not gentle: {first.condition} fails at "
-            f"{first.location} ({first.detail})",
-            precondition="gentle presentation",
-            witness=[
-                {"condition": w.condition, "location": w.location, "detail": w.detail}
-                for w in report.violations
-            ],
-        )
+    first = report.violations[0]
+    raise QuiverError(
+        f"presentation is not gentle: {first.condition} fails at "
+        f"{first.location} ({first.detail})",
+        precondition="gentle presentation",
+        witness=[
+            {"condition": w.condition, "location": w.location, "detail": w.detail}
+            for w in report.violations
+        ],
+    )
 
 
 @_record
@@ -108,11 +145,15 @@ class CriticalCycle:
     arrows: tuple[str, ...]
 
     def __post_init__(self):
-        def build():
-            display = tuple(reversed(self.arrows))
-            return display, "".join(display)
-
-        display, joined = _field(build, "arrows", "a sequence of arrow labels")
+        arrows = self.arrows
+        try:
+            if type(arrows) is not tuple:  # a list or an iterator, kept as a tuple
+                arrows = tuple(arrows)
+                object.__setattr__(self, "arrows", arrows)
+            display = arrows[::-1]
+            joined = "".join(display)
+        except _MALFORMED:
+            raise _field_error("arrows", "a sequence of arrow labels") from None
         # every label is one character exactly when none is empty and the
         # joined labels are as many characters as there are labels
         short = len(joined) == len(display) and "" not in display
@@ -179,8 +220,10 @@ def _radical_walk(pres: Presentation, cycle: CriticalCycle, first: str) -> Strin
     walk: list[str] = []
     used: set[str] = set()
     while True:
-        arrow = next((b for b in outgoing[at] if (prev, b.label) not in rel), None)
-        if arrow is None:
+        for arrow in outgoing[at]:
+            if (prev, arrow.label) not in rel:
+                break
+        else:
             break
         step = arrow.label
         if step in used:
@@ -204,10 +247,10 @@ def radical_embeddings(
     by_label = pres._by_label
     out: dict[tuple[CriticalCycle, str], StringModule] = {}
     for cycle in critical_cycles(pres):
+        sources: set[str] = set()
         for label in cycle.arrows:
             source = by_label[label].source
-            key = (cycle, source)
-            if key in out:
+            if source in sources:
                 raise QuiverError(
                     f"cycle {cycle.name} passes through vertex "
                     f"{source!r} twice; its radical strings are "
@@ -215,7 +258,8 @@ def radical_embeddings(
                     precondition="critical cycle visits each vertex once",
                     witness={"cycle": cycle.name, "vertex": source},
                 )
-            out[key] = _radical_walk(pres, cycle, label)
+            sources.add(source)
+            out[cycle, source] = _radical_walk(pres, cycle, label)
     return out
 
 

@@ -227,16 +227,26 @@ def _check_name(name: str, kind: str):
     )
 
 
+# what reading a malformed argument raises, and ``_field`` refuses by name
+_MALFORMED = (TypeError, ValueError, AttributeError, LookupError)
+
+
+def _field_error(field: str, shape: str, error: type = QuiverError) -> SingcatError:
+    """The refusal of the argument ``field``, which is not ``shape``, as
+    ``error``; a hot path raises it from its own ``except _MALFORMED``."""
+    return error(
+        f"{field} is not {shape}",
+        precondition=f"{field} is {shape}",
+        witness={"field": field},
+    )
+
+
 def _field(build, field: str, shape: str, error: type = QuiverError):
     """Run ``build`` and report a malformed argument by name, as ``error``."""
     try:
         return build()
-    except (TypeError, ValueError, AttributeError, LookupError):
-        raise error(
-            f"{field} is not {shape}",
-            precondition=f"{field} is {shape}",
-            witness={"field": field},
-        ) from None
+    except _MALFORMED:
+        raise _field_error(field, shape, error) from None
 
 
 def _expect_text(text, error: type) -> None:

@@ -229,11 +229,29 @@ def test_leading_zeros_do_not_change_the_number():
     assert differential(q) == helpers.scan_mesh_differential(q)
 
 
-@pytest.mark.parametrize("label", ["α_", "α_*", "α_1**", "α_٣", "α_1 ", "a_1", "α_-1"])
+@pytest.mark.parametrize(
+    "label", ["α_", "α_*", "α_1**", "α__1", "α_٣", "α_٣*", "α_１", "α_1 ", "a_1", "α_-1"]
+)
 def test_labels_that_are_not_alpha_k_sort_as_plain_labels(label):
     assert helpers._mesh_label_key(label) == ((1,), 0)
     q = identity_quiver((label, "1", "2"), ("y", "2", "1"), ("α_7*", "1", "3"), ("x", "3", "1"))
     assert mesh_image(q, "1") == (("α_7*", "x"), (label, "y"))
+    assert differential(q) == helpers.scan_mesh_differential(q)
+
+
+def test_edge_labels_in_one_mesh_sort_as_the_oracle_sorts_them():
+    # every label at the edge of α_k and α_k* in one mesh sum, each with a
+    # plain partner, and α_1 α_01* as the 2-cycle of the number 1
+    long = "α_" + "7" * 5000
+    edge = ["α_", "α_*", "α_1**", "α__1", "α_٣", "α_٣*", "α_１", long, long + "*", "α_9", "α_10"]
+    solid = [(label, "0", f"{i}") for i, label in enumerate(edge, 1)]
+    solid += [(f"z{i}", f"{i}", "0") for i in range(1, len(edge) + 1)]
+    solid += [("α_1", "0", "x"), ("α_01*", "x", "0")]
+    q = identity_quiver(*solid)
+    terms = mesh_image(q, "0")
+    assert terms == tuple(sorted(terms, key=helpers._mesh_term_key))
+    assert terms[0] == ("α_1", "α_01*")
+    assert [first for first, _ in terms[1:5]] == ["α_9", "α_10", long, long + "*"]
     assert differential(q) == helpers.scan_mesh_differential(q)
 
 

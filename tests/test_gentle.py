@@ -72,6 +72,26 @@ def _violation_tuples(pres):
     return tuple((v.condition, v.location, v.detail) for v in report.violations)
 
 
+def _assert_refused_exactly_when_scanned(pres):
+    """The kernels decide gentleness before any report is built: each
+    refuses ``pres`` as not gentle exactly when the scan finds a violation,
+    and the refusal's witness lists that scan."""
+    scanned = [
+        {"condition": c, "location": at, "detail": detail}
+        for c, at, detail in helpers.scan_gentle_violations(pres)
+    ]
+    for kernel in (critical_cycles, singularity_category, gorenstein_projectives):
+        try:
+            kernel(pres)
+        except QuiverError as error:
+            # a gentle presentation may still be refused for another reason
+            refused = error.precondition == "gentle presentation"
+            assert not refused or error.witness == scanned, kernel.__name__
+        else:
+            refused = False
+        assert refused == bool(scanned), kernel.__name__
+
+
 def _three_cycles(k: int):
     """k disjoint 3-cycles with every composite zero (gentle)."""
     vertices, arrows, relations = [], [], []
@@ -120,6 +140,7 @@ class TestGentleOracle:
             )
         pres = Presentation(vertices, arrows, relations)
         assert _violation_tuples(pres) == helpers.scan_gentle_violations(pres)
+        _assert_refused_exactly_when_scanned(pres)
 
     @pytest.mark.parametrize("kind", ["G1", "G3", "G4"])
     @pytest.mark.parametrize("k", [1, 2, 7])
@@ -128,6 +149,7 @@ class TestGentleOracle:
         got = _violation_tuples(pres)
         assert got == helpers.scan_gentle_violations(pres)
         assert kind in {condition for condition, _, _ in got}
+        _assert_refused_exactly_when_scanned(pres)
 
     def test_fixtures_match_the_scan(self):
         for pres in (
@@ -138,6 +160,7 @@ class TestGentleOracle:
             Presentation(*_three_cycles(5)),
         ):
             assert _violation_tuples(pres) == helpers.scan_gentle_violations(pres)
+            _assert_refused_exactly_when_scanned(pres)
 
 
 class TestCriticalCycles:
@@ -193,7 +216,16 @@ class TestCriticalCycles:
         cycle = CriticalCycle(arrows)
         assert (cycle.display, cycle.name) == (display, name)
 
-    @pytest.mark.parametrize("arrows", [None, 5, ("a", 1)])
+    def test_a_cycle_keeps_its_labels_as_a_tuple(self):
+        # a list or a one-shot iterator gives the record a tuple would
+        built = [CriticalCycle(arrows) for arrows in (("b", "a"), ["b", "a"], iter(["b", "a"]))]
+        for cycle in built:
+            assert cycle == built[0] and hash(cycle) == hash(built[0])
+            assert cycle.arrows == ("b", "a")
+            assert (cycle.display, cycle.name) == (("a", "b"), "ab")
+        assert len(set(built)) == 1
+
+    @pytest.mark.parametrize("arrows", [None, 5, ("a", 1), ["a", None], iter(["a", 1])])
     def test_cycle_of_non_labels_is_refused(self, arrows):
         with pytest.raises(QuiverError) as info:
             CriticalCycle(arrows)
