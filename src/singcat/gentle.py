@@ -27,6 +27,7 @@ class GentleViolation:
 class GentleReport:
     is_gentle: bool
     violations: tuple[GentleViolation, ...]
+    _tuples = {"violations": "a sequence of gentle violations"}
 
 
 def _multiple(condition: str, label: str, kind: str, labels: list[str]) -> GentleViolation:
@@ -143,14 +144,11 @@ class CriticalCycle:
     """
 
     arrows: tuple[str, ...]
+    _tuples = {"arrows": "a sequence of arrow labels"}
 
     def __post_init__(self):
-        arrows = self.arrows
         try:
-            if type(arrows) is not tuple:  # a list or an iterator, kept as a tuple
-                arrows = tuple(arrows)
-                object.__setattr__(self, "arrows", arrows)
-            display = arrows[::-1]
+            display = self.arrows[::-1]
             joined = "".join(display)
         except _MALFORMED:
             raise _field_error("arrows", "a sequence of arrow labels") from None
@@ -206,6 +204,7 @@ class StringModule:
 
     top: str
     arrows: tuple[str, ...]
+    _tuples = {"arrows": "a sequence of arrow labels"}
 
     @property
     def is_simple(self) -> bool:
@@ -283,6 +282,10 @@ class SingularityDecomposition:
 
     factors: tuple[int, ...]
     cycle_of_factor: tuple[CriticalCycle, ...]
+    _tuples = {
+        "factors": "a sequence of block lengths",
+        "cycle_of_factor": "a sequence of critical cycles",
+    }
 
 
 def singularity_category(pres: Presentation) -> SingularityDecomposition:
@@ -298,6 +301,10 @@ class InvariantComparison:
     compatible: bool
     only_first: tuple[int, ...]
     only_second: tuple[int, ...]
+    _tuples = {
+        "only_first": "a sequence of block lengths",
+        "only_second": "a sequence of block lengths",
+    }
 
 
 def compare_invariant(

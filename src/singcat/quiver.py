@@ -99,6 +99,11 @@ def _reduce(self):
     return self.__class__, tuple([getattr(self, f) for f in self._fields])
 
 
+def _as_tuple(value, field: str, shape: str) -> tuple:
+    """``tuple(value)`` for the record field ``field``, refused by name."""
+    return _field(lambda: tuple(value), field, shape)
+
+
 def _record(cls):
     """Class decorator: a frozen value class over the annotated fields.
 
@@ -114,21 +119,31 @@ def _record(cls):
     prints ``Name(field=value, ...)``, and ``__reduce__`` rebuilds an
     instance from its fields, so a copy or an unpickled record passes
     ``__init__`` again.  Assigning or deleting an attribute raises
-    ``FrozenRecordError``; ``_fields`` names the fields in order.
+    ``FrozenRecordError``; ``_fields`` names the fields in order.  A class
+    may map fields to their shapes in ``_tuples``: ``__init__`` stores such
+    a field as ``tuple(value)`` when given anything but a tuple, so a list
+    or an iterator hashes and compares like the tuple it holds, and refuses
+    a value that does not iterate as "<field> is not <shape>".
     """
     fields = tuple(cls.__dict__.get("__annotations__", ()))
+    tuples = cls.__dict__.get("_tuples", {})
     names = {f"_d_{f}": cls.__dict__[f] for f in fields if f in cls.__dict__}
     namespace = {
         k: v for k, v in cls.__dict__.items()
-        if k not in fields and k not in ("__dict__", "__weakref__")
+        if k not in fields and k not in ("__dict__", "__weakref__", "_tuples")
     }
     post_init = hasattr(cls, "__post_init__")
     namespace["__slots__"] = fields + (("__dict__",) if post_init else ())
     namespace["__qualname__"] = cls.__qualname__
     cls = type(cls)(cls.__name__, cls.__bases__, namespace)
-    names.update({f"_set_{f}": cls.__dict__[f].__set__ for f in fields})
+    names.update({f"_set_{f}": cls.__dict__[f].__set__ for f in fields}, _as_tuple=_as_tuple)
     params = "".join(f", {f}=_d_{f}" if f"_d_{f}" in names else f", {f}" for f in fields)
-    body = "".join(f"\n    _set_{f}(self, {f})" for f in fields)
+    body = "".join(
+        f"\n    _set_{f}(self, {f} if {f}.__class__ is tuple"
+        f" else _as_tuple({f}, {f!r}, {tuples[f]!r}))"
+        if f in tuples else f"\n    _set_{f}(self, {f})"
+        for f in fields
+    )
     if post_init:
         body += "\n    self.__post_init__()"
     mine = "".join(f"self.{f}, " for f in fields)

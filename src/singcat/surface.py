@@ -21,7 +21,6 @@ no floating point.
 
 from __future__ import annotations
 
-import random
 import re
 from itertools import islice
 from math import gcd
@@ -34,6 +33,7 @@ from .quiver import (
 
 if TYPE_CHECKING:
     from fractions import Fraction
+    from random import Random
 
 
 class SurfaceError(SingcatError):
@@ -338,39 +338,41 @@ def _laufer(
     vertices: Sequence[str],
     adjacency: Mapping[str, Sequence[str]],
     weights: Mapping[str, int],
-    rng: random.Random | None,
+    rng: Random | None,
 ) -> dict[str, int]:
     """Laufer's increment loop from Z = (1, ..., 1), driven by a worklist.
 
-    ``excess[v]`` is Z·E_v for the current Z, and ``pending`` lists exactly
-    the curves with ``excess > 0``.  A step raises one pending curve v by 1,
-    which adds w_v to its own excess and 1 to each neighbour's, so only v
-    and its neighbours can change state: a step costs O(deg v).  ``rng``
-    picks the curve uniformly from ``pending``, a list built in vertex and
+    Each curve v owns one cell, ``[Z·E_v, z_v, w_v, neighbours of v]``,
+    and ``cells`` maps v to it in vertex order.  ``pending`` lists exactly
+    the cells whose first slot is positive.  A step raises one pending
+    curve v by 1 in its own cell, which adds w_v to its Z·E_v and 1 to
+    each neighbour's, reached by one ``cells[u]`` lookup; only v and its
+    neighbours can change state, so a step still costs O(deg v).  ``rng``
+    picks the cell uniformly from ``pending``, a list built in vertex and
     adjacency order, so a seed gives the same run whatever the hash seed.
 
     The caller passes a validated ``DualGraph``'s fields: on its negative
     definite form every order of raises reaches the same Z (the minimal
-    anti-nef cycle) after Σz − n steps, so the step count does not depend
-    on ``rng``.  On other input the loop need not stop.
+    anti-nef cycle) after Σz − n steps in all, so the step count does not
+    depend on ``rng``.  On other input the loop need not stop.
     """
-    z = {v: 1 for v in vertices}
-    excess = {v: weights[v] + len(adjacency[v]) for v in vertices}
-    pending = [v for v in vertices if excess[v] > 0]
+    cells = {v: [weights[v] + len(adjacency[v]), 1, weights[v], adjacency[v]] for v in vertices}
+    pending = [cell for cell in cells.values() if cell[0] > 0]
     while pending:
         if rng is not None:
             i = rng.randrange(len(pending))
             pending[i], pending[-1] = pending[-1], pending[i]
-        v = pending.pop()
-        z[v] += 1
-        excess[v] += weights[v]
-        for u in adjacency[v]:
-            excess[u] += 1
-            if excess[u] == 1:
-                pending.append(u)
-        if excess[v] > 0:
-            pending.append(v)
-    return z
+        cell = pending.pop()
+        cell[1] += 1
+        cell[0] += cell[2]
+        for u in cell[3]:
+            near = cells[u]
+            near[0] += 1
+            if near[0] == 1:
+                pending.append(near)
+        if cell[0] > 0:
+            pending.append(cell)
+    return {v: cell[1] for v, cell in cells.items()}
 
 
 def fundamental_cycle(graph: DualGraph, seed: int | None = None) -> dict[str, int]:
@@ -380,13 +382,17 @@ def fundamental_cycle(graph: DualGraph, seed: int | None = None) -> dict[str, in
     randomizes that choice so callers can confirm it.
     """
     _expect(graph, DualGraph, "graph", SurfaceError)
-    if seed is not None and type(seed) is not int:
-        raise SurfaceError(
-            f"expected None or an int as seed, got {type(seed).__name__}",
-            precondition="seed is None or an int",
-            witness={"seed": repr(seed)},
-        )
-    rng = None if seed is None else random.Random(seed)
+    rng = None
+    if seed is not None:
+        if type(seed) is not int:
+            raise SurfaceError(
+                f"expected None or an int as seed, got {type(seed).__name__}",
+                precondition="seed is None or an int",
+                witness={"seed": repr(seed)},
+            )
+        from random import Random  # here, so importing singcat skips it
+
+        rng = Random(seed)
     return _laufer(graph.vertices, graph.adjacency, graph.weights, rng)
 
 

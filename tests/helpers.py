@@ -10,6 +10,7 @@ code evaluated twice.
 from __future__ import annotations
 
 import json
+import random
 import re
 import shlex
 from fractions import Fraction
@@ -923,6 +924,41 @@ def oracle_laufer(vertices, adjacency, weights) -> dict:
         if not violators:
             return z
         z[violators[0]] += 1
+
+
+def near_degenerate_tree(seed: int, n: int):
+    """Seeded (vertices, edges, weights) of a negative definite tree on n
+    curves, weights mostly -2, whose fundamental cycle needs at least 20n
+    raises of ``oracle_laufer``: a long walk for Laufer's loop.
+
+    Random trees (curve i > 0 hangs below a curve before it) are drawn until
+    one passes.  Eliminating leaf first, from the last curve to the root,
+    gives one pivot per curve; all of them are negative on a definite form,
+    and a root pivot just below zero marks a nearly singular one, whose
+    fundamental cycle tends to be large.  Float pivots screen the draws
+    (root above -0.06); ``oracle_negative_definite`` then decides
+    definiteness exactly, and ``oracle_laufer`` counts the raises.
+    """
+    rng = random.Random(seed)
+    vertices = [f"c{i}" for i in range(n)]
+    while True:
+        parent = [rng.randrange(i) for i in range(1, n)]
+        w = [-2 if rng.random() < 0.8 else -3 for _ in range(n)]
+        pivots = [float(x) for x in w]
+        for i in range(n - 1, 0, -1):
+            if pivots[i] >= 0:
+                break
+            pivots[parent[i - 1]] -= 1 / pivots[i]
+        else:
+            if not -0.06 < pivots[0] < 0.01:
+                continue
+            edges = [(vertices[p], vertices[i]) for i, p in enumerate(parent, 1)]
+            weights = dict(zip(vertices, w))
+            if not oracle_negative_definite(intersection_matrix(vertices, edges, weights)):
+                continue
+            z = oracle_laufer(vertices, adjacency_of(vertices, edges), weights)
+            if sum(z.values()) - n >= 20 * n:
+                return vertices, edges, weights
 
 
 # ---------------------------------------------------------------------------

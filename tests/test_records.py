@@ -2,7 +2,7 @@
 
 Their reprs, equality, hashing, construction and immutability match the
 frozen dataclasses they replace, and importing singcat loads neither
-``dataclasses`` nor ``fractions``.
+``dataclasses`` nor ``fractions`` nor ``random``.
 """
 
 from __future__ import annotations
@@ -11,9 +11,11 @@ import copy
 import pickle
 import subprocess
 import sys
+from pathlib import Path as FilePath
 
 import pytest
 
+import singcat
 from singcat.dg_auslander import GradedQuiver, dg_auslander, serialize_graded_quiver
 from singcat.gentle import (
     CriticalCycle,
@@ -298,27 +300,66 @@ def test_graded_quiver_keeps_what_an_iterator_gives():
     assert serialize_graded_quiver(once) == serialize_graded_quiver(built)
 
 
+# the sequence fields ``_record`` keeps as tuples, one record per field
+_CYCLES = (CriticalCycle(("a", "b")), CriticalCycle(("c",)))
+TUPLE_FIELDS = [
+    (_CYCLES[0], "arrows"),
+    (StringModule("1", ("a", "b")), "arrows"),
+    (GentleReport(False, (GentleViolation("G3", "a", "x"),)), "violations"),
+    (SingularityDecomposition((2, 1), _CYCLES), "factors"),
+    (SingularityDecomposition((2, 1), _CYCLES), "cycle_of_factor"),
+    (InvariantComparison(False, (3, 4), (1,)), "only_first"),
+    (InvariantComparison(False, (3, 4), (1,)), "only_second"),
+]
+TUPLE_IDS = [f"{type(obj).__name__}.{field}" for obj, field in TUPLE_FIELDS]
+
+
+@pytest.mark.parametrize("given", [list, iter])
+@pytest.mark.parametrize("obj, field", TUPLE_FIELDS, ids=TUPLE_IDS)
+def test_a_sequence_field_is_kept_as_a_tuple(obj, field, given):
+    value = getattr(obj, field)
+    built = replace(obj, **{field: given(value)})
+    assert type(getattr(built, field)) is tuple and getattr(built, field) == value
+    assert built == obj and hash(built) == hash(obj) and repr(built) == repr(obj)
+
+
+@pytest.mark.parametrize("obj, field", TUPLE_FIELDS, ids=TUPLE_IDS)
+def test_a_sequence_field_refuses_what_does_not_iterate(obj, field):
+    with pytest.raises(QuiverError) as info:
+        replace(obj, **{field: 5})
+    assert info.value.precondition.startswith(f"{field} is a sequence of ")
+    assert info.value.witness == {"field": field}
+
+
 def test_post_init_state_is_kept():
     quiver = GradedQuiver("A", 1, "odd", ("1",), (), (), {"1": "1"})
     assert quiver._untranslate == {"1": "1"}
     assert quiver.solid_from("1") == []
 
 
+SOURCE = str(FilePath(singcat.__file__).resolve().parent.parent)
+T13 = str(FilePath(__file__).resolve().parent.parent / "corpus" / "t13.graph")
+
+
 def loaded(statement: str) -> set[str]:
-    """Module names in ``sys.modules`` after ``statement``, in a new interpreter."""
-    code = f"import sys\n{statement}\nprint(*sys.modules, sep='\\n')"
+    """Module names in ``sys.modules`` after ``statement``, in a new
+    interpreter started with ``-S``: no site module runs, so a module that a
+    site ``.pth`` file preloads cannot hide an import of singcat's."""
+    code = f"import sys\nsys.path.insert(0, {SOURCE!r})\n{statement}\n"
+    code += "print(*sys.modules, sep='\\n')"
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
     return set(result.stdout.split())
 
 
-# a request, help and a usage error, read and answered in memory
-CLI_RUNS = """
+# requests, help and a usage error, read and answered in memory
+CLI_RUNS = f"""
 import contextlib, io
+argvs = (["nodal", "hom", "P+", "P-"], ["surface", "fundamental", {T13!r}], ["-h"], ["bogus"])
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    codes = [singcat.cli.run(argv) for argv in (["nodal", "hom", "P+", "P-"], ["-h"], ["bogus"])]
-assert codes == [0, 0, 2], codes
+    codes = [singcat.cli.run(argv) for argv in argvs]
+assert codes == [0, 0, 0, 2], codes
 """
 
 
@@ -328,8 +369,17 @@ def test_import_skips_heavy_modules(target):
     ``tokenize``) and ``fractions`` (with ``decimal``) cost milliseconds on
     every start, and no command needs them up front; the command line is
     read, and its help and usage errors written, without ``argparse`` and
-    ``gettext``."""
+    ``gettext``; ``random`` is needed only for a seeded fundamental cycle."""
     statement = f"import {target}" + (CLI_RUNS if target == "singcat.cli" else "")
     added = loaded(statement) - loaded("pass")
     assert target in added
-    assert not {"dataclasses", "inspect", "fractions", "argparse", "gettext"} & added
+    assert not {"dataclasses", "inspect", "fractions", "argparse", "gettext", "random"} & added
+
+
+def test_a_seed_loads_random():
+    # the check above can see ``random``: a seeded request loads it
+    statement = (
+        "import singcat.surface as s\n"
+        f"s.fundamental_cycle(s.parse_dual_graph(open({T13!r}).read()), seed=1)"
+    )
+    assert "random" in loaded(statement) - loaded("pass")

@@ -543,6 +543,31 @@ class TestLauferMatchesOracle:
         definite = sum(_random_tree(tree_seed)[3] for tree_seed in range(40))
         assert 0 < definite < 40
 
+    @pytest.mark.parametrize("n", [10, 12, 14, 16])
+    @pytest.mark.parametrize("tree_seed", range(2))
+    def test_near_degenerate_trees(self, tree_seed, n):
+        # long walks: at least 20n raises, where a random tree needs few
+        vertices, edges, weights = helpers.near_degenerate_tree(tree_seed, n)
+        adjacency = helpers.adjacency_of(vertices, edges)
+        expected = list(helpers.oracle_laufer(vertices, adjacency, weights).items())
+        assert sum(z for _, z in expected) - n >= 20 * n
+        g = DualGraph(vertices, edges, weights)
+        assert list(fundamental_cycle(g).items()) == expected
+        assert list(special_ranks(g).items()) == expected
+        for seed in range(10):
+            assert list(fundamental_cycle(g, seed=seed).items()) == expected
+
+    def test_the_cycle_follows_vertex_order(self):
+        # adjacency and weights listed backwards, each neighbour list too
+        vertices, edges, weights = helpers.near_degenerate_tree(0, 12)
+        forward = helpers.adjacency_of(vertices, edges)
+        adjacency = {v: forward[v][::-1] for v in reversed(vertices)}
+        weights = dict(reversed(weights.items()))
+        expected = list(helpers.oracle_laufer(vertices, forward, weights).items())
+        assert [v for v, _ in expected] == vertices
+        for rng in [None] + [random.Random(seed) for seed in range(5)]:
+            assert list(_laufer(vertices, adjacency, weights, rng).items()) == expected
+
 
 class TestLauferScale:
     """Closed forms at n = 2,000, called on raw adjacencies, so that only
