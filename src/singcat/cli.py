@@ -32,6 +32,12 @@ def _read(path: str) -> str:
             precondition="input file is readable",
             witness={"path": path},
         ) from None
+    except UnicodeDecodeError as exc:
+        raise SingcatError(
+            f"cannot read {path}: byte {exc.start} is not UTF-8",
+            precondition="input file is UTF-8 text",
+            witness={"path": path, "byte": exc.start},
+        ) from None
 
 
 def _unwritable(path, shown: str, reason) -> SingcatError:
@@ -47,25 +53,28 @@ def _write(path: str, text: str) -> None:
     if not path:  # "--out="
         raise _unwritable(path, repr(path), "not a file name")
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise _unwritable(path, path, exc.strerror or exc) from None
+        # encoded first, so text that UTF-8 cannot hold leaves no file
+        data = text.encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except (OSError, UnicodeEncodeError) as exc:
+        raise _unwritable(path, path, getattr(exc, "strerror", None) or exc) from None
 
 
 def _print(text: str) -> None:
     """Print ``text`` to stdout and flush it, so a failed write shows here.
 
     A closed pipe stays a ``BrokenPipeError`` for ``run()``; any other
-    failed write is reported as a failed ``--out`` write is.
+    failed write, text the stream's encoding cannot hold included, is
+    reported as a failed ``--out`` write is.
     """
     try:
         print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         raise
-    except OSError as exc:
-        raise _unwritable("<stdout>", "<stdout>", exc.strerror or exc) from None
+    except (OSError, UnicodeEncodeError) as exc:
+        raise _unwritable("<stdout>", "<stdout>", getattr(exc, "strerror", None) or exc) from None
 
 
 def _load_presentation(path: str):
@@ -438,7 +447,7 @@ def run_corpus(directory: str) -> tuple[dict, int]:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 case = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SingcatError(
                 f"corpus case {name} is not valid JSON: {exc}",
                 precondition="case files contain valid JSON",
@@ -756,17 +765,13 @@ def _parser() -> _Reader:
 # JSON output
 
 
-class _NotPlain(Exception):
-    """A value the JSON writer leaves to ``json.dumps``."""
-
-
 _QUOTE = json.encoder.encode_basestring  # the ensure_ascii=False quoting
 _SCALAR_LIST = {int: int.__repr__, str: _QUOTE}  # one join for such a list
 
 
 def _indented(value, indent: str) -> str:
     """``value`` as ``json.dumps(value, ensure_ascii=False, indent=2)``
-    writes it at depth ``indent``; ``_NotPlain`` for any value that is not a
+    writes it at depth ``indent``; ``TypeError`` for any value that is not a
     dict with str keys, list, tuple, str, int, bool or None (exact types)."""
     kind = type(value)
     if kind is str:
@@ -781,8 +786,6 @@ def _indented(value, indent: str) -> str:
     if kind is dict:
         if not value:
             return "{}"
-        if set(map(type, value)) != {str}:
-            raise _NotPlain
         items = [_QUOTE(key) + ": " + _indented(item, inner) for key, item in value.items()]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if kind is list or kind is tuple:
@@ -792,20 +795,17 @@ def _indented(value, indent: str) -> str:
         scalar = _SCALAR_LIST.get(kinds.pop()) if len(kinds) == 1 else None
         items = map(scalar, value) if scalar else [_indented(x, inner) for x in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    raise _NotPlain
+    raise TypeError(f"the JSON writer does not take {kind.__name__}")
 
 
 def _json(payload) -> str:
     """``json.dumps(payload, ensure_ascii=False, indent=2)``, byte for byte.
 
     Any ``indent`` sends ``json.dumps`` to its pure-Python encoder, so the
-    plain payloads the handlers build are written directly; anything else
-    is left to ``json.dumps``.
+    payloads the handlers build, which hold only the values ``_indented``
+    takes, are written directly.
     """
-    try:
-        return _indented(payload, "")
-    except _NotPlain:
-        return json.dumps(payload, ensure_ascii=False, indent=2)
+    return _indented(payload, "")
 
 
 def run(argv) -> int:

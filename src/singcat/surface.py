@@ -60,21 +60,6 @@ def _check_weight(v: str, w) -> None:
         )
 
 
-def _simple_edge(u, v, seen: set, precondition: str) -> None:
-    """Refuse a self-loop or an edge already in ``seen``; else add it there."""
-    if u == v:
-        raise SurfaceError(
-            f"self-loop at {u}", precondition=precondition, witness={"vertex": u}
-        )
-    if (u, v) in seen or (v, u) in seen:
-        raise SurfaceError(
-            f"duplicate edge ({u}, {v})",
-            precondition=precondition,
-            witness={"edge": [u, v]},
-        )
-    seen.add((u, v))
-
-
 def _edge_faults(declared: Container, edges: Iterable, precondition: str) -> None:
     """Raise at the first edge, in edge order, with an undeclared end, that is
     a self-loop or that repeats an earlier edge in either orientation;
@@ -91,7 +76,17 @@ def _edge_faults(declared: Container, edges: Iterable, precondition: str) -> Non
                 precondition="edge endpoints are declared vertices",
                 witness={"edge": [u, v]},
             )
-        _simple_edge(u, v, seen, precondition)
+        if u == v:
+            raise SurfaceError(
+                f"self-loop at {u}", precondition=precondition, witness={"vertex": u}
+            )
+        if (u, v) in seen or (v, u) in seen:
+            raise SurfaceError(
+                f"duplicate edge ({u}, {v})",
+                precondition=precondition,
+                witness={"edge": [u, v]},
+            )
+        seen.add((u, v))
 
 
 def _edge_index(nbrs: dict[str, list[str]], edges: Iterable, precondition: str) -> None:
@@ -223,6 +218,37 @@ def _component(
     return parent
 
 
+def _tree(
+    vertices: Sequence[str], edges: Sequence[tuple[str, str]]
+) -> tuple[dict[str, list[str]], dict[str, str | None]]:
+    """Neighbour lists of a simple tree, in vertex order and each in edge
+    order, and its breadth-first walk from its first vertex, as
+    ``_component`` returns it.
+
+    Refuses, in this order: a repeated name, no vertex at all, the first
+    edge with an undeclared end, and a graph that is not connected with
+    n - 1 edges.  A graph that passes that test is simple, so the edges are
+    scanned for the first loop or repeat only when it fails.
+    """
+    n = len(vertices)
+    nbrs = _neighbour_lists(vertices)
+    if not n:
+        raise SurfaceError(
+            "dual graph needs at least one vertex",
+            precondition="at least one exceptional curve",
+        )
+    _edge_index(nbrs, edges, _SIMPLE_TREE)
+    tree = _component(vertices[0], nbrs)
+    if len(edges) != n - 1 or len(tree) != n:
+        _edge_faults(nbrs, edges, _SIMPLE_TREE)
+        raise SurfaceError(
+            "the dual graph is not a tree",
+            precondition="the graph is connected and acyclic",
+            witness={"vertices": n, "edges": len(edges)},
+        )
+    return nbrs, tree
+
+
 class DualGraph:
     """Validated resolution graph: a weighted negative definite tree.
 
@@ -274,24 +300,7 @@ class DualGraph:
         return self
 
     def _validate(self):
-        vertices, edges = self.vertices, self.edges
-        n = len(vertices)
-        nbrs = _neighbour_lists(vertices)
-        if not n:
-            raise SurfaceError(
-                "dual graph needs at least one vertex",
-                precondition="at least one exceptional curve",
-            )
-        _edge_index(nbrs, edges, _SIMPLE_TREE)
-        # tree: connected with |V| - 1 edges, so simple; rooted at the first vertex
-        tree = _component(vertices[0], nbrs)
-        if len(edges) != n - 1 or len(tree) != n:
-            _edge_faults(nbrs, edges, _SIMPLE_TREE)
-            raise SurfaceError(
-                "the dual graph is not a tree",
-                precondition="the graph is connected and acyclic",
-                witness={"vertices": n, "edges": len(edges)},
-            )
+        nbrs, tree = _tree(self.vertices, self.edges)
         self.adjacency = {v: tuple(ns) for v, ns in nbrs.items()}
         if self.weights.keys() != nbrs.keys():
             raise SurfaceError(
@@ -513,7 +522,8 @@ def ade_recognize(
 
     Paths are A_n, one degree-3 vertex with arm lengths (1, 1, k) is
     D_{k+3}, arm lengths (1, 2, 2), (1, 2, 3), (1, 2, 4) are E6, E7, E8.
-    Anything else raises 'not ADE'.
+    A graph that is not a tree is refused as ``DualGraph`` refuses it;
+    any other tree raises 'not ADE'.
     """
     vertices = _field(
         lambda: [str(v) for v in vertices], "vertices", _NAMES, SurfaceError
@@ -521,46 +531,7 @@ def ade_recognize(
     edges = _field(
         lambda: [(str(u), str(v)) for u, v in edges], "edges", _PAIRS, SurfaceError
     )
-    nbrs: dict[str, list[str]] = {}
-    for v in vertices:
-        if v in nbrs:
-            raise SurfaceError(
-                f"duplicate vertex {v}",
-                precondition="vertex names are distinct",
-                witness={"vertex": v},
-            )
-        nbrs[v] = []
-    if not vertices:
-        raise SurfaceError(
-            "shape needs at least one vertex",
-            precondition="at least one exceptional curve",
-        )
-    seen = set()
-    for u, v in edges:
-        if u not in nbrs or v not in nbrs or u == v:
-            raise SurfaceError(
-                f"bad edge ({u}, {v})",
-                precondition="edges join distinct declared vertices",
-                witness={"edge": [u, v]},
-            )
-        _simple_edge(u, v, seen, _SIMPLE_TREE)
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    n = len(vertices)
-    if len(edges) != n - 1:
-        raise SurfaceError(
-            "shape is not a tree",
-            precondition="the component is a tree",
-            witness={"vertices": n, "edges": len(edges)},
-        )
-    reached = len(_component(vertices[0], nbrs))
-    if reached != n:
-        raise SurfaceError(
-            "shape is not connected",
-            precondition="the component is connected",
-            witness={"reached": reached, "vertices": n},
-        )
-    return _ade_shape(vertices, nbrs)
+    return _ade_shape(vertices, _tree(vertices, edges)[0])
 
 
 def _ade_shape(vertices: Sequence[str], nbrs: Mapping[str, Sequence[str]]) -> ADEType:

@@ -340,6 +340,12 @@ class TestRefusalOrder:
         "weights are ints", "every self-intersection weight is at most -2",
         "negative definite intersection form",
     }
+    # the first five, which ``ade_recognize`` refuses as ``DualGraph`` does
+    SHAPE_FAULTS = {
+        "vertex names are distinct", "at least one exceptional curve",
+        "edge endpoints are declared vertices", "the dual graph is a simple tree",
+        "the graph is connected and acyclic",
+    }
     FOREST_FAULTS = {
         "vertex names are distinct", "every vertex has a weight", "weights are ints",
         "edge endpoints are declared vertices", "the graph is simple",
@@ -354,6 +360,12 @@ class TestRefusalOrder:
             expected = helpers.oracle_graph_refusal(*graph)
             assert _refusal(DualGraph, *graph) == expected, graph
             seen.add(expected and expected[1])
+            # the shape alone: the same tree faults, then a Dynkin type or not
+            shape = _refusal(ade_recognize, vertices, edges)
+            if expected and expected[1] in self.SHAPE_FAULTS:
+                assert shape == expected, graph
+            else:
+                assert type(shape) is ADEType or shape[1] == "ADE shape", graph
             # text spells distinct names with one int weight each, in their order
             if len(set(vertices)) == len(vertices) == len(weights) and all(
                 type(weights.get(v)) is int for v in vertices
@@ -837,44 +849,58 @@ class TestADERecognition:
             ade_recognize(vertices, edges)
 
     def test_not_a_tree(self):
-        with pytest.raises(SurfaceError, match="not a tree"):
-            ade_recognize(
-                ["1", "2", "3"], [("1", "2"), ("2", "3"), ("3", "1")]
-            )
+        assert _refusal(
+            ade_recognize, ["1", "2", "3"], [("1", "2"), ("2", "3"), ("3", "1")]
+        ) == (
+            "the dual graph is not a tree",
+            "the graph is connected and acyclic",
+            {"vertices": 3, "edges": 3},
+        )
 
     def test_not_connected(self):
         # right edge count, but a triangle leaves vertex 4 unreached
-        with pytest.raises(SurfaceError, match="not connected"):
-            ade_recognize(
-                ["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "1")]
-            )
+        assert _refusal(
+            ade_recognize, ["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "1")]
+        ) == (
+            "the dual graph is not a tree",
+            "the graph is connected and acyclic",
+            {"vertices": 4, "edges": 3},
+        )
 
     def test_duplicate_vertex(self):
-        with pytest.raises(SurfaceError, match="duplicate vertex a") as info:
-            ade_recognize(["a", "a", "b"], [("a", "b"), ("a", "b")])
-        assert info.value.precondition == "vertex names are distinct"
-        assert info.value.witness == {"vertex": "a"}
+        assert _refusal(ade_recognize, ["a", "a", "b"], [("a", "b"), ("a", "b")]) == (
+            "duplicate vertex in dual graph",
+            "vertex names are distinct",
+            {"vertices": ["a", "a", "b"]},
+        )
 
     @pytest.mark.parametrize(
         "edges", [[("a", "b"), ("a", "b")], [("a", "b"), ("b", "a")]]
     )
     def test_duplicate_edge(self, edges):
         u, v = edges[1]
-        with pytest.raises(SurfaceError, match="duplicate edge") as info:
-            ade_recognize(["a", "b", "c"], edges)
-        assert info.value.precondition == "the dual graph is a simple tree"
-        assert info.value.witness == {"edge": [u, v]}
+        assert _refusal(ade_recognize, ["a", "b", "c"], edges) == (
+            f"duplicate edge ({u}, {v})",
+            "the dual graph is a simple tree",
+            {"edge": [u, v]},
+        )
 
     def test_empty_shape(self):
-        with pytest.raises(SurfaceError, match="at least one vertex") as info:
-            ade_recognize([], [])
-        assert info.value.precondition == "at least one exceptional curve"
+        assert _refusal(ade_recognize, [], []) == (
+            "dual graph needs at least one vertex",
+            "at least one exceptional curve",
+            None,
+        )
 
     def test_bad_edges(self):
-        with pytest.raises(SurfaceError, match="bad edge"):
-            ade_recognize(["1"], [("1", "9")])
-        with pytest.raises(SurfaceError, match="bad edge"):
-            ade_recognize(["1"], [("1", "1")])
+        assert _refusal(ade_recognize, ["1"], [("1", "9")]) == (
+            "edge (1, 9) uses an undeclared vertex",
+            "edge endpoints are declared vertices",
+            {"edge": ["1", "9"]},
+        )
+        assert _refusal(ade_recognize, ["1"], [("1", "1")]) == (
+            "self-loop at 1", "the dual graph is a simple tree", {"vertex": "1"}
+        )
 
     @pytest.mark.parametrize("edges", MALFORMED_EDGES)
     def test_edges_are_pairs(self, edges):
