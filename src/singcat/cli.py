@@ -26,17 +26,17 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise SingcatError(
-            f"cannot read {path}: {exc.strerror or exc}",
-            precondition="input file is readable",
-            witness={"path": path},
-        ) from None
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # a ValueError, so caught first
         raise SingcatError(
             f"cannot read {path}: byte {exc.start} is not UTF-8",
             precondition="input file is UTF-8 text",
             witness={"path": path, "byte": exc.start},
+        ) from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise SingcatError(
+            f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}",
+            precondition="input file is readable",
+            witness={"path": path},
         ) from None
 
 
@@ -57,7 +57,7 @@ def _write(path: str, text: str) -> None:
         data = text.encode("utf-8")
         with open(path, "wb") as fh:
             fh.write(data)
-    except (OSError, UnicodeEncodeError) as exc:
+    except (OSError, ValueError) as exc:  # text UTF-8 cannot hold, or a NUL in the path
         raise _unwritable(path, path, getattr(exc, "strerror", None) or exc) from None
 
 
@@ -77,14 +77,6 @@ def _print(text: str) -> None:
         raise _unwritable("<stdout>", "<stdout>", getattr(exc, "strerror", None) or exc) from None
 
 
-def _load_presentation(path: str):
-    return parse_presentation(_read(path))
-
-
-def _load_graph(path: str):
-    return surface.parse_dual_graph(_read(path))
-
-
 # ---------------------------------------------------------------------------
 # Every handler returns (payload, text, exit code): the payload is what
 # --format json prints, and text() renders --format text.  run() calls only
@@ -95,7 +87,7 @@ def _load_graph(path: str):
 
 
 def _cmd_gentle_check(args):
-    report = gentle.check_gentle(_load_presentation(args.file))
+    report = gentle.check_gentle(parse_presentation(_read(args.file)))
     payload = {
         "is_gentle": report.is_gentle,
         "violations": [
@@ -115,7 +107,7 @@ def _cmd_gentle_check(args):
 
 
 def _cmd_gentle_cycles(args):
-    cycles = gentle.critical_cycles(_load_presentation(args.file))
+    cycles = gentle.critical_cycles(parse_presentation(_read(args.file)))
     payload = {
         "cycles": [{"arrows": list(c.display), "length": c.length} for c in cycles]
     }
@@ -127,7 +119,7 @@ def _cmd_gentle_cycles(args):
 
 
 def _cmd_gentle_gp(args):
-    gp = gentle.gorenstein_projectives(_load_presentation(args.file))
+    gp = gentle.gorenstein_projectives(parse_presentation(_read(args.file)))
     records = sorted(
         (
             {
@@ -153,7 +145,7 @@ def _cmd_gentle_gp(args):
 
 
 def _cmd_gentle_singcat(args):
-    dec = gentle.singularity_category(_load_presentation(args.file))
+    dec = gentle.singularity_category(parse_presentation(_read(args.file)))
     payload = {
         "factors": list(dec.factors),
         "cycle_of_factor": [c.name for c in dec.cycle_of_factor],
@@ -167,7 +159,7 @@ def _cmd_gentle_singcat(args):
 
 def _cmd_gentle_compare(args):
     cmp = gentle.compare_invariant(
-        _load_presentation(args.first), _load_presentation(args.second)
+        parse_presentation(_read(args.first)), parse_presentation(_read(args.second))
     )
     payload = {
         "compatible": cmp.compatible,
@@ -351,14 +343,14 @@ def _lines(mapping: dict) -> str:
 
 
 def _cmd_surface_fundamental(args):
-    graph = _load_graph(args.file)
+    graph = surface.parse_dual_graph(_read(args.file))
     z = surface.fundamental_cycle(graph, seed=args.seed)
     ordered = {v: z[v] for v in sorted(z)}
     return {"coefficients": ordered}, lambda: _lines(ordered), 0
 
 
 def _cmd_surface_decompose(args):
-    graph = _load_graph(args.file)
+    graph = surface.parse_dual_graph(_read(args.file))
     if args.all_minus_two:
         contracted = surface.all_minus_two(graph)
     else:
@@ -384,7 +376,7 @@ def _cmd_surface_decompose(args):
 
 
 def _cmd_surface_ranks(args):
-    graph = _load_graph(args.file)
+    graph = surface.parse_dual_graph(_read(args.file))
     ranks = surface.special_ranks(graph)
     ordered = {v: ranks[v] for v in sorted(ranks)}
     return {"ranks": ordered}, lambda: _lines(ordered), 0
@@ -422,6 +414,12 @@ def _cmd_dga_emit(args):
 # corpus runner
 
 
+def _bad_case(name: str, fault: str, precondition: str) -> SingcatError:
+    """The refusal of the corpus case file ``name``."""
+    return SingcatError(f"corpus case {name} {fault}", precondition=precondition,
+                        witness={"case": name})
+
+
 def run_corpus(directory: str) -> tuple[dict, int]:
     """Replay recorded command invocations and compare their JSON output.
 
@@ -429,7 +427,8 @@ def run_corpus(directory: str) -> tuple[dict, int]:
     either ``expect`` (parsed stdout JSON, exit code 0) or ``exit`` plus
     ``expect_error_contains`` (substring of stderr) for failing commands.
     Relative paths inside argv resolve against the corpus directory.
-    A malformed case file is a corpus error, not a case failure.
+    A case file is read as every input file is (``_read``), and one that
+    cannot be read or is malformed is a corpus error, not a case failure.
     """
     if not os.path.isdir(directory):
         raise SingcatError(
@@ -443,42 +442,31 @@ def run_corpus(directory: str) -> tuple[dict, int]:
     results = []
     failed = 0
     for name in case_files:
-        path = os.path.join(directory, name)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                case = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SingcatError(
-                f"corpus case {name} is not valid JSON: {exc}",
-                precondition="case files contain valid JSON",
-                witness={"case": name},
-            ) from None
+            case = json.loads(_read(os.path.join(directory, name)))
+        except json.JSONDecodeError as exc:
+            raise _bad_case(name, f"is not valid JSON: {exc}",
+                            "case files contain valid JSON") from None
+        except ValueError:  # valid JSON, with a number past Python's digit limit
+            raise _bad_case(name, "holds an integer with too many digits", INT_DIGITS) from None
+        except RecursionError:  # valid JSON, nested past Python's recursion limit
+            raise _bad_case(name, "is nested too deeply",
+                            "case JSON nests within Python's recursion limit") from None
         if not isinstance(case, dict) or "argv" not in case:
-            raise SingcatError(
-                f"corpus case {name} lacks an argv field",
-                precondition="case files carry argv and an expectation",
-                witness={"case": name},
-            )
+            raise _bad_case(name, "lacks an argv field", "case files carry argv and an expectation")
         argv = case["argv"]
         expected_exit = case.get("exit", 0)
         if expected_exit == 0 and "expect" not in case:
-            raise SingcatError(
-                f"corpus case {name} lacks an expect field",
-                precondition="case files carry argv and an expectation",
-                witness={"case": name},
-            )
+            raise _bad_case(name, "lacks an expect field",
+                            "case files carry argv and an expectation")
         if not isinstance(argv, list) or not all(isinstance(s, str) for s in argv):
-            raise SingcatError(
-                f"corpus case {name} has a malformed argv",
-                precondition="argv is a list of strings",
-                witness={"case": name},
-            )
+            raise _bad_case(name, "has a malformed argv", "argv is a list of strings")
         if argv[:1] == ["corpus"]:
-            raise SingcatError(
-                f"corpus case {name} replays a corpus",
-                precondition="a case replays one command, not a corpus",
-                witness={"case": name},
-            )
+            raise _bad_case(name, "replays a corpus", "a case replays one command, not a corpus")
+        needle = case.get("expect_error_contains", "")
+        if not isinstance(needle, str):
+            raise _bad_case(name, "has a malformed expect_error_contains",
+                            "expect_error_contains is a string")
         out, err = io.StringIO(), io.StringIO()
         prev = os.getcwd()
         try:
@@ -499,11 +487,9 @@ def run_corpus(directory: str) -> tuple[dict, int]:
             if got != case["expect"]:
                 status = "fail"
                 detail = f"output {json.dumps(got, ensure_ascii=False)} differs from expectation"
-        else:
-            needle = case.get("expect_error_contains", "")
-            if needle not in err.getvalue():
-                status = "fail"
-                detail = f"stderr does not contain {needle!r}"
+        elif needle not in err.getvalue():
+            status = "fail"
+            detail = f"stderr does not contain {needle!r}"
         if status == "fail":
             failed += 1
         record = {"case": name, "status": status}
@@ -648,7 +634,10 @@ class _Reader:
     def parse(self, argv) -> types.SimpleNamespace:
         """The namespace of ``argv``: the command's ``handler`` and one
         attribute per argument.  Help is a namespace whose handler renders
-        it; anything else the table does not read raises ``_UsageError``."""
+        it; anything else the table does not read, an ``argv`` that is not a
+        list of str included, raises ``_UsageError``."""
+        if not isinstance(argv, list) or not all(isinstance(word, str) for word in argv):
+            raise self.error((), "argv is not a list of str")
         words, rest = (), list(argv)
         while words not in self.commands:
             slot = ("op" if words else "module", None, {"choices": self.choices[words]})
@@ -771,8 +760,14 @@ _SCALAR_LIST = {int: int.__repr__, str: _QUOTE}  # one join for such a list
 
 def _indented(value, indent: str) -> str:
     """``value`` as ``json.dumps(value, ensure_ascii=False, indent=2)``
-    writes it at depth ``indent``; ``TypeError`` for any value that is not a
-    dict with str keys, list, tuple, str, int, bool or None (exact types)."""
+    writes it at depth ``indent``, byte for byte; ``TypeError`` for any value
+    that is not a dict with str keys, list, tuple, str, int, bool or None
+    (exact types).
+
+    Any ``indent`` sends ``json.dumps`` to its pure-Python encoder, so the
+    payloads the handlers build, which hold only these values, are written
+    directly: ``run()`` calls ``_indented(payload, "")``.
+    """
     kind = type(value)
     if kind is str:
         return _QUOTE(value)
@@ -798,21 +793,11 @@ def _indented(value, indent: str) -> str:
     raise TypeError(f"the JSON writer does not take {kind.__name__}")
 
 
-def _json(payload) -> str:
-    """``json.dumps(payload, ensure_ascii=False, indent=2)``, byte for byte.
-
-    Any ``indent`` sends ``json.dumps`` to its pure-Python encoder, so the
-    payloads the handlers build, which hold only the values ``_indented``
-    takes, are written directly.
-    """
-    return _indented(payload, "")
-
-
 def run(argv) -> int:
     try:
         args = _parser().parse(argv)
         payload, text, code = args.handler(args)
-        rendered = _json(payload) if args.format == "json" else text()
+        rendered = _indented(payload, "") if args.format == "json" else text()
         if args.out is None:
             _print(rendered)
         else:

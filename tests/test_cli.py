@@ -6,8 +6,10 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -134,6 +136,31 @@ class TestExitCodes:
             "precondition": "input file is UTF-8 text",
             "witness": {"path": str(bad), "byte": 12},
         }
+
+    def test_a_path_holding_nul_is_unreadable(self, capsys):
+        code, out, err = invoke(capsys, ["gentle", "check", "a\x00b"])
+        assert (code, out) == (1, "")
+        assert stderr_error(err) == {
+            "message": "cannot read a\x00b: embedded null byte",
+            "precondition": "input file is readable",
+            "witness": {"path": "a\x00b"},
+        }
+
+    @pytest.mark.parametrize("argv", [
+        None, "nodal hom P+ P-", ("nodal", "hom", "P+", "P-"), [5], ["nodal", 5],
+        ["nodal", "hom", "P+", "P-", "--out", b"x"],
+    ], ids=["None", "str", "tuple", "int", "int-word", "bytes-out"])
+    def test_an_argv_that_is_not_a_list_of_str_is_a_usage_error(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "usage: singcat [-h] {gentle,nodal,surface,dga,corpus} ...\n"
+            "singcat: error: argv is not a list of str\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_hom_across_blocks_fails(self, capsys):
         code, _, err = invoke(capsys, ["nodal", "hom", "P+", "P2"])
@@ -338,6 +365,17 @@ class TestOutFlag:
             '{"error": {"message": "cannot write \'\': not a file name", '
             '"precondition": "output path is writable", "witness": {"path": ""}}}\n'
         )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_out_path_holding_nul_is_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(capsys, ["nodal", "hom", "P+", "P-[-1]", "--out", "x\x00y"])
+        assert (code, out) == (1, "")
+        assert stderr_error(err) == {
+            "message": "cannot write x\x00y: embedded null byte",
+            "precondition": "output path is writable",
+            "witness": {"path": "x\x00y"},
+        }
         assert list(tmp_path.iterdir()) == []
 
     def test_explicit_dash_dash_out_value(self, tmp_path, monkeypatch, capsys):
@@ -601,14 +639,43 @@ class TestCorpusRunner:
             run_corpus(str(tmp_path))
 
     def test_a_case_that_is_not_utf8_is_a_corpus_error(self, tmp_path, capsys):
+        # a case file is read as every input file is
         (tmp_path / "bad.json").write_bytes(b'{"argv": ["\xff"]}')
+        path = os.path.join(str(tmp_path), "bad.json")
         code, out, err = invoke(capsys, ["corpus", str(tmp_path)])
         assert (code, out) == (1, "")
         assert stderr_error(err) == {
-            "message": "corpus case bad.json is not valid JSON: 'utf-8' codec can't "
-            "decode byte 0xff in position 11: invalid start byte",
-            "precondition": "case files contain valid JSON",
-            "witness": {"case": "bad.json"},
+            "message": f"cannot read {path}: byte 11 is not UTF-8",
+            "precondition": "input file is UTF-8 text",
+            "witness": {"path": path, "byte": 11},
+        }
+
+    def test_a_case_that_is_a_directory_is_unreadable(self, tmp_path, capsys):
+        (tmp_path / "x.json").mkdir()
+        path = os.path.join(str(tmp_path), "x.json")
+        code, out, err = invoke(capsys, ["corpus", str(tmp_path)])
+        assert (code, out) == (1, "")
+        error = stderr_error(err)
+        assert error["message"].startswith(f"cannot read {path}: ")
+        assert error["precondition"] == "input file is readable"
+        assert error["witness"] == {"path": path}
+
+    @pytest.mark.parametrize("text, fault, precondition", [
+        ('{"argv": ["nodal", "hom", "P+", "P+"], "expect": {"dim": ' + "1" * 5000 + "}}",
+         "holds an integer with too many digits", INT_DIGITS),
+        ('{"argv": ' + "[" * 100_000, "is nested too deeply",
+         "case JSON nests within Python's recursion limit"),
+    ], ids=["long-int", "deep"])
+    def test_valid_json_python_cannot_load_is_a_corpus_error(
+        self, text, fault, precondition, tmp_path, capsys
+    ):
+        (tmp_path / "big.json").write_text(text, encoding="utf-8")
+        code, out, err = invoke(capsys, ["corpus", str(tmp_path)])
+        assert (code, out) == (1, "")
+        assert stderr_error(err) == {
+            "message": f"corpus case big.json {fault}",
+            "precondition": precondition,
+            "witness": {"case": "big.json"},
         }
 
     def test_missing_argv_is_a_corpus_error(self, tmp_path):
@@ -625,6 +692,18 @@ class TestCorpusRunner:
         write_case(tmp_path, "bad.json", {"argv": "nodal hom", "expect": {}})
         with pytest.raises(SingcatError, match="malformed argv"):
             run_corpus(str(tmp_path))
+
+    def test_an_error_needle_that_is_not_a_string_is_a_corpus_error(self, tmp_path, capsys):
+        write_case(tmp_path, "a.json", {
+            "argv": ["nodal", "hom", "P+", "P2"], "exit": 1, "expect_error_contains": 5,
+        })
+        code, out, err = invoke(capsys, ["corpus", str(tmp_path)])
+        assert (code, out) == (1, "")
+        assert stderr_error(err) == {
+            "message": "corpus case a.json has a malformed expect_error_contains",
+            "precondition": "expect_error_contains is a string",
+            "witness": {"case": "a.json"},
+        }
 
     def test_a_case_replaying_a_corpus_is_a_corpus_error(self, tmp_path, capsys):
         write_case(tmp_path, "a.json", {"argv": ["corpus", "."], "expect": {}})
@@ -1063,7 +1142,7 @@ payloads = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(payloads)
 def test_json_writer_matches_json_dumps(payload):
-    assert cli._json(payload) == json.dumps(payload, ensure_ascii=False, indent=2)
+    assert cli._indented(payload, "") == json.dumps(payload, ensure_ascii=False, indent=2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1072,3 +1151,95 @@ def test_json_writer_refuses_a_float(payload, odd):
     value = {"plain": payload, "nested": [payload, {"odd": odd}]}
     with pytest.raises(TypeError):
         cli._indented(value, "")
+
+
+# ---------------------------------------------------------------------------
+# Mutation fuzzer: damaged argv words, input files and corpus cases
+
+FUZZ_TOKENS = [";", "->", "#", "1" * 5000, "\u2028", "\u0085", "\x00"]
+FUZZ_BYTES = [token.encode() for token in FUZZ_TOKENS] + [b"\xff"]
+# a corpus case also gets valid JSON that Python may not load
+FUZZ_JSON = FUZZ_BYTES + [b"[" * 100_000, b"NaN", b"-" + b"9" * 5000]
+FUZZ_SEEDS = [1, 2, 3, 4, 5]
+FUZZ_RUNS = 300  # per seed
+
+
+def mutate_word(rng, words: list) -> list:
+    """``words`` with one word cut or grown by a token (an OS argv carries an
+    undecodable byte as a lone surrogate), or one word repeated, or the
+    words shuffled."""
+    words = list(words)
+    kind = rng.randrange(4)
+    if kind == 2:
+        words.insert(rng.randrange(len(words) + 1), rng.choice(words))
+    elif kind == 3:
+        rng.shuffle(words)
+    else:
+        i = rng.randrange(len(words))
+        at = rng.randrange(len(words[i]) + (kind == 1))
+        grown = rng.choice(FUZZ_TOKENS + ["\udcff"]) if kind == 1 else ""
+        words[i] = words[i][:at] + grown + words[i][at + (kind == 0):]
+    return words
+
+
+def mutate_bytes(rng, data: bytes, tokens: list) -> bytes:
+    """``data`` with one byte deleted, one token inserted, one line repeated
+    or its lines shuffled."""
+    kind = rng.randrange(4)
+    if kind < 2:
+        at = rng.randrange(len(data) + kind)
+        return data[:at] + (rng.choice(tokens) if kind else b"") + data[at + 1 - kind:]
+    lines = data.split(b"\n")
+    if kind == 2:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+    else:
+        rng.shuffle(lines)
+    return b"\n".join(lines)
+
+
+def fuzz_run(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    except Exception as exc:  # the property under test: nothing escapes
+        pytest.fail(f"{argv!r:.300} raised {exc!r:.300}")
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_no_mutation_escapes_the_command_line(seed, tmp_path, monkeypatch):
+    # every corpus argv with one word, one of its input files or (for
+    # "corpus .") one case file damaged, run in a copy of the corpus
+    work = tmp_path / "corpus"
+    shutil.copytree(CORPUS, work)
+    monkeypatch.chdir(work)
+    argvs = helpers.corpus_argvs()
+    cases = sorted(path.name for path in work.glob("*.json"))
+    rng = random.Random(seed)
+    for _ in range(FUZZ_RUNS):
+        argv, damaged = list(rng.choice(argvs)), None
+        inputs = [word for word in argv if (work / word).is_file()]
+        kind = rng.randrange(5)
+        if kind == 4:
+            argv, damaged, tokens = ["corpus", "."], work / rng.choice(cases), FUZZ_JSON
+        elif kind >= 2 and inputs:
+            damaged, tokens = work / rng.choice(inputs), FUZZ_BYTES
+        else:
+            argv = mutate_word(rng, argv)
+        if damaged is not None:
+            original = damaged.read_bytes()
+            damaged.write_bytes(mutate_bytes(rng, original, tokens))
+        code, out, err = fuzz_run(argv)
+        assert fuzz_run(argv) == (code, out, err), argv
+        if damaged is not None:
+            damaged.write_bytes(original)
+        assert code in (0, 1, 2, 141), argv
+        if code == 2:
+            assert out == "" and re.fullmatch(r"usage: [^\n]*\n[^\n]*: error: [^\n]*\n", err), argv
+        elif code == 1 and (argv[0] != "corpus" or err):
+            line, end = err.split("\n")  # one line: U+2028 and U+0085 do not break it
+            assert (end, out) == ("", ""), argv
+            assert set(json.loads(line)["error"]) == {"message", "precondition", "witness"}
+        else:  # an answer, or a replay with a failed case
+            json.loads(out)
