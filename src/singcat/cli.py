@@ -426,9 +426,10 @@ def run_corpus(directory: str) -> tuple[dict, int]:
     Case files are ``*.json`` with fields ``argv`` (list of strings), and
     either ``expect`` (parsed stdout JSON, exit code 0) or ``exit`` plus
     ``expect_error_contains`` (substring of stderr) for failing commands.
-    Relative paths inside argv resolve against the corpus directory.
-    A case file is read as every input file is (``_read``), and one that
-    cannot be read or is malformed is a corpus error, not a case failure.
+    Relative paths inside argv resolve against the corpus directory, and a
+    case may not write a file (``--out``).  A case file is read as every
+    input file is (``_read``), and one that cannot be read or is malformed
+    is a corpus error, not a case failure.
     """
     if not os.path.isdir(directory):
         raise SingcatError(
@@ -467,6 +468,12 @@ def run_corpus(directory: str) -> tuple[dict, int]:
         if not isinstance(needle, str):
             raise _bad_case(name, "has a malformed expect_error_contains",
                             "expect_error_contains is a string")
+        try:  # a case that names --out could overwrite the corpus being replayed
+            writes = _parser().parse(argv).out is not None
+        except _UsageError:
+            writes = False
+        if writes:
+            raise _bad_case(name, "writes a file", "a case writes to stdout, not to a file")
         out, err = io.StringIO(), io.StringIO()
         prev = os.getcwd()
         try:

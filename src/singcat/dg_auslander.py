@@ -80,10 +80,7 @@ def check_ade_type(ade) -> ADEType:
     return ADEType(family, rank)
 
 
-_ARROWS = "a sequence of Arrows"
-
-
-@_record
+@_record(DGAError)
 class GradedQuiver:
     """Vertices, degree-0 solid arrows, degree -1 broken arrows, translation.
 
@@ -102,24 +99,23 @@ class GradedQuiver:
 
     def __post_init__(self):
         # Check the fields in order and name the first malformed one:
-        # distinct str vertices, Arrows with str labels between them, and a
-        # translation that permutes the vertices.  The sequences are kept as
-        # tuples, so a one-shot iterator keeps what it gave.
+        # distinct str vertices, Arrows with distinct str labels between
+        # them, and a translation that permutes the vertices.
         field, shape = "vertices", "a sequence of distinct strs"
         try:
-            given = tuple(self.vertices)
-            vertices = {v for v in given if isinstance(v, str)}
-            if len(vertices) != len(given):  # a duplicate or not a str
+            vertices = {v for v in self.vertices if isinstance(v, str)}
+            if len(vertices) != len(self.vertices):  # a duplicate or not a str
                 raise ValueError
-            object.__setattr__(self, "vertices", given)
-            shape = _ARROWS
+            shape, labels = "a sequence of Arrow", set()
             for field in ("solid", "broken"):
-                arrows = tuple(getattr(self, field))
-                for a in arrows:
+                for a in getattr(self, field):
                     if not (isinstance(a, Arrow) and isinstance(a.label, str)
                             and a.source in vertices and a.target in vertices):
                         raise ValueError
-                object.__setattr__(self, field, arrows)
+                    if a.label in labels:
+                        raise DGAError(f"arrow label {a.label!r} is repeated",
+                                       "arrow labels are distinct", {"label": a.label})
+                    labels.add(a.label)
             field, shape = "translation", "a dict of vertex names"
             untranslate = {v: k for k, v in self.translation.items()}
             if self.translation.keys() != vertices or untranslate.keys() != vertices:
@@ -155,8 +151,8 @@ def _finish(family, rank, parity, vertices, solid, tau) -> GradedQuiver:
     text = {v: str(v) for v in vertices}  # each str(v) once
     names = tuple(text.values())
     translation = {text[v]: text[tau[v]] for v in vertices}
-    broken = tuple([Arrow(f"ρ_{v}", v, translation[v]) for v in names])
-    solid_arrows = tuple([Arrow(lab, text[src], text[tgt]) for lab, src, tgt in solid])
+    broken = [Arrow(f"ρ_{v}", v, translation[v]) for v in names]
+    solid_arrows = [Arrow(lab, text[src], text[tgt]) for lab, src, tgt in solid]
     return GradedQuiver(family, rank, parity, names, solid_arrows, broken, translation)
 
 

@@ -16,18 +16,17 @@ from collections import Counter
 from .quiver import Presentation, QuiverError, _MALFORMED, _expect, _field_error, _record
 
 
-@_record
+@_record(QuiverError)
 class GentleViolation:
     condition: str
     location: str
     detail: str
 
 
-@_record
+@_record(QuiverError)
 class GentleReport:
     is_gentle: bool
     violations: tuple[GentleViolation, ...]
-    _tuples = {"violations": "a sequence of gentle violations"}
 
 
 def _multiple(condition: str, label: str, kind: str, labels: list[str]) -> GentleViolation:
@@ -77,7 +76,7 @@ def check_gentle(pres: Presentation) -> GentleReport:
         if len(before) - len(pred) > 1:
             labels = [b.label for b in before if b.label not in pred]
             violations.append(_multiple("G4", lab, "relation-free predecessors", labels))
-    return GentleReport(not violations, tuple(violations))
+    return GentleReport(not violations, violations)
 
 
 def _is_gentle(pres: Presentation) -> bool:
@@ -132,7 +131,7 @@ def _require_gentle(pres: Presentation) -> None:
     )
 
 
-@_record
+@_record(QuiverError)
 class CriticalCycle:
     """A cycle of arrows whose consecutive products all lie in the ideal.
 
@@ -144,14 +143,13 @@ class CriticalCycle:
     """
 
     arrows: tuple[str, ...]
-    _tuples = {"arrows": "a sequence of arrow labels"}
 
     def __post_init__(self):
         try:
             display = self.arrows[::-1]
             joined = "".join(display)
         except _MALFORMED:
-            raise _field_error("arrows", "a sequence of arrow labels") from None
+            raise _field_error("arrows", "a sequence of str") from None
         # every label is one character exactly when none is empty and the
         # joined labels are as many characters as there are labels
         short = len(joined) == len(display) and "" not in display
@@ -198,13 +196,12 @@ def critical_cycles(pres: Presentation) -> list[CriticalCycle]:
     return cycles
 
 
-@_record
+@_record(QuiverError)
 class StringModule:
     """A string module given by a directed walk starting at its top vertex."""
 
     top: str
     arrows: tuple[str, ...]
-    _tuples = {"arrows": "a sequence of arrow labels"}
 
     @property
     def is_simple(self) -> bool:
@@ -235,7 +232,7 @@ def _radical_walk(pres: Presentation, cycle: CriticalCycle, first: str) -> Strin
         used.add(step)
         walk.append(step)
         prev, at = step, arrow.target
-    return StringModule(top, tuple(walk))
+    return StringModule(top, walk)
 
 
 def radical_embeddings(
@@ -262,7 +259,7 @@ def radical_embeddings(
     return out
 
 
-@_record
+@_record(QuiverError)
 class GPClassification:
     """Indecomposable Gorenstein projectives: all vertex projectives plus
     the radical strings of the critical cycles."""
@@ -273,38 +270,27 @@ class GPClassification:
 
 def gorenstein_projectives(pres: Presentation) -> GPClassification:
     radicals = radical_embeddings(pres)  # checks ``pres`` first
-    return GPClassification(tuple(sorted(pres.vertices)), radicals)
+    return GPClassification(sorted(pres.vertices), radicals)
 
 
-@_record
+@_record(QuiverError)
 class SingularityDecomposition:
     """One block per critical cycle, recorded by the cycle's length."""
 
     factors: tuple[int, ...]
     cycle_of_factor: tuple[CriticalCycle, ...]
-    _tuples = {
-        "factors": "a sequence of block lengths",
-        "cycle_of_factor": "a sequence of critical cycles",
-    }
 
 
 def singularity_category(pres: Presentation) -> SingularityDecomposition:
     cycles = critical_cycles(pres)
-    return SingularityDecomposition(
-        factors=tuple([c.length for c in cycles]),
-        cycle_of_factor=tuple(cycles),
-    )
+    return SingularityDecomposition([c.length for c in cycles], cycles)
 
 
-@_record
+@_record(QuiverError)
 class InvariantComparison:
     compatible: bool
     only_first: tuple[int, ...]
     only_second: tuple[int, ...]
-    _tuples = {
-        "only_first": "a sequence of block lengths",
-        "only_second": "a sequence of block lengths",
-    }
 
 
 def compare_invariant(
@@ -319,8 +305,4 @@ def compare_invariant(
     f2 = Counter(singularity_category(second).factors)
     only_first = sorted((f1 - f2).elements())
     only_second = sorted((f2 - f1).elements())
-    return InvariantComparison(
-        compatible=not only_first and not only_second,
-        only_first=tuple(only_first),
-        only_second=tuple(only_second),
-    )
+    return InvariantComparison(not only_first and not only_second, only_first, only_second)

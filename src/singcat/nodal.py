@@ -107,7 +107,7 @@ class _Shiftable:
         return replace(self, shift=self.shift + k)
 
 
-@_record
+@_record(NodalError)
 class NodalProjective(_Shiftable):
     sign: str
     shift: int = 0
@@ -119,7 +119,7 @@ class NodalProjective(_Shiftable):
         object.__setattr__(self, "_twist", (self.shift & 1) ^ (self.sign == MINUS))
 
 
-@_record
+@_record(NodalError)
 class NodalString(_Shiftable):
     sign: str
     length: int
@@ -132,7 +132,7 @@ class NodalString(_Shiftable):
         object.__setattr__(self, "_twist", (self.shift & 1) ^ (self.sign == MINUS))
 
 
-@_record
+@_record(NodalError)
 class ZeroProjective(_Shiftable):
     shift: int = 0
 
@@ -140,7 +140,7 @@ class ZeroProjective(_Shiftable):
         _check_int("shift", self.shift)
 
 
-@_record
+@_record(NodalError)
 class ZeroString(_Shiftable):
     length: int
     shift: int = 0
@@ -288,7 +288,7 @@ def hom_dim_sum(xs: Sequence, ys: Sequence) -> int:
 # minimal string complexes
 
 
-@_record
+@_record(NodalError)
 class StringComplex:
     """Projective presentation of a minimal string, listed in display order.
 
@@ -325,7 +325,7 @@ def minimal_string_complex(sign: str, length: int) -> StringComplex:
     pairs = ("αβ", "γδ") if tau == PLUS else ("γδ", "αβ")
     middle = [pairs[(l - 1 - j) % 2] for j in range(1, l)]
     diffs = ["δ" if sigma == PLUS else "β", *middle, "γ" if tau == PLUS else "α"]
-    return StringComplex(terms, tuple([_nodal_path(d) for d in diffs]))
+    return StringComplex(terms, [_nodal_path(d) for d in diffs])
 
 
 def zero_string_complex(length: int) -> StringComplex:
@@ -333,9 +333,7 @@ def zero_string_complex(length: int) -> StringComplex:
     _check_length(length)
     terms = ("P2",) + ("P1",) * length + ("P2",)
     displays = ["a"] + ["ba"] * (length - 1) + ["b"]
-    paths = tuple(
-        [ZERO_BLOCK_PRESENTATION.path(tuple(reversed(d))) for d in displays]
-    )
+    paths = [ZERO_BLOCK_PRESENTATION.path(tuple(reversed(d))) for d in displays]
     return StringComplex(terms, paths)
 
 
@@ -417,7 +415,7 @@ def cluster_member(obj) -> bool:
 # Auslander-Reiten components
 
 
-@_record
+@_record(NodalError)
 class ARWindow:
     component: str
     vertices: tuple[str, ...]
@@ -454,7 +452,7 @@ def ar_window(
 
     if component.startswith("projective"):
         names = [_with_shift(f"P{twisted[n % 2]}", n) for n in range(lo, hi + 1)]
-        return ARWindow(component, tuple(names), tuple(zip(names[1:], names)), ())
+        return ARWindow(component, names, zip(names[1:], names), ())
 
     if maxlen is not None:
         _check_int("maxlen", maxlen)
@@ -479,7 +477,7 @@ def ar_window(
         for end, arrows in ends:
             if end in grid:
                 arrows.append((name, grid[end]))
-    return ARWindow(component, tuple(grid.values()), tuple(solid), tuple(dashed))
+    return ARWindow(component, grid.values(), solid, dashed)
 
 
 def _window(window) -> tuple[int, int]:

@@ -99,13 +99,21 @@ def _reduce(self):
     return self.__class__, tuple([getattr(self, f) for f in self._fields])
 
 
-def _as_tuple(value, field: str, shape: str) -> tuple:
+def _as_tuple(value, field: str, shape: str, error: type) -> tuple:
     """``tuple(value)`` for the record field ``field``, refused by name."""
-    return _field(lambda: tuple(value), field, shape)
+    try:
+        return tuple(value)
+    except _MALFORMED:
+        raise _field_error(field, shape, error) from None
 
 
-def _record(cls):
-    """Class decorator: a frozen value class over the annotated fields.
+# a field annotated ``tuple[X, ...]`` (the annotation read as text) holds X
+_SEQUENCE_RE = re.compile(r"tuple\[(.+), \.\.\.\]")
+
+
+def _record(error: type):
+    """Class decorator: ``@_record(Error)`` makes a frozen value class over
+    the annotated fields, which refuses a malformed field as ``Error``.
 
     The class is rebuilt with one slot per field, so an instance holds its
     values in fixed places and ``vars()`` does not list them.  A class with
@@ -119,29 +127,39 @@ def _record(cls):
     prints ``Name(field=value, ...)``, and ``__reduce__`` rebuilds an
     instance from its fields, so a copy or an unpickled record passes
     ``__init__`` again.  Assigning or deleting an attribute raises
-    ``FrozenRecordError``; ``_fields`` names the fields in order.  A class
-    may map fields to their shapes in ``_tuples``: ``__init__`` stores such
-    a field as ``tuple(value)`` when given anything but a tuple, so a list
-    or an iterator hashes and compares like the tuple it holds, and refuses
-    a value that does not iterate as "<field> is not <shape>".
+    ``FrozenRecordError``; ``_fields`` names the fields in order.  A field
+    annotated ``tuple[X, ...]`` is stored as ``tuple(value)`` when given
+    anything but a tuple, so a list or an iterator hashes and compares like
+    the tuple it holds; a value that does not iterate is refused as
+    "<field> is not a sequence of X".
     """
-    fields = tuple(cls.__dict__.get("__annotations__", ()))
-    tuples = cls.__dict__.get("_tuples", {})
+    return partial(_frozen, error)
+
+
+def _frozen(error: type, cls):
+    """``cls`` rebuilt by ``@_record(error)``."""
+    hints = cls.__dict__.get("__annotations__", {})
+    fields = tuple(hints)
+    shapes = {
+        f: f"a sequence of {held[1]}"
+        for f, hint in hints.items() if (held := _SEQUENCE_RE.fullmatch(str(hint)))
+    }
     names = {f"_d_{f}": cls.__dict__[f] for f in fields if f in cls.__dict__}
     namespace = {
         k: v for k, v in cls.__dict__.items()
-        if k not in fields and k not in ("__dict__", "__weakref__", "_tuples")
+        if k not in fields and k not in ("__dict__", "__weakref__")
     }
     post_init = hasattr(cls, "__post_init__")
     namespace["__slots__"] = fields + (("__dict__",) if post_init else ())
     namespace["__qualname__"] = cls.__qualname__
     cls = type(cls)(cls.__name__, cls.__bases__, namespace)
-    names.update({f"_set_{f}": cls.__dict__[f].__set__ for f in fields}, _as_tuple=_as_tuple)
+    names.update({f"_set_{f}": cls.__dict__[f].__set__ for f in fields})
+    names.update(_as_tuple=_as_tuple, _error=error)
     params = "".join(f", {f}=_d_{f}" if f"_d_{f}" in names else f", {f}" for f in fields)
     body = "".join(
         f"\n    _set_{f}(self, {f} if {f}.__class__ is tuple"
-        f" else _as_tuple({f}, {f!r}, {tuples[f]!r}))"
-        if f in tuples else f"\n    _set_{f}(self, {f})"
+        f" else _as_tuple({f}, {f!r}, {shapes[f]!r}, _error))"
+        if f in shapes else f"\n    _set_{f}(self, {f})"
         for f in fields
     )
     if post_init:
@@ -184,14 +202,14 @@ def replace(obj, **changes):
     return obj.__class__(**changes)
 
 
-@_record
+@_record(QuiverError)
 class Arrow:
     label: str
     source: str
     target: str
 
 
-@_record
+@_record(QuiverError)
 class Path:
     """A path in a quiver, possibly lazy (length zero at a vertex).
 
@@ -204,13 +222,8 @@ class Path:
     target: str
 
     def __post_init__(self):
-        arrows = self.arrows
-        if not (isinstance(arrows, tuple) and all(isinstance(a, str) for a in arrows)):
-            raise QuiverError(
-                f"expected a tuple of str as arrows, got {arrows!r}",
-                precondition="arrows is a tuple of str",
-                witness={"arrows": repr(arrows)},
-            )
+        if not all(isinstance(a, str) for a in self.arrows):
+            raise _field_error("arrows", "a sequence of str")
         _expect(self.source, str, "source")
         _expect(self.target, str, "target")
 

@@ -417,7 +417,7 @@ def canonical_syzygy_multiplicities(graph: DualGraph) -> dict[str, int]:
     return {v: -2 - graph.weights[v] for v in graph.vertices}
 
 
-@_record
+@_record(SurfaceError)
 class ProjectiveInjectives:
     """Curves with weight below -2, plus the ever-present free module."""
 
@@ -427,10 +427,7 @@ class ProjectiveInjectives:
 
 def projective_injective_vertices(graph: DualGraph) -> ProjectiveInjectives:
     _expect(graph, DualGraph, "graph", SurfaceError)
-    return ProjectiveInjectives(
-        vertices=tuple(sorted(v for v in graph.vertices if graph.weights[v] < -2)),
-        includes_free_module=True,
-    )
+    return ProjectiveInjectives(sorted(v for v in graph.vertices if graph.weights[v] < -2))
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +558,7 @@ def _ade_shape(vertices: Sequence[str], nbrs: Mapping[str, Sequence[str]]) -> AD
     )
 
 
-@_record
+@_record(SurfaceError)
 class Decomposition:
     """ADE blocks of the contraction along a set of (-2)-curves."""
 
@@ -614,10 +611,7 @@ def decompose(graph: DualGraph, contracted: Iterable[str]) -> Decomposition:
         nbrs = {v: [w for w in graph.adjacency[v] if w in sset] for v in comp}
         pieces.append((_ade_shape(comp, nbrs), tuple(comp)))
     pieces.sort(key=lambda p: (p[0].family, p[0].rank, p[1]))
-    return Decomposition(
-        blocks=tuple([p[0] for p in pieces]),
-        component_vertices=tuple([p[1] for p in pieces]),
-    )
+    return Decomposition([p[0] for p in pieces], [p[1] for p in pieces])
 
 
 def all_minus_two(graph: DualGraph) -> list[str]:

@@ -715,6 +715,31 @@ class TestCorpusRunner:
             "witness": {"case": "a.json"},
         }
 
+    @pytest.mark.parametrize("out", [["--out", "b.json"], ["--ou", "b.json"], ["--out=b.json"]])
+    def test_a_case_that_writes_a_file_is_a_corpus_error(self, out, tmp_path, capsys):
+        write_case(tmp_path, "a.json", {
+            "argv": ["nodal", "hom", "P+", "P-[-1]", *out], "expect": {"dim": 1},
+        })
+        write_case(tmp_path, "b.json", {"argv": ["nodal", "hom", "P+", "P+"], "expect": {"dim": 1}})
+        kept = (tmp_path / "b.json").read_bytes()
+        code, out, err = invoke(capsys, ["corpus", str(tmp_path)])
+        assert (code, out) == (1, "")
+        assert stderr_error(err) == {
+            "message": "corpus case a.json writes a file",
+            "precondition": "a case writes to stdout, not to a file",
+            "witness": {"case": "a.json"},
+        }
+        assert (tmp_path / "b.json").read_bytes() == kept
+
+    def test_a_case_the_reader_refuses_still_runs(self, tmp_path):
+        # only an argv that parses can name --out; a usage error is the case's own
+        write_case(tmp_path, "a.json", {
+            "argv": ["nodal", "hom", "P+", "--out"], "exit": 2,
+            "expect_error_contains": "expected one argument",
+        })
+        payload, code = run_corpus(str(tmp_path))
+        assert (code, payload["passed"]) == (0, 1)
+
     def test_missing_directory_is_a_corpus_error(self, tmp_path):
         with pytest.raises(SingcatError, match="does not exist"):
             run_corpus(str(tmp_path / "absent"))

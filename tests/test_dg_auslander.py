@@ -169,6 +169,63 @@ def test_tables_pass_the_public_constructor(family, rank, parity):
         assert getattr(checked, index) == getattr(q, index)
 
 
+TABLES = [
+    (f"{family}{rank}", parity)
+    for family, ranks in (("A", range(1, 121)), ("D", range(4, 121)), ("E", (6, 7, 8)))
+    for rank in ranks
+    for parity in ("even", "odd")
+]
+
+
+def test_no_table_repeats_an_arrow_label():
+    for ade, parity in TABLES:
+        q = dg_auslander(ade, parity)
+        labels = [a.label for a in q.solid + q.broken]
+        assert len(set(labels)) == len(labels), (ade, parity)
+
+
+@pytest.mark.parametrize(
+    "solid, broken",
+    [
+        ((), (Arrow("r", "1", "1"), Arrow("r", "1", "1"))),
+        ((Arrow("r", "1", "1"),), (Arrow("r", "1", "1"),)),
+        ([Arrow("a", "1", "1"), Arrow("r", "1", "1")], iter([Arrow("r", "1", "1")])),
+    ],
+)
+def test_a_repeated_arrow_label_is_refused(solid, broken):
+    with pytest.raises(DGAError) as info:
+        GradedQuiver("A", 1, "even", ("1",), solid, broken, {"1": "1"})
+    assert info.value.diagnostic() == {
+        "message": "arrow label 'r' is repeated",
+        "precondition": "arrow labels are distinct",
+        "witness": {"label": "r"},
+    }
+
+
+@pytest.mark.parametrize(
+    "vertices, solid, broken, field, shape",
+    [
+        (5, (), (), "vertices", "a sequence of str"),
+        (("1",), 5, (), "solid", "a sequence of Arrow"),
+        (("1",), (), None, "broken", "a sequence of Arrow"),
+        # an element that is not an Arrow reads like a field that does not iterate
+        (("1",), [("a", "1", "1")], (), "solid", "a sequence of Arrow"),
+        (("1",), (), [Arrow("r", "1", "2")], "broken", "a sequence of Arrow"),
+        # the sequences are stored before any is checked
+        (("1", "1"), 5, (), "solid", "a sequence of Arrow"),
+        (("1", "1"), (), (), "vertices", "a sequence of distinct strs"),
+    ],
+)
+def test_a_malformed_sequence_field_is_refused_in_full(vertices, solid, broken, field, shape):
+    with pytest.raises(DGAError) as info:
+        GradedQuiver("A", 1, "even", vertices, solid, broken, {"1": "1"})
+    assert info.value.diagnostic() == {
+        "message": f"{field} is not {shape}",
+        "precondition": f"{field} is {shape}",
+        "witness": {"field": field},
+    }
+
+
 def test_a_label_ending_in_a_newline_is_not_an_alpha_label():
     # "α_1\n" sorts last, like any label that is not α_k or α_k*, as in the oracle
     q = GradedQuiver(

@@ -229,7 +229,11 @@ class TestCriticalCycles:
     def test_cycle_of_non_labels_is_refused(self, arrows):
         with pytest.raises(QuiverError) as info:
             CriticalCycle(arrows)
-        assert info.value.precondition == "arrows is a sequence of arrow labels"
+        assert info.value.diagnostic() == {
+            "message": "arrows is not a sequence of str",
+            "precondition": "arrows is a sequence of str",
+            "witness": {"field": "arrows"},
+        }
 
     def test_declaration_order_does_not_matter(self):
         base = helpers.illustrative()

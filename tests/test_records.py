@@ -16,7 +16,7 @@ from pathlib import Path as FilePath
 import pytest
 
 import singcat
-from singcat.dg_auslander import GradedQuiver, dg_auslander, serialize_graded_quiver
+from singcat.dg_auslander import DGAError, GradedQuiver, dg_auslander, serialize_graded_quiver
 from singcat.gentle import (
     CriticalCycle,
     GentleReport,
@@ -36,7 +36,7 @@ from singcat.nodal import (
     ZeroString,
 )
 from singcat.quiver import Arrow, FrozenRecordError, Path, QuiverError, _record, replace
-from singcat.surface import ADEType, Decomposition, ProjectiveInjectives
+from singcat.surface import ADEType, Decomposition, ProjectiveInjectives, SurfaceError
 
 
 def samples():
@@ -200,7 +200,7 @@ def test_a_copied_quiver_is_indexed_anew(how):
 
 
 def test_class_mismatch_is_unequal():
-    @_record
+    @_record(QuiverError)
     class Triple:
         label: str
         source: str
@@ -269,26 +269,50 @@ def test_replace_rebuilds_and_checks():
     assert info.value.witness == {"field": "colour"}
 
 
+# "arrows is not a sequence of str", as QuiverError: the record's reading
+# of a value that does not iterate, and Path's of a label that is not a str
+NOT_LABELS = {
+    "message": "arrows is not a sequence of str",
+    "precondition": "arrows is a sequence of str",
+    "witness": {"field": "arrows"},
+}
+
+
 @pytest.mark.parametrize(
-    "arrows, source, target, field",
+    "arrows, source, target, diagnostic",
     [
-        (None, "1", "1", "arrows"),
-        (5, "1", "1", "arrows"),
-        (["a"], "1", "2", "arrows"),
-        (("a", 5), "1", "2", "arrows"),
-        (("a",), 5, "2", "source"),
-        (("a",), "1", None, "target"),
+        (None, "1", "1", NOT_LABELS),
+        (5, "1", "1", NOT_LABELS),
+        (("a", 5), "1", "2", NOT_LABELS),
+        (["a", None], "1", "2", NOT_LABELS),
+        (("a",), 5, "2", {
+            "message": "expected a str, got int",
+            "precondition": "source is a str",
+            "witness": {"source": "5"},
+        }),
+        (("a",), "1", None, {
+            "message": "expected a str, got NoneType",
+            "precondition": "target is a str",
+            "witness": {"target": "None"},
+        }),
     ],
 )
-def test_path_checks_its_fields(arrows, source, target, field):
+def test_path_checks_its_fields(arrows, source, target, diagnostic):
     for build in (
         lambda: Path(arrows, source, target),
         lambda: Path(arrows=arrows, source=source, target=target),
     ):
         with pytest.raises(QuiverError) as info:
             build()
-        assert info.value.precondition.startswith(f"{field} is a")
-        assert list(info.value.witness) == [field]
+        assert info.value.diagnostic() == diagnostic
+
+
+def test_a_path_takes_any_sequence_of_labels():
+    path = Path(("a", "b"), "1", "3")
+    for arrows in (["a", "b"], iter(["a", "b"]), "ab"):
+        built = Path(arrows, "1", "3")
+        assert built == path and hash(built) == hash(path)
+        assert type(built.arrows) is tuple
 
 
 def test_graded_quiver_keeps_what_an_iterator_gives():
@@ -300,18 +324,35 @@ def test_graded_quiver_keeps_what_an_iterator_gives():
     assert serialize_graded_quiver(once) == serialize_graded_quiver(built)
 
 
-# the sequence fields ``_record`` keeps as tuples, one record per field
-_CYCLES = (CriticalCycle(("a", "b")), CriticalCycle(("c",)))
-TUPLE_FIELDS = [
-    (_CYCLES[0], "arrows"),
-    (StringModule("1", ("a", "b")), "arrows"),
-    (GentleReport(False, (GentleViolation("G3", "a", "x"),)), "violations"),
-    (SingularityDecomposition((2, 1), _CYCLES), "factors"),
-    (SingularityDecomposition((2, 1), _CYCLES), "cycle_of_factor"),
-    (InvariantComparison(False, (3, 4), (1,)), "only_first"),
-    (InvariantComparison(False, (3, 4), (1,)), "only_second"),
-]
+def sequence_fields():
+    """(record, field) for each field of a sample record that is annotated
+    ``tuple[X, ...]``, read from the annotations as ``_record`` reads them."""
+    found = []
+    for obj, _ in SAMPLES:
+        hints = type(obj).__annotations__
+        found += [(obj, f) for f in obj._fields if str(hints[f]).startswith("tuple[")]
+    return found
+
+
+TUPLE_FIELDS = sequence_fields()
 TUPLE_IDS = [f"{type(obj).__name__}.{field}" for obj, field in TUPLE_FIELDS]
+# the error of each record's module; quiver and gentle records refuse as QuiverError
+ERRORS = {
+    StringComplex: NodalError, ARWindow: NodalError, ProjectiveInjectives: SurfaceError,
+    Decomposition: SurfaceError, GradedQuiver: DGAError,
+}
+
+
+def test_the_sequence_fields_are_found():
+    # among them the fields of the records that once kept a list as given
+    assert {(type(obj), f) for obj, f in TUPLE_FIELDS} >= {
+        (Path, "arrows"), (CriticalCycle, "arrows"), (GPClassification, "projectives"),
+        (StringComplex, "terms"),
+        (StringComplex, "differentials"), (ARWindow, "vertices"), (ARWindow, "solid"),
+        (ARWindow, "dashed"), (ProjectiveInjectives, "vertices"),
+        (Decomposition, "blocks"), (Decomposition, "component_vertices"),
+        (GradedQuiver, "vertices"), (GradedQuiver, "solid"), (GradedQuiver, "broken"),
+    }
 
 
 @pytest.mark.parametrize("given", [list, iter])
@@ -320,15 +361,21 @@ def test_a_sequence_field_is_kept_as_a_tuple(obj, field, given):
     value = getattr(obj, field)
     built = replace(obj, **{field: given(value)})
     assert type(getattr(built, field)) is tuple and getattr(built, field) == value
-    assert built == obj and hash(built) == hash(obj) and repr(built) == repr(obj)
+    assert built == obj and repr(built) == repr(obj)
+    if not isinstance(obj, UNHASHABLE):
+        assert hash(built) == hash(obj)
 
 
 @pytest.mark.parametrize("obj, field", TUPLE_FIELDS, ids=TUPLE_IDS)
 def test_a_sequence_field_refuses_what_does_not_iterate(obj, field):
-    with pytest.raises(QuiverError) as info:
+    shape = str(type(obj).__annotations__[field])[len("tuple["):-len(", ...]")]
+    with pytest.raises(ERRORS.get(type(obj), QuiverError)) as info:
         replace(obj, **{field: 5})
-    assert info.value.precondition.startswith(f"{field} is a sequence of ")
-    assert info.value.witness == {"field": field}
+    assert info.value.diagnostic() == {
+        "message": f"{field} is not a sequence of {shape}",
+        "precondition": f"{field} is a sequence of {shape}",
+        "witness": {"field": field},
+    }
 
 
 def test_post_init_state_is_kept():
