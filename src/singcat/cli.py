@@ -468,18 +468,16 @@ def run_corpus(directory: str) -> tuple[dict, int]:
         if not isinstance(needle, str):
             raise _bad_case(name, "has a malformed expect_error_contains",
                             "expect_error_contains is a string")
-        try:  # a case that names --out could overwrite the corpus being replayed
-            writes = _parser().parse(argv).out is not None
-        except _UsageError:
-            writes = False
-        if writes:
+        request = _request(argv)
+        # a case that names --out could overwrite the corpus being replayed
+        if not isinstance(request, _UsageError) and request.out is not None:
             raise _bad_case(name, "writes a file", "a case writes to stdout, not to a file")
         out, err = io.StringIO(), io.StringIO()
         prev = os.getcwd()
         try:
             os.chdir(directory)
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = run(argv)
+                code = _replay(request)
         finally:
             os.chdir(prev)
         status, detail = "pass", None
@@ -800,9 +798,21 @@ def _indented(value, indent: str) -> str:
     raise TypeError(f"the JSON writer does not take {kind.__name__}")
 
 
-def run(argv) -> int:
+def _request(argv) -> types.SimpleNamespace | _UsageError:
+    """The namespace of ``argv``, or the reader's refusal of it."""
     try:
-        args = _parser().parse(argv)
+        return _parser().parse(argv)
+    except _UsageError as error:
+        return error
+
+
+def _replay(args: types.SimpleNamespace | _UsageError) -> int:
+    """Answer what ``_request`` read: run the handler and write what it
+    renders, or write the reader's refusal; the exit status."""
+    if isinstance(args, _UsageError):
+        sys.stderr.write(str(args))
+        return 2
+    try:
         payload, text, code = args.handler(args)
         rendered = _indented(payload, "") if args.format == "json" else text()
         if args.out is None:
@@ -813,15 +823,16 @@ def run(argv) -> int:
         # the reader went away (``singcat ... | head``): stop quietly, with
         # the status a shell reports for a process ended by SIGPIPE
         return 141
-    except _UsageError as error:
-        sys.stderr.write(str(error))
-        return 2
     except SingcatError as err:
         sys.stderr.write(
             json.dumps({"error": err.diagnostic()}, ensure_ascii=False) + "\n"
         )
         return 1
     return code
+
+
+def run(argv) -> int:
+    return _replay(_request(argv))
 
 
 def main():

@@ -54,12 +54,13 @@ def check_ade_type(ade) -> ADEType:
                 precondition="type looks like A7, D4 or E8",
                 witness={"type": ade},
             )
+        family = m.group(1)
         rank = _read_int(m.group(2), DGAError, "the rank of the ADE type", "type", ade)
-        ade = ADEType(m.group(1), rank)
-    try:
-        family, rank = ade
-    except (TypeError, ValueError):
-        family = rank = None
+    else:
+        try:
+            family, rank = (ade.family, ade.rank) if isinstance(ade, ADEType) else ade
+        except (TypeError, ValueError):
+            family = rank = None
     if not isinstance(family, str) or type(rank) is not int:
         raise DGAError(
             f"cannot read ADE type {ade!r}",

@@ -17,7 +17,7 @@ block) parse to the empty sum, so Hom against them is 0.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Sequence, Union
+from collections.abc import Sequence
 
 from .quiver import (
     Arrow,
@@ -150,10 +150,6 @@ class ZeroString(_Shiftable):
         _check_int("shift", self.shift)
 
 
-NodalIndecomposable = Union[NodalProjective, NodalString]
-ZeroIndecomposable = Union[ZeroProjective, ZeroString]
-
-
 def _kind(obj, first: type, second: type) -> type | None:
     """Whichever of the two types ``obj`` is an instance of, else None.
 
@@ -174,7 +170,7 @@ def _as_base(obj, base: type):
     return base(*[getattr(obj, f) for f in base._fields])
 
 
-def hom_dim(x: NodalIndecomposable, y: NodalIndecomposable) -> int:
+def hom_dim(x: NodalProjective | NodalString, y: NodalProjective | NodalString) -> int:
     """Dimension of Hom(x, y) in the nodal block; always 0 or 1.
 
     The formulas compare signs through the shift twist: for n the difference
@@ -212,7 +208,7 @@ def hom_dim(x: NodalIndecomposable, y: NodalIndecomposable) -> int:
     )
 
 
-def hom_dim_zero(x: ZeroIndecomposable, y: ZeroIndecomposable) -> int:
+def hom_dim_zero(x: ZeroProjective | ZeroString, y: ZeroProjective | ZeroString) -> int:
     """Dimension of Hom(x, y) in the zero-dimensional block; always 0 or 1."""
     tx, ty = x.__class__, y.__class__
     if tx is ZeroString:
@@ -354,15 +350,18 @@ def complex_d_squared(cx: StringComplex) -> list[Path]:
 # K-theory
 
 
-class K0Class(NamedTuple):
+@_record(NodalError)
+class K0Class:
     plus: int
     minus: int
 
-    def __neg__(self) -> "K0Class":
+    def __neg__(self) -> K0Class:
         return K0Class(-self.plus, -self.minus)
 
-    def __add__(self, other) -> "K0Class":
-        return K0Class(self.plus + other[0], self.minus + other[1])
+    def __add__(self, other) -> K0Class:
+        if not isinstance(other, K0Class):
+            return NotImplemented
+        return K0Class(self.plus + other.plus, self.minus + other.minus)
 
 
 def k0_class(obj) -> K0Class:
@@ -496,7 +495,7 @@ def _window(window) -> tuple[int, int]:
     )
 
 
-def ar_translate(obj: NodalIndecomposable) -> NodalIndecomposable:
+def ar_translate(obj: NodalProjective | NodalString) -> NodalString:
     """Auslander-Reiten translation on the string components."""
     if isinstance(obj, NodalString):
         return NodalString(flip(obj.sign), obj.length, obj.shift + 1)

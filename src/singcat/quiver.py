@@ -24,8 +24,8 @@ juxtaposed form would not round-trip.
 from __future__ import annotations
 
 import re
+from collections.abc import Container, Iterable, Sequence
 from functools import cache, partial
-from typing import Container, Iterable, Sequence
 
 _NAME_RE = re.compile(r"[^\s;:#]+")  # used with fullmatch
 
@@ -100,11 +100,14 @@ def _reduce(self):
 
 
 def _as_tuple(value, field: str, shape: str, error: type) -> tuple:
-    """``tuple(value)`` for the record field ``field``, refused by name."""
-    try:
-        return tuple(value)
-    except _MALFORMED:
-        raise _field_error(field, shape, error) from None
+    """``tuple(value)`` for the record field ``field``, refused by name; a
+    str is refused too, not split into one-letter items."""
+    if not isinstance(value, str):
+        try:
+            return tuple(value)
+        except _MALFORMED:
+            pass
+    raise _field_error(field, shape, error)
 
 
 # a field annotated ``tuple[X, ...]`` (the annotation read as text) holds X
@@ -130,8 +133,8 @@ def _record(error: type):
     ``FrozenRecordError``; ``_fields`` names the fields in order.  A field
     annotated ``tuple[X, ...]`` is stored as ``tuple(value)`` when given
     anything but a tuple, so a list or an iterator hashes and compares like
-    the tuple it holds; a value that does not iterate is refused as
-    "<field> is not a sequence of X".
+    the tuple it holds; a str, or a value that does not iterate, is refused
+    as "<field> is not a sequence of X".
     """
     return partial(_frozen, error)
 

@@ -22,18 +22,14 @@ no floating point.
 from __future__ import annotations
 
 import re
+from collections.abc import Container, Iterable, Mapping, Sequence
 from itertools import islice
 from math import gcd
-from typing import TYPE_CHECKING, Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .quiver import (
     _COMMENT_RE, INT_DIGITS, ParseError, SingcatError, _blank, _expect, _expect_text, _field,
     _record,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-    from random import Random
 
 
 class SurfaceError(SingcatError):
@@ -503,7 +499,8 @@ def cyclic_dual_graph(n: int, a: int) -> DualGraph:
 # ADE recognition and contraction decompositions
 
 
-class ADEType(NamedTuple):
+@_record(SurfaceError)
+class ADEType:
     family: str
     rank: int
 

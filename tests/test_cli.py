@@ -752,6 +752,19 @@ class TestShippedCorpus:
         assert payload["failed"] == 0
         assert len(payload["cases"]) == 17
 
+    def test_each_case_is_read_once(self, monkeypatch):
+        # the --out check and the replay share one reading of the argv
+        reads = []
+        parse = cli._Reader.parse
+
+        def counting(self, argv):
+            reads.append(argv)
+            return parse(self, argv)
+
+        monkeypatch.setattr(cli._Reader, "parse", counting)
+        payload, code = run_corpus(str(CORPUS))
+        assert (code, len(payload["cases"]), len(reads)) == (0, 17, 17)
+
     def test_text_summary_line(self, capsys):
         code, out, _ = invoke(capsys, ["corpus", str(CORPUS), "--format", "text"])
         assert code == 0

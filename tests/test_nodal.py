@@ -520,7 +520,8 @@ class TestK0:
             for term, degree in zip(cx.terms, cx.degrees):
                 for i in (0, 1):
                     total[i] += (-1) ** degree * basis[term][i]
-            assert k0_class(NodalString(sign, length)) == tuple(total)
+            got = k0_class(NodalString(sign, length))
+            assert [got.plus, got.minus] == total
 
     def test_matches_closed_form_oracle(self):
         for sign, length, shift in itertools.product(
@@ -528,7 +529,7 @@ class TestK0:
         ):
             got = k0_class(NodalString(sign, length, shift))
             want = helpers.oracle_k0(1 if sign == PLUS else -1, length, shift)
-            assert tuple(got) == want, (sign, length, shift)
+            assert (got.plus, got.minus) == want, (sign, length, shift)
 
     def test_shift_negates(self):
         for obj in (NodalProjective(MINUS, 1), NodalString(MINUS, 3, -2)):
@@ -544,6 +545,16 @@ class TestK0:
 
     def test_empty_sum_is_zero(self):
         assert k0_class([]) == K0Class(0, 0)
+
+    def test_a_class_is_not_a_tuple(self):
+        # no tuple arithmetic: repetition and concatenation are refused
+        with pytest.raises(TypeError):
+            K0Class(1, 0) * 2
+        with pytest.raises(TypeError):
+            (1, 1) + K0Class(1, 0)
+        with pytest.raises(TypeError):
+            K0Class(1, 0) + (1, 1)
+        assert K0Class(1, 0) != (1, 0)
 
     def test_rejects_zero_block_objects(self):
         with pytest.raises(NodalError, match="no K0 class"):

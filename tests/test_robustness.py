@@ -44,7 +44,6 @@ from singcat.gentle import (
 )
 from singcat.nodal import (
     NODAL_PRESENTATION,
-    K0Class,
     NodalError,
     NodalProjective,
     NodalString,
@@ -74,7 +73,6 @@ from singcat.quiver import (
     serialize_presentation,
 )
 from singcat.surface import (
-    ADEType,
     DualGraph,
     SurfaceError,
     ade_recognize,
@@ -622,8 +620,6 @@ LIBRARY = [singcat.quiver, singcat.gentle, singcat.nodal, singcat.surface,
 WRONG = [None, 5, True, "x", [], {}, 2.5, (None,), object()]
 INSTANCES = [obj for obj, _ in test_records.SAMPLES] + [
     NODAL_PRESENTATION,
-    K0Class(1, 0),
-    ADEType("A", 1),
     DualGraph(["1", "2"], [("1", "2")], {"1": -2, "2": -3}),
 ]
 # one valid instance of each public class, by name; also the argument for a
