@@ -24,7 +24,7 @@ juxtaposed form would not round-trip.
 from __future__ import annotations
 
 import re
-from collections.abc import Container, Iterable, Sequence
+from collections.abc import Container, Sequence
 from functools import cache, partial
 
 _NAME_RE = re.compile(r"[^\s;:#]+")  # used with fullmatch
@@ -99,15 +99,20 @@ def _reduce(self):
     return self.__class__, tuple([getattr(self, f) for f in self._fields])
 
 
+def _items(value) -> tuple:
+    """``tuple(value)`` for an argument read as a sequence; a str raises
+    ``TypeError`` rather than split into one-letter items."""
+    if isinstance(value, str):
+        raise TypeError("a str is not read as a sequence")
+    return tuple(value)
+
+
 def _as_tuple(value, field: str, shape: str, error: type) -> tuple:
-    """``tuple(value)`` for the record field ``field``, refused by name; a
-    str is refused too, not split into one-letter items."""
-    if not isinstance(value, str):
-        try:
-            return tuple(value)
-        except _MALFORMED:
-            pass
-    raise _field_error(field, shape, error)
+    """``_items(value)`` for the record field ``field``, refused by name."""
+    try:
+        return _items(value)
+    except _MALFORMED:
+        raise _field_error(field, shape, error) from None
 
 
 # a field annotated ``tuple[X, ...]`` (the annotation read as text) holds X
@@ -127,14 +132,17 @@ def _record(error: type):
     writes each through its slot's descriptor and then calls
     ``__post_init__``; ``__eq__`` compares the field tuples of two instances
     of the same class and ``__hash__`` hashes that tuple.  ``__repr__``
-    prints ``Name(field=value, ...)``, and ``__reduce__`` rebuilds an
+    prints ``Name(field=value, ...)``, unless the class defines its own,
+    which is kept, as a dataclass keeps it.  ``__reduce__`` rebuilds an
     instance from its fields, so a copy or an unpickled record passes
     ``__init__`` again.  Assigning or deleting an attribute raises
-    ``FrozenRecordError``; ``_fields`` names the fields in order.  A field
-    annotated ``tuple[X, ...]`` is stored as ``tuple(value)`` when given
-    anything but a tuple, so a list or an iterator hashes and compares like
-    the tuple it holds; a str, or a value that does not iterate, is refused
-    as "<field> is not a sequence of X".
+    ``FrozenRecordError``, so a ``__post_init__`` that converts a field
+    writes it with ``object.__setattr__``, and derived state goes there or
+    straight into ``self.__dict__``; ``_fields`` names the fields in order.
+    A field annotated ``tuple[X, ...]`` is stored as ``tuple(value)`` when
+    given anything but a tuple, so a list or an iterator hashes and
+    compares like the tuple it holds; a str, or a value that does not
+    iterate, is refused as "<field> is not a sequence of X".
     """
     return partial(_frozen, error)
 
@@ -183,7 +191,9 @@ def __hash__(self):
     for name, method in methods.items():
         method.__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, method)
-    cls.__repr__, cls.__reduce__ = _repr, _reduce
+    if "__repr__" not in namespace:
+        cls.__repr__ = _repr
+    cls.__reduce__ = _reduce
     cls.__setattr__, cls.__delattr__ = _no_setattr, _no_delattr
     cls._fields = cls.__match_args__ = fields
     return cls
@@ -318,6 +328,7 @@ def _expect(value, cls: type, name: str, error: type = QuiverError) -> None:
         )
 
 
+@_record(QuiverError)
 class Presentation:
     """Quiver presentation with length-two relations.
 
@@ -330,23 +341,21 @@ class Presentation:
     must not change it; ``arrows_from``/``arrows_into`` return copies.
     """
 
-    def __init__(
-        self,
-        vertices: Sequence[str],
-        arrows: Iterable[Arrow | tuple[str, str, str]],
-        relations: Iterable[tuple[str, str]] = (),
-    ):
-        self.vertices: tuple[str, ...] = _field(
-            lambda: tuple(vertices), "vertices", "a sequence of vertex names"
-        )
-        self.arrows: tuple[Arrow, ...] = _field(
-            lambda: tuple([a if isinstance(a, Arrow) else Arrow(*a) for a in arrows]),
+    vertices: tuple[str, ...]
+    arrows: tuple[Arrow, ...]
+    relations: tuple[tuple[str, str], ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "arrows", _field(
+            lambda: tuple([
+                a if isinstance(a, Arrow) else Arrow(*_items(a)) for a in self.arrows
+            ]),
             "arrows", "a sequence of (label, source, target) triples",
-        )
-        self.relations: tuple[tuple[str, str], ...] = _field(
-            lambda: tuple([(str(a), str(b)) for a, b in relations]),
+        ))
+        object.__setattr__(self, "relations", _field(
+            lambda: tuple([(str(a), str(b)) for a, b in map(_items, self.relations)]),
             "relations", "a sequence of arrow label pairs",
-        )
+        ))
         self._validate()
 
     @classmethod
@@ -357,11 +366,13 @@ class Presentation:
         ``outgoing`` keep declaration order, so they give the arrows and the
         vertices."""
         self = object.__new__(cls)
-        self.vertices, self.arrows = tuple(outgoing), tuple(by_label.values())
-        self.relations = tuple(relations)
-        self._by_label, self.outgoing, self.incoming = by_label, outgoing, incoming
-        self.successors, self.predecessors = successors, predecessors
-        self.relation_set = relation_set
+        object.__setattr__(self, "vertices", tuple(outgoing))
+        object.__setattr__(self, "arrows", tuple(by_label.values()))
+        object.__setattr__(self, "relations", tuple(relations))
+        self.__dict__.update(
+            _by_label=by_label, outgoing=outgoing, incoming=incoming,
+            successors=successors, predecessors=predecessors, relation_set=relation_set,
+        )
         return self
 
     def _validate(self):
@@ -424,20 +435,10 @@ class Presentation:
             relation_set.add((first, second))
             successors.setdefault(first, []).append(second)
             predecessors.setdefault(second, []).append(first)
-        self._by_label, self.outgoing, self.incoming = by_label, outgoing, incoming
-        self.successors, self.predecessors = successors, predecessors
-        self.relation_set = relation_set
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Presentation)
-            and self.vertices == other.vertices
-            and self.arrows == other.arrows
-            and self.relations == other.relations
+        self.__dict__.update(
+            _by_label=by_label, outgoing=outgoing, incoming=incoming,
+            successors=successors, predecessors=predecessors, relation_set=relation_set,
         )
-
-    def __hash__(self):
-        return hash((self.vertices, self.arrows, self.relations))
 
     def __repr__(self):
         return (
@@ -479,7 +480,7 @@ class Presentation:
 
     def path(self, labels: Sequence[str]) -> Path:
         """Build a path from labels in traversal order (first applied first)."""
-        labels = _field(lambda: tuple(labels), "labels", "a sequence of arrow labels")
+        labels = _field(lambda: _items(labels), "labels", "a sequence of arrow labels")
         if not labels:
             raise QuiverError(
                 "empty label list; use lazy_path for length-zero paths",

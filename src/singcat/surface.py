@@ -28,7 +28,7 @@ from math import gcd
 
 from .quiver import (
     _COMMENT_RE, INT_DIGITS, ParseError, SingcatError, _blank, _expect, _expect_text, _field,
-    _record,
+    _items, _record,
 )
 
 
@@ -160,7 +160,7 @@ def is_negative_definite(
     rules out loops and repeats, so they are looked for only when that count
     fails.
     """
-    vertices = _field(lambda: tuple(vertices), "vertices", _NAMES, SurfaceError)
+    vertices = _field(lambda: _items(vertices), "vertices", _NAMES, SurfaceError)
     nbrs = _field(lambda: _neighbour_lists(vertices), "vertices", _NAMES, SurfaceError)
     weights = _field(
         lambda: {v: weights[v] for v in vertices if v in weights},
@@ -176,7 +176,9 @@ def is_negative_definite(
             )
         _check_weight(v, weights[v])
         num[v] = -weights[v]
-    edges = _field(lambda: [(u, v) for u, v in edges], "edges", _PAIRS, SurfaceError)
+    edges = _field(
+        lambda: [(u, v) for u, v in map(_items, _items(edges))], "edges", _PAIRS, SurfaceError
+    )
     _edge_index(nbrs, edges, "the graph is simple")
     trees: list[dict[str, str | None]] = []
     reached: set[str] = set()
@@ -245,6 +247,7 @@ def _tree(
     return nbrs, tree
 
 
+@_record(SurfaceError)
 class DualGraph:
     """Validated resolution graph: a weighted negative definite tree.
 
@@ -253,26 +256,24 @@ class DualGraph:
     order, to the tuple of its neighbours in edge order; it is built during
     validation, which walks the edges once: a connected graph with n - 1
     edges is a simple tree, so loops and repeated edges are looked for only
-    when that test fails.
+    when that test fails.  ``weights`` and ``adjacency`` are dicts, which
+    callers must not change.
     """
 
-    def __init__(
-        self,
-        vertices: Sequence[str],
-        edges: Iterable[tuple[str, str]],
-        weights: Mapping[str, int],
-    ):
-        self.vertices: tuple[str, ...] = _field(
-            lambda: tuple([str(v) for v in vertices]), "vertices", _NAMES, SurfaceError
-        )
-        self.edges: tuple[tuple[str, str], ...] = _field(
-            lambda: tuple([(str(u), str(v)) for u, v in edges]),
+    vertices: tuple[str, ...]
+    edges: tuple[tuple[str, str], ...]
+    weights: dict[str, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple([str(v) for v in self.vertices]))
+        object.__setattr__(self, "edges", _field(
+            lambda: tuple([(str(u), str(v)) for u, v in map(_items, self.edges)]),
             "edges", _PAIRS, SurfaceError,
-        )
-        self.weights: dict[str, int] = _field(
-            lambda: {str(v): w for v, w in weights.items()},
+        ))
+        object.__setattr__(self, "weights", _field(
+            lambda: {str(v): w for v, w in self.weights.items()},
             "weights", _WEIGHTS, SurfaceError,
-        )
+        ))
         for v in self.vertices:
             if not _NAME_RE.fullmatch(v):
                 raise SurfaceError(
@@ -288,16 +289,18 @@ class DualGraph:
         """A graph of fields already of the right types (str names that the
         text format can carry, pairs of them, int weights), as the text
         parser builds them, whose vertices are the keys of ``weights`` in
-        order: skips the conversions and the name check of ``__init__``, not
-        its other checks."""
+        order: skips the conversions and the name check of
+        ``__post_init__``, not its other checks."""
         self = object.__new__(cls)
-        self.vertices, self.edges, self.weights = tuple(weights), tuple(edges), weights
+        object.__setattr__(self, "vertices", tuple(weights))
+        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "weights", weights)
         self._validate()
         return self
 
     def _validate(self):
         nbrs, tree = _tree(self.vertices, self.edges)
-        self.adjacency = {v: tuple(ns) for v, ns in nbrs.items()}
+        object.__setattr__(self, "adjacency", {v: tuple(ns) for v, ns in nbrs.items()})
         if self.weights.keys() != nbrs.keys():
             raise SurfaceError(
                 "weights do not cover the vertex set exactly",
@@ -322,14 +325,6 @@ class DualGraph:
                     "weights": {v: self.weights[v] for v in sorted(self.weights)}
                 },
             )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DualGraph)
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-            and self.weights == other.weights
-        )
 
     def __repr__(self):
         return f"DualGraph({len(self.vertices)} vertices)"
@@ -520,10 +515,11 @@ def ade_recognize(
     any other tree raises 'not ADE'.
     """
     vertices = _field(
-        lambda: [str(v) for v in vertices], "vertices", _NAMES, SurfaceError
+        lambda: [str(v) for v in _items(vertices)], "vertices", _NAMES, SurfaceError
     )
     edges = _field(
-        lambda: [(str(u), str(v)) for u, v in edges], "edges", _PAIRS, SurfaceError
+        lambda: [(str(u), str(v)) for u, v in map(_items, _items(edges))],
+        "edges", _PAIRS, SurfaceError,
     )
     return _ade_shape(vertices, _tree(vertices, edges)[0])
 
@@ -571,7 +567,7 @@ def decompose(graph: DualGraph, contracted: Iterable[str]) -> Decomposition:
     empty decomposition.
     """
     _expect(graph, DualGraph, "graph", SurfaceError)
-    S = _field(lambda: [str(v) for v in contracted], "contracted", _NAMES, SurfaceError)
+    S = _field(lambda: [str(v) for v in _items(contracted)], "contracted", _NAMES, SurfaceError)
     sset = set(S)
     if len(sset) != len(S):
         raise SurfaceError(

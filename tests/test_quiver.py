@@ -146,9 +146,9 @@ class TestTextFormat:
         "data, precondition",
         [
             ({"vertices": 1, "arrows": [], "relations": []},
-             "vertices is a sequence of vertex names"),
+             "vertices is a sequence of str"),
             ({"vertices": None, "arrows": [], "relations": []},
-             "vertices is a sequence of vertex names"),
+             "vertices is a sequence of str"),
             ({"vertices": [1], "arrows": [], "relations": []},
              "vertex names are strings"),
             ({"vertices": ["1", "2"],
@@ -460,6 +460,28 @@ class TestPresentationValidation:
         assert info.value.witness == {"arrow": name}
         assert info.value.precondition == NAME_RULE
 
+    # each was once split into one-letter items: "12" into the vertices
+    # "1" and "2", "a12" into an arrow a from 1 to 2, "aa" into a relation
+    @pytest.mark.parametrize(
+        "vertices, arrows, relations, field, shape",
+        [
+            ("12", [], (), "vertices", "a sequence of str"),
+            (["1", "2"], "a", (), "arrows", "a sequence of Arrow"),
+            (["1", "2"], ["a12"], (), "arrows", "a sequence of (label, source, target) triples"),
+            (["1"], [("a", "1", "1")], "aa", "relations", "a sequence of tuple[str, str]"),
+            (["1"], [("a", "1", "1")], ["aa"], "relations", "a sequence of arrow label pairs"),
+        ],
+        ids=["vertices", "arrows", "arrow", "relations", "relation"],
+    )
+    def test_a_str_is_not_split(self, vertices, arrows, relations, field, shape):
+        with pytest.raises(QuiverError) as info:
+            Presentation(vertices, arrows, relations)
+        assert info.value.diagnostic() == {
+            "message": f"{field} is not {shape}",
+            "precondition": f"{field} is {shape}",
+            "witness": {"field": field},
+        }
+
     def test_trailing_newline_rejected_from_json(self):
         data = {
             "vertices": ["1", "a\n"],
@@ -722,6 +744,16 @@ class TestCompose:
             pres.path([])
         with pytest.raises(QuiverError, match="no arrow labelled"):
             pres.path(["nope"])
+
+    def test_path_labels_are_not_a_str(self):
+        # "ab" was once read as the path a, then b
+        with pytest.raises(QuiverError) as info:
+            helpers.illustrative().path("ab")
+        assert info.value.diagnostic() == {
+            "message": "labels is not a sequence of arrow labels",
+            "precondition": "labels is a sequence of arrow labels",
+            "witness": {"field": "labels"},
+        }
 
     def test_lazy_path_requires_declared_vertex(self):
         with pytest.raises(QuiverError, match="undeclared vertex"):

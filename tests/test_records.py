@@ -1,4 +1,5 @@
-"""Result types are frozen value classes built by ``quiver._record``.
+"""Result types, presentations and dual graphs are frozen value classes
+built by ``quiver._record``.
 
 Their reprs, equality, hashing, construction and immutability match the
 frozen dataclasses they replace, and importing singcat loads none of
@@ -11,10 +12,12 @@ import copy
 import pickle
 import subprocess
 import sys
+from operator import attrgetter
 from pathlib import Path as FilePath
 
 import pytest
 
+import helpers
 import singcat
 from singcat.dg_auslander import DGAError, GradedQuiver, dg_auslander, serialize_graded_quiver
 from singcat.gentle import (
@@ -36,12 +39,18 @@ from singcat.nodal import (
     ZeroProjective,
     ZeroString,
 )
-from singcat.quiver import Arrow, FrozenRecordError, Path, QuiverError, _record, replace
-from singcat.surface import ADEType, Decomposition, ProjectiveInjectives, SurfaceError
+from singcat.quiver import (
+    Arrow, FrozenRecordError, Path, Presentation, QuiverError, _record, parse_presentation,
+    replace,
+)
+from singcat.surface import (
+    ADEType, Decomposition, DualGraph, ProjectiveInjectives, SurfaceError, fundamental_cycle,
+    parse_dual_graph,
+)
 
 
 def samples():
-    """(instance, pinned repr): one of each of the 20 result types."""
+    """(instance, pinned repr): one of each of the 22 record types."""
     cycle = CriticalCycle(("a", "b"))
     return [
         (Arrow("a", "1", "2"), "Arrow(label='a', source='1', target='2')"),
@@ -99,13 +108,20 @@ def samples():
             "GradedQuiver(family='A', rank=1, parity='odd', vertices=('1',), solid=(), "
             "broken=(Arrow(label='ρ_1', source='1', target='1'),), translation={'1': '1'})",
         ),
+        (
+            Presentation(
+                ("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3")), (("a", "b"),)
+            ),
+            "Presentation(3 vertices, 2 arrows, 1 relations)",
+        ),
+        (DualGraph(("1", "2"), (("1", "2"),), {"1": -2, "2": -3}), "DualGraph(2 vertices)"),
     ]
 
 
 SAMPLES = samples()
 IDS = [type(obj).__name__ for obj, _ in SAMPLES]
 # a dict field makes an instance unhashable, as it made the dataclass
-UNHASHABLE = (GPClassification, GradedQuiver)
+UNHASHABLE = (GPClassification, GradedQuiver, DualGraph)
 
 
 def twin(obj):
@@ -114,7 +130,7 @@ def twin(obj):
 
 
 def test_twenty_types():
-    assert len({type(obj) for obj, _ in SAMPLES}) == 20
+    assert len({type(obj) for obj, _ in SAMPLES}) == 22
 
 
 @pytest.mark.parametrize("obj, shown", SAMPLES, ids=IDS)
@@ -155,6 +171,10 @@ DERIVED = {
     NodalProjective: ("_twist",),
     NodalString: ("_twist",),
     GradedQuiver: ("_solid_from", "_solid_between", "_untranslate", "_differential"),
+    Presentation: (
+        "_by_label", "outgoing", "incoming", "successors", "predecessors", "relation_set",
+    ),
+    DualGraph: ("adjacency",),
 }
 COPIES = {
     "copy": copy.copy,
@@ -200,6 +220,38 @@ def test_a_copied_quiver_is_indexed_anew(how):
     assert other._solid_between == {("1", "2"): [arrow]}
     assert other._untranslate == {"2": "1", "1": "2"}
     assert other._untranslate is not quiver._untranslate
+
+
+CORPUS = FilePath(__file__).resolve().parent.parent / "corpus"
+TEXTS = sorted(CORPUS.glob("*.q")) + sorted(CORPUS.glob("*.graph"))
+
+
+def test_presentations_and_graphs_refuse_reassignment():
+    graph = DualGraph(["a"], [], {"a": -2})
+    with pytest.raises(FrozenRecordError, match="cannot assign to field 'weights'"):
+        graph.weights = {"a": 1}
+    assert fundamental_cycle(graph) == {"a": 1}
+    pres = parse_presentation((CORPUS / "illustrative.q").read_text())
+    with pytest.raises(FrozenRecordError, match="cannot assign to field 'arrows'"):
+        pres.arrows = ()
+    assert pres != Presentation(pres.vertices, ())
+    parsed = parse_dual_graph((CORPUS / "t13.graph").read_text())
+    for obj in (graph, parsed, twin(parsed), pres, twin(pres)):
+        assert_frozen(obj)
+
+
+@pytest.mark.parametrize("path", TEXTS, ids=lambda path: path.name)
+def test_every_build_gives_the_same_record(path):
+    # the parser writes the fields in ``_checked``; the constructor,
+    # ``replace`` and the copies in ``__init__`` and ``__post_init__``
+    if path.suffix == ".q":
+        parsed, derived = parse_presentation(path.read_text()), helpers.presentation_index
+    else:
+        parsed, derived = parse_dual_graph(path.read_text()), attrgetter("adjacency")
+    for built in (twin(parsed), replace(parsed), *(how(parsed) for how in COPIES.values())):
+        assert type(built) is type(parsed) and built is not parsed
+        assert built == parsed and repr(built) == repr(parsed)
+        assert derived(built) == derived(parsed)
 
 
 def test_class_mismatch_is_unequal():
@@ -342,7 +394,7 @@ TUPLE_IDS = [f"{type(obj).__name__}.{field}" for obj, field in TUPLE_FIELDS]
 # the error of each record's module; quiver and gentle records refuse as QuiverError
 ERRORS = {
     StringComplex: NodalError, ARWindow: NodalError, ProjectiveInjectives: SurfaceError,
-    Decomposition: SurfaceError, GradedQuiver: DGAError,
+    Decomposition: SurfaceError, GradedQuiver: DGAError, DualGraph: SurfaceError,
 }
 
 

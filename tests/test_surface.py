@@ -263,7 +263,9 @@ class TestDualGraphValidation:
     def test_edges_are_pairs(self, edges):
         with pytest.raises(SurfaceError, match="edges is not") as info:
             DualGraph(["a", "b"], edges, {"a": -2, "b": -2})
-        assert info.value.precondition == "edges is a sequence of vertex pairs"
+        # the record refuses what does not iterate, by the field's annotation
+        shape = "tuple[str, str]" if edges in (7, None) else "vertex pairs"
+        assert info.value.precondition == f"edges is a sequence of {shape}"
 
     @pytest.mark.parametrize(
         "vertices, weights, field",
@@ -327,6 +329,36 @@ def _faulty_graph(rng):
     if rng.random() < 0.03:
         weights["x"] = -2
     return vertices, edges, weights
+
+
+TWO = {"a": -2, "b": -2}
+# each was once read as a sequence: "ab" as the names "a" and "b", or as
+# the edge ("a", "b")
+STR_ARGUMENTS = [
+    (is_negative_definite, ("ab", [("a", "b")], TWO), "vertices", "a sequence of vertex names"),
+    (is_negative_definite, (["a", "b"], ["ab"], TWO), "edges", "a sequence of vertex pairs"),
+    (ade_recognize, ("abc", [("a", "b"), ("b", "c")]), "vertices", "a sequence of vertex names"),
+    (ade_recognize, (["a", "b"], ["ab"]), "edges", "a sequence of vertex pairs"),
+    (decompose, (DualGraph(["a", "b"], [("a", "b")], TWO), "ab"),
+     "contracted", "a sequence of vertex names"),
+    (DualGraph, ("ab", [("a", "b")], TWO), "vertices", "a sequence of str"),
+    (DualGraph, (["a", "b"], "ab", TWO), "edges", "a sequence of tuple[str, str]"),
+    (DualGraph, (["a", "b"], ["ab"], TWO), "edges", "a sequence of vertex pairs"),
+]
+
+
+@pytest.mark.parametrize(
+    "function, args, field, shape", STR_ARGUMENTS,
+    ids=[f"{f.__name__}-{field}-{i}" for i, (f, _, field, _) in enumerate(STR_ARGUMENTS)],
+)
+def test_a_str_is_not_read_as_a_sequence(function, args, field, shape):
+    with pytest.raises(SurfaceError) as info:
+        function(*args)
+    assert info.value.diagnostic() == {
+        "message": f"{field} is not {shape}",
+        "precondition": f"{field} is {shape}",
+        "witness": {"field": field},
+    }
 
 
 class TestRefusalOrder:
