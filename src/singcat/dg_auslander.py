@@ -7,13 +7,14 @@ broken arrow is the mesh sum at its source, with all coefficients 1: for
 every solid arrow a: i -> j it contains the composite b a, where b is the
 unique solid arrow from j to the vertex whose translate is i.  Every
 translation built here is an involution, so that vertex is also the
-translate of i.  The quiver tables are stored as data (vertex count, solid
-arrows, translation); differentials are always recomputed from the mesh
-rule.
+translate of i.  A table is its solid arrows and its translation;
+differentials are always recomputed from the mesh rule.
 
-Odd parity quivers depend on the family in an irregular way (halved ranks,
-ladders with a folded tail); even parity quivers are plain double quivers of
-the Dynkin tree with identity translation.
+Even parity quivers are the double quivers of the Dynkin trees of
+``surface._diagram``, with identity translation, and so are the odd A ones,
+of A_m with a loop or of a D-shaped tree with a swap.  The other odd parity
+quivers depend on the family in an irregular way (halved ranks, ladders
+with a folded tail) and are written out.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import partial
 from .quiver import (
     Arrow, SingcatError, _MALFORMED, _expect, _field_error, _read_int, _record,
 )
-from .surface import ADEType
+from .surface import ADEType, _diagram
 
 
 class DGAError(SingcatError):
@@ -86,8 +87,8 @@ class GradedQuiver:
     """Vertices, degree-0 solid arrows, degree -1 broken arrows, translation.
 
     The constructor is the one way in, for the built-in tables too: it
-    checks every field, then indexes the solid arrows by source and by
-    ends for the mesh differential.
+    checks every field, then indexes the solid arrows by source for the
+    mesh differential.
     """
 
     family: str
@@ -123,12 +124,10 @@ class GradedQuiver:
                 raise ValueError
         except _MALFORMED:
             raise _field_error(field, shape, DGAError) from None
-        by_source, by_ends = {}, {}
+        by_source = {}
         for a in self.solid:
             by_source.setdefault(a.source, []).append(a)
-            by_ends.setdefault((a.source, a.target), []).append(a)
         object.__setattr__(self, "_solid_from", by_source)
-        object.__setattr__(self, "_solid_between", by_ends)
         object.__setattr__(self, "_untranslate", untranslate)
         # filled by the first ``differential`` call, so a mesh that does not
         # complete uniquely is reported there, not here
@@ -146,49 +145,44 @@ def _alpha_star(i: int) -> str:
     return f"α_{i}*"
 
 
-def _finish(family, rank, parity, vertices, solid, tau) -> GradedQuiver:
-    """The quiver of a table over int vertices, checked and indexed by
-    ``GradedQuiver`` like any other."""
-    text = {v: str(v) for v in vertices}  # each str(v) once
+def _finish(family, rank, parity, solid, tau) -> GradedQuiver:
+    """The quiver of a table over int vertices, the keys of ``tau`` in
+    order, checked and indexed by ``GradedQuiver`` like any other."""
+    text = {v: str(v) for v in tau}  # each str(v) once
     names = tuple(text.values())
-    translation = {text[v]: text[tau[v]] for v in vertices}
+    translation = {text[v]: text[w] for v, w in tau.items()}
     broken = [Arrow(f"ρ_{v}", v, translation[v]) for v in names]
     solid_arrows = [Arrow(lab, text[src], text[tgt]) for lab, src, tgt in solid]
     return GradedQuiver(family, rank, parity, names, solid_arrows, broken, translation)
 
 
 def _pairs(edges):
-    """Double quiver arrows for indexed tree edges (i, u, v)."""
+    """Double quiver arrows for tree edges (u, v): α_u from u to v, α_u*
+    back."""
     out = []
-    for i, u, v in edges:
-        out.append((_alpha(i), u, v))
-        out.append((_alpha_star(i), v, u))
+    for u, v in edges:
+        out.append((_alpha(u), u, v))
+        out.append((_alpha_star(u), v, u))
     return out
 
 
 def _odd_A(n: int) -> GradedQuiver:
     if n == 1:
-        tau = {1: 2, 2: 1}
-        return _finish("A", 1, "odd", [1, 2], [], tau)
-    if n % 2 == 0:
-        m = n // 2
-        vertices = list(range(1, m + 1))
-        solid = _pairs([(i, i, i + 1) for i in range(1, m)])
-        solid.append(("γ", m, m))
-        tau = {v: v for v in vertices}
-        return _finish("A", n, "odd", vertices, solid, tau)
+        return _finish("A", 1, "odd", [], {1: 2, 2: 1})
     m = (n + 1) // 2
-    vertices = list(range(1, m + 2))
-    solid = _pairs([(1, 1, 3), (2, 2, 3)] + [(i, i, i + 1) for i in range(3, m + 1)])
-    tau = {v: v for v in vertices}
+    if n % 2 == 0:  # A_m with a loop at its end
+        solid = _pairs(_diagram("A", m)) + [("γ", m, m)]
+        return _finish("A", n, "odd", solid, {v: v for v in range(1, m + 1)})
+    # the D-shaped tree on m + 1 vertices (for m = 2, A_3 centred at 3)
+    # with 1 and 2 swapped
+    tau = {v: v for v in range(1, m + 2)}
     tau[1], tau[2] = 2, 1
-    return _finish("A", n, "odd", vertices, solid, tau)
+    return _finish("A", n, "odd", _pairs(_diagram("D", m + 1)), tau)
 
 
 def _odd_D(n: int) -> GradedQuiver:
     if n % 2 == 1:
         m = (n - 1) // 2
-        vertices = list(range(0, 4 * m - 1))
         solid = []
         for i in range(0, 4 * m - 4):
             solid.append((_alpha(i), i, i + 2))
@@ -206,9 +200,8 @@ def _odd_D(n: int) -> GradedQuiver:
         for k in range(0, 2 * m - 1):
             tau[2 * k], tau[2 * k + 1] = 2 * k + 1, 2 * k
         tau[4 * m - 2] = 4 * m - 2
-        return _finish("D", n, "odd", vertices, solid, tau)
+        return _finish("D", n, "odd", solid, tau)
     m = n // 2
-    vertices = list(range(0, 4 * m))
     solid = []
     for i in range(0, 4 * m - 7, 2):
         solid.append((_alpha(i), i, i + 2))
@@ -231,12 +224,11 @@ def _odd_D(n: int) -> GradedQuiver:
     tau = {}
     for k in range(0, 2 * m):
         tau[2 * k], tau[2 * k + 1] = 2 * k + 1, 2 * k
-    return _finish("D", n, "odd", vertices, solid, tau)
+    return _finish("D", n, "odd", solid, tau)
 
 
 def _odd_E(n: int) -> GradedQuiver:
     if n == 6:
-        vertices = list(range(1, 7))
         solid = [
             (_alpha_star(1), 3, 1),
             (_alpha_star(2), 4, 2),
@@ -250,12 +242,10 @@ def _odd_E(n: int) -> GradedQuiver:
             (_alpha_star(5), 6, 5),
         ]
         tau = {1: 2, 2: 1, 3: 4, 4: 3, 5: 5, 6: 6}
-        return _finish("E", 6, "odd", vertices, solid, tau)
+        return _finish("E", 6, "odd", solid, tau)
     # E7 and E8 share the ladder shape; the branch hangs off a middle rung.
     rungs = 5 if n == 7 else 6
-    top = 2 * rungs + 1
     branch = (13, 14, 6, 5) if n == 7 else (15, 16, 10, 9)
-    vertices = list(range(1, top + 2)) + list(branch[:2])
     solid = []
     for k in range(1, rungs + 1):
         solid.append((_alpha(2 * k - 1), 2 * k - 1, 2 * k + 2))
@@ -271,19 +261,12 @@ def _odd_E(n: int) -> GradedQuiver:
     for k in range(1, rungs + 2):
         tau[2 * k - 1], tau[2 * k] = 2 * k, 2 * k - 1
     tau[b1], tau[b2] = b2, b1
-    return _finish("E", n, "odd", vertices, solid, tau)
+    return _finish("E", n, "odd", solid, tau)
 
 
 def _even(family: str, n: int) -> GradedQuiver:
-    if family == "A":
-        edges = [(i, i, i + 1) for i in range(1, n)]
-    elif family == "D":
-        edges = [(1, 1, 3), (2, 2, 3)] + [(i, i, i + 1) for i in range(3, n)]
-    else:
-        edges = [(1, 1, 4)] + [(i, i, i + 1) for i in range(2, n)]
-    vertices = list(range(1, n + 1))
-    tau = {v: v for v in vertices}
-    return _finish(family, n, "even", vertices, _pairs(edges), tau)
+    tau = {v: v for v in range(1, n + 1)}
+    return _finish(family, n, "even", _pairs(_diagram(family, n)), tau)
 
 
 def dg_auslander(ade, parity: str) -> GradedQuiver:
@@ -337,10 +320,10 @@ def _term_key(label_key, term: tuple[str, str]):
 
 def _mesh(quiver: GradedQuiver, vertex: str, key) -> tuple[tuple[str, str], ...]:
     """The mesh sum at a vertex of the quiver, its terms sorted by ``key``."""
-    target, between = quiver._untranslate[vertex], quiver._solid_between
+    target, solid_from = quiver._untranslate[vertex], quiver._solid_from
     terms = []
-    for a in quiver._solid_from.get(vertex, ()):
-        partners = between.get((a.target, target), ())
+    for a in solid_from.get(vertex, ()):
+        partners = [b for b in solid_from.get(a.target, ()) if b.target == target]
         if len(partners) != 1:
             raise DGAError(
                 f"mesh at {vertex} is not uniquely completable through "

@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 from collections.abc import Container, Sequence
 from functools import cache, partial
+from types import MappingProxyType
 
 _NAME_RE = re.compile(r"[^\s;:#]+")  # used with fullmatch
 
@@ -96,7 +97,11 @@ def _repr(self):
 
 
 def _reduce(self):
-    return self.__class__, tuple([getattr(self, f) for f in self._fields])
+    # copy, deepcopy and pickle cannot take a read-only view: its dict goes
+    values = [getattr(self, f) for f in self._fields]
+    return self.__class__, tuple([
+        dict(v) if v.__class__ is MappingProxyType else v for v in values
+    ])
 
 
 def _items(value) -> tuple:

@@ -25,6 +25,7 @@ import re
 from collections.abc import Container, Iterable, Mapping, Sequence
 from itertools import islice
 from math import gcd
+from types import MappingProxyType
 
 from .quiver import (
     _COMMENT_RE, INT_DIGITS, ParseError, SingcatError, _blank, _expect, _expect_text, _field,
@@ -256,8 +257,9 @@ class DualGraph:
     order, to the tuple of its neighbours in edge order; it is built during
     validation, which walks the edges once: a connected graph with n - 1
     edges is a simple tree, so loops and repeated edges are looked for only
-    when that test fails.  ``weights`` and ``adjacency`` are dicts, which
-    callers must not change.
+    when that test fails.  ``weights`` and ``adjacency`` are read-only
+    views of the dicts that ``_weights`` and ``_adjacency`` hold, so an
+    in-place change raises ``TypeError``.
     """
 
     vertices: tuple[str, ...]
@@ -299,16 +301,23 @@ class DualGraph:
         return self
 
     def _validate(self):
+        # weights is this graph's own dict (from __post_init__ or _checked);
+        # the public names show read-only views of it and of the adjacency
+        weights = self.weights
+        object.__setattr__(self, "weights", MappingProxyType(weights))
         nbrs, tree = _tree(self.vertices, self.edges)
-        object.__setattr__(self, "adjacency", {v: tuple(ns) for v, ns in nbrs.items()})
-        if self.weights.keys() != nbrs.keys():
+        adjacency = {v: tuple(ns) for v, ns in nbrs.items()}
+        self.__dict__.update(
+            _weights=weights, _adjacency=adjacency, adjacency=MappingProxyType(adjacency)
+        )
+        if weights.keys() != nbrs.keys():
             raise SurfaceError(
                 "weights do not cover the vertex set exactly",
                 precondition="every vertex has exactly one weight",
-                witness={"weighted": sorted(self.weights), "vertices": sorted(nbrs)},
+                witness={"weighted": sorted(weights), "vertices": sorted(nbrs)},
             )
         num = {}
-        for v, w in self.weights.items():
+        for v, w in weights.items():
             if type(w) is not int or w > -2:
                 _check_weight(v, w)
                 raise SurfaceError(
@@ -322,7 +331,7 @@ class DualGraph:
                 "the intersection form is not negative definite",
                 precondition="negative definite intersection form",
                 witness={
-                    "weights": {v: self.weights[v] for v in sorted(self.weights)}
+                    "weights": {v: weights[v] for v in sorted(weights)}
                 },
             )
 
@@ -351,10 +360,11 @@ def _laufer(
     picks the cell uniformly from ``pending``, a list built in vertex and
     adjacency order, so a seed gives the same run whatever the hash seed.
 
-    The caller passes a validated ``DualGraph``'s fields: on its negative
-    definite form every order of raises reaches the same Z (the minimal
-    anti-nef cycle) after Σz − n steps in all, so the step count does not
-    depend on ``rng``.  On other input the loop need not stop.
+    The caller passes a validated ``DualGraph``'s vertices, adjacency and
+    weights, which no one can change in place: on its negative definite
+    form every order of raises reaches the same Z (the minimal anti-nef
+    cycle) after Σz − n steps in all, so the step count does not depend on
+    ``rng``.  On other input the loop need not stop.
     """
     cells = {v: [weights[v] + len(adjacency[v]), 1, weights[v], adjacency[v]] for v in vertices}
     pending = [cell for cell in cells.values() if cell[0] > 0]
@@ -393,7 +403,9 @@ def fundamental_cycle(graph: DualGraph, seed: int | None = None) -> dict[str, in
         from random import Random  # here, so importing singcat skips it
 
         rng = Random(seed)
-    return _laufer(graph.vertices, graph.adjacency, graph.weights, rng)
+    # the dicts behind the read-only views: the loop's setup reads every
+    # entry, and a lookup through a view costs more
+    return _laufer(graph.vertices, graph._adjacency, graph._weights, rng)
 
 
 def special_ranks(graph: DualGraph) -> dict[str, int]:
@@ -522,6 +534,15 @@ def ade_recognize(
         "edges", _PAIRS, SurfaceError,
     )
     return _ade_shape(vertices, _tree(vertices, edges)[0])
+
+
+def _diagram(family: str, n: int) -> list[tuple[int, int]]:
+    """Edges (u, v), u < v, of the Dynkin tree family_n on the vertices 1..n,
+    in order of u: A_n is the path from 1; D_n hangs 1 on 3 and E_n hangs 1
+    on 4, each then the path from 2."""
+    if family == "A":
+        return [(u, u + 1) for u in range(1, n)]
+    return [(1, 3 if family == "D" else 4)] + [(u, u + 1) for u in range(2, n)]
 
 
 def _ade_shape(vertices: Sequence[str], nbrs: Mapping[str, Sequence[str]]) -> ADEType:

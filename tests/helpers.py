@@ -336,6 +336,33 @@ def scan_mesh_differential(quiver) -> dict[str, tuple[tuple[str, str], ...]]:
     return result
 
 
+# ---------------------------------------------------------------------------
+# double quivers of the Dynkin trees, in the README numbering
+#
+# A_n joins i and i + 1.  D_n joins 1 and 3, E_n joins 1 and 4, and both join
+# i and i + 1 from i = 2 on.  An edge from its smaller end u to its larger
+# end v gives the arrows α_u: u -> v and α_u*: v -> u.
+
+
+def _dynkin_joined(family: str, u: int, v: int) -> bool:
+    """Whether the vertices u < v of the Dynkin tree are joined."""
+    if u == 1 and family != "A":
+        return v == {"D": 3, "E": 4}[family]
+    return v == u + 1
+
+
+def oracle_double_quiver(family: str, n: int) -> list[tuple[str, str, str]]:
+    """Solid arrows (label, source, target) of the double quiver of the
+    Dynkin tree family_n on the vertices 1..n: every pair u < v is tried,
+    in order of u, and a joined pair gives α_u, then α_u*."""
+    arrows = []
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            if _dynkin_joined(family, u, v):
+                arrows += [(f"α_{u}", str(u), str(v)), (f"α_{u}*", str(v), str(u))]
+    return arrows
+
+
 def _reduce(row: dict, rows: dict) -> None:
     """Clear from ``row`` every pivot column of ``rows`` (in place)."""
     for col in [c for c in row if c in rows]:

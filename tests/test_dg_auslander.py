@@ -13,6 +13,7 @@ import json
 import pytest
 
 import helpers
+from singcat import cli
 from singcat.dg_auslander import (
     DGAError,
     GradedQuiver,
@@ -165,7 +166,7 @@ def test_tables_pass_the_public_constructor(family, rank, parity):
     q = dg_auslander(ADEType(family, rank), parity)
     checked = GradedQuiver(*(getattr(q, f) for f in GradedQuiver._fields))
     assert checked == q
-    for index in ("_solid_from", "_solid_between", "_untranslate"):
+    for index in ("_solid_from", "_untranslate"):
         assert getattr(checked, index) == getattr(q, index)
 
 
@@ -175,6 +176,42 @@ TABLES = [
     for rank in ranks
     for parity in ("even", "odd")
 ]
+
+
+def _emitted(capsys, name, parity):
+    """Solid arrows (label, source, target) and translation that
+    ``dga emit NAME PARITY`` prints."""
+    assert cli.run(["dga", "emit", name, parity]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    solid = [(a["label"], a["source"], a["target"]) for a in payload["solid_arrows"]]
+    return solid, payload["translation"]
+
+
+def _identity(count):
+    return {str(v): str(v) for v in range(1, count + 1)}
+
+
+def test_even_tables_are_the_double_quivers_of_the_dynkin_trees(capsys):
+    for name, parity in TABLES:
+        if parity == "even":
+            family, rank = name[0], int(name[1:])
+            solid, translation = _emitted(capsys, name, parity)
+            assert solid == helpers.oracle_double_quiver(family, rank), name
+            assert translation == _identity(rank), name
+
+
+def test_odd_a_tables_are_double_quivers_with_a_loop_or_a_swap(capsys):
+    for n in range(2, 121):
+        solid, translation = _emitted(capsys, f"A{n}", "odd")
+        m = (n + 1) // 2
+        if n % 2 == 0:  # A_m with a loop at m
+            expected = helpers.oracle_double_quiver("A", m) + [("γ", str(m), str(m))]
+            tau = _identity(m)
+        else:  # the D-shaped tree on m + 1 vertices, 1 and 2 swapped
+            expected = helpers.oracle_double_quiver("D", m + 1)
+            tau = _identity(m + 1) | {"1": "2", "2": "1"}
+        assert solid == expected, n
+        assert translation == tau, n
 
 
 def test_no_table_repeats_an_arrow_label():

@@ -170,11 +170,11 @@ DERIVED = {
     CriticalCycle: ("display", "name"),
     NodalProjective: ("_twist",),
     NodalString: ("_twist",),
-    GradedQuiver: ("_solid_from", "_solid_between", "_untranslate", "_differential"),
+    GradedQuiver: ("_solid_from", "_untranslate", "_differential"),
     Presentation: (
         "_by_label", "outgoing", "incoming", "successors", "predecessors", "relation_set",
     ),
-    DualGraph: ("adjacency",),
+    DualGraph: ("adjacency", "_adjacency", "_weights"),
 }
 COPIES = {
     "copy": copy.copy,
@@ -217,7 +217,6 @@ def test_a_copied_quiver_is_indexed_anew(how):
     quiver = GradedQuiver("A", 1, "odd", ("1", "2"), (arrow,), (), {"1": "2", "2": "1"})
     other = COPIES[how](quiver)
     assert other._solid_from == {"1": [arrow]}
-    assert other._solid_between == {("1", "2"): [arrow]}
     assert other._untranslate == {"2": "1", "1": "2"}
     assert other._untranslate is not quiver._untranslate
 
@@ -238,6 +237,23 @@ def test_presentations_and_graphs_refuse_reassignment():
     parsed = parse_dual_graph((CORPUS / "t13.graph").read_text())
     for obj in (graph, parsed, twin(parsed), pres, twin(pres)):
         assert_frozen(obj)
+
+
+def test_a_graph_refuses_changes_in_place():
+    # weights and adjacency are read-only views, so Laufer's loop never
+    # reads a weight or a neighbour list that validation did not see
+    graph = DualGraph(["a", "b"], [("a", "b")], {"a": -2, "b": -2})
+    parsed = parse_dual_graph((CORPUS / "t13.graph").read_text())
+    for obj in (graph, parsed, *(how(graph) for how in COPIES.values())):
+        v = obj.vertices[0]
+        with pytest.raises(TypeError):
+            obj.weights[v] = 1
+        with pytest.raises(TypeError):
+            del obj.weights[v]
+        with pytest.raises(TypeError):
+            obj.adjacency[v] = (v,)
+    assert fundamental_cycle(graph) == {"a": 1, "b": 1}
+    assert graph.adjacency == {"a": ("b",), "b": ("a",)}
 
 
 @pytest.mark.parametrize("path", TEXTS, ids=lambda path: path.name)

@@ -27,6 +27,7 @@ from singcat.surface import (
     DualGraph,
     SurfaceError,
     _LINE_BREAKS,
+    _diagram,
     _laufer,
     ade_recognize,
     all_minus_two,
@@ -851,6 +852,18 @@ class TestADERecognition:
     def test_three_armed_stars(self, arms, expected):
         vertices, edges = _star_parts_shape(arms)
         assert ade_recognize(vertices, edges) == expected
+
+    def test_every_dynkin_tree_is_recognized_as_its_type(self):
+        # the trees the graded quivers are built on, under random names,
+        # with the vertices, the edges and each edge's ends in random order
+        rng = random.Random(37)
+        for family, ranks in (("A", range(1, 121)), ("D", range(4, 121)), ("E", (6, 7, 8))):
+            for n in ranks:
+                names = [f"c{k}" for k in rng.sample(range(n), n)]
+                edges = [(names[u - 1], names[v - 1]) for u, v in _diagram(family, n)]
+                edges = [e if rng.random() < 0.5 else e[::-1] for e in edges]
+                rng.shuffle(edges)
+                assert ade_recognize(rng.sample(names, n), edges) == ADEType(family, n)
 
     def test_type_names(self):
         assert ADEType("A", 1).name == "A1"
