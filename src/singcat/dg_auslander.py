@@ -1,14 +1,13 @@
 """Graded quivers of dg-Auslander type for ADE configurations.
 
 For each simply laced family and each parity of the ambient dimension there
-is a graded quiver: solid arrows in degree 0, one broken arrow of degree -1
-out of every vertex i, ending at the translate of i.  The differential of a
+is a graded quiver: solid arrows in degree 0 and a translation τ, an
+involution of the vertices (Ω² ≅ id on a hypersurface).  One broken arrow of
+degree -1, ρ_i: i -> τ(i), leaves every vertex i.  The differential of a
 broken arrow is the mesh sum at its source, with all coefficients 1: for
 every solid arrow a: i -> j it contains the composite b a, where b is the
-unique solid arrow from j to the vertex whose translate is i.  Every
-translation built here is an involution, so that vertex is also the
-translate of i.  A table is its solid arrows and its translation;
-differentials are always recomputed from the mesh rule.
+unique solid arrow from j to τ(i).  A table is its solid arrows and its
+translation; the broken arrows and the differentials are always derived.
 
 Even parity quivers are the double quivers of the Dynkin trees of
 ``surface._diagram``, with identity translation, and so are the odd A ones,
@@ -21,6 +20,7 @@ from __future__ import annotations
 
 import re
 from functools import partial
+from types import MappingProxyType
 
 from .quiver import (
     Arrow, SingcatError, _MALFORMED, _expect, _field_error, _read_int, _record,
@@ -57,15 +57,14 @@ def check_ade_type(ade) -> ADEType:
             )
         family = m.group(1)
         rank = _read_int(m.group(2), DGAError, "the rank of the ADE type", "type", ade)
+    elif isinstance(ade, ADEType):
+        family, rank = ade.family, ade.rank
     else:
-        try:
-            family, rank = (ade.family, ade.rank) if isinstance(ade, ADEType) else ade
-        except (TypeError, ValueError):
-            family = rank = None
+        family = rank = None
     if not isinstance(family, str) or type(rank) is not int:
         raise DGAError(
             f"cannot read ADE type {ade!r}",
-            precondition="type is a string like A7 or a (family, rank) pair",
+            precondition="type is a string like A7 or an ADEType",
             witness={"type": repr(ade)},
         )
     ok = (
@@ -84,11 +83,12 @@ def check_ade_type(ade) -> ADEType:
 
 @_record(DGAError)
 class GradedQuiver:
-    """Vertices, degree-0 solid arrows, degree -1 broken arrows, translation.
+    """Vertices, degree-0 solid arrows and an involution τ of the vertices.
 
     The constructor is the one way in, for the built-in tables too: it
-    checks every field, then indexes the solid arrows by source for the
-    mesh differential.
+    checks every field, keeps ``translation`` as a read-only view of its own
+    copy, derives ``broken``, the degree -1 arrows ρ_v: v -> τ(v) in vertex
+    order, and indexes the solid arrows by source for the mesh differential.
     """
 
     family: str
@@ -96,42 +96,39 @@ class GradedQuiver:
     parity: str
     vertices: tuple[str, ...]
     solid: tuple[Arrow, ...]
-    broken: tuple[Arrow, ...]
     translation: dict[str, str]
 
     def __post_init__(self):
         # Check the fields in order and name the first malformed one:
-        # distinct str vertices, Arrows with distinct str labels between
-        # them, and a translation that permutes the vertices.
+        # distinct str vertices, Arrows between them whose str labels are
+        # distinct and none a broken arrow's, and an involution of the vertices.
         field, shape = "vertices", "a sequence of distinct strs"
         try:
             vertices = {v for v in self.vertices if isinstance(v, str)}
             if len(vertices) != len(self.vertices):  # a duplicate or not a str
                 raise ValueError
-            shape, labels = "a sequence of Arrow", set()
-            for field in ("solid", "broken"):
-                for a in getattr(self, field):
-                    if not (isinstance(a, Arrow) and isinstance(a.label, str)
-                            and a.source in vertices and a.target in vertices):
-                        raise ValueError
-                    if a.label in labels:
-                        raise DGAError(f"arrow label {a.label!r} is repeated",
-                                       "arrow labels are distinct", {"label": a.label})
-                    labels.add(a.label)
-            field, shape = "translation", "a dict of vertex names"
-            untranslate = {v: k for k, v in self.translation.items()}
-            if self.translation.keys() != vertices or untranslate.keys() != vertices:
+            field, shape, by_source = "solid", "a sequence of Arrow", {}
+            labels = {f"ρ_{v}" for v in vertices}  # the broken arrows' labels
+            for a in self.solid:
+                if not (isinstance(a, Arrow) and isinstance(a.label, str)
+                        and a.source in vertices and a.target in vertices):
+                    raise ValueError
+                if a.label in labels:
+                    raise DGAError(f"arrow label {a.label!r} is repeated",
+                                   "arrow labels are distinct", {"label": a.label})
+                labels.add(a.label)
+                by_source.setdefault(a.source, []).append(a)
+            field, shape = "translation", "an involution of the vertices"
+            tau = dict(self.translation.items())  # a list of pairs is no mapping
+            if tau.keys() != vertices or dict(zip(tau.values(), tau)) != tau:  # τ⁻¹ = τ
                 raise ValueError
         except _MALFORMED:
             raise _field_error(field, shape, DGAError) from None
-        by_source = {}
-        for a in self.solid:
-            by_source.setdefault(a.source, []).append(a)
-        object.__setattr__(self, "_solid_from", by_source)
-        object.__setattr__(self, "_untranslate", untranslate)
-        # filled by the first ``differential`` call, so a mesh that does not
-        # complete uniquely is reported there, not here
-        object.__setattr__(self, "_differential", None)
+        object.__setattr__(self, "translation", MappingProxyType(tau))
+        broken = tuple([Arrow(f"ρ_{v}", v, tau[v]) for v in self.vertices])
+        # ``_differential`` is filled by the first ``differential`` call, so
+        # a mesh that does not complete uniquely is reported there, not here
+        self.__dict__.update(broken=broken, _solid_from=by_source, _differential=None)
 
     def solid_from(self, vertex: str) -> list[Arrow]:
         return list(self._solid_from.get(vertex, ())) if isinstance(vertex, str) else []
@@ -149,11 +146,9 @@ def _finish(family, rank, parity, solid, tau) -> GradedQuiver:
     """The quiver of a table over int vertices, the keys of ``tau`` in
     order, checked and indexed by ``GradedQuiver`` like any other."""
     text = {v: str(v) for v in tau}  # each str(v) once
-    names = tuple(text.values())
-    translation = {text[v]: text[w] for v, w in tau.items()}
-    broken = [Arrow(f"ρ_{v}", v, translation[v]) for v in names]
     solid_arrows = [Arrow(lab, text[src], text[tgt]) for lab, src, tgt in solid]
-    return GradedQuiver(family, rank, parity, names, solid_arrows, broken, translation)
+    translation = {text[v]: text[w] for v, w in tau.items()}
+    return GradedQuiver(family, rank, parity, tuple(text.values()), solid_arrows, translation)
 
 
 def _pairs(edges):
@@ -319,8 +314,9 @@ def _term_key(label_key, term: tuple[str, str]):
 
 
 def _mesh(quiver: GradedQuiver, vertex: str, key) -> tuple[tuple[str, str], ...]:
-    """The mesh sum at a vertex of the quiver, its terms sorted by ``key``."""
-    target, solid_from = quiver._untranslate[vertex], quiver._solid_from
+    """The mesh sum at a vertex of the quiver, its terms sorted by ``key``;
+    each ends at τ(vertex), which is τ⁻¹(vertex) as τ is an involution."""
+    target, solid_from = quiver.translation[vertex], quiver._solid_from
     terms = []
     for a in solid_from.get(vertex, ()):
         partners = [b for b in solid_from.get(a.target, ()) if b.target == target]
@@ -345,17 +341,15 @@ def mesh_image(quiver: GradedQuiver, vertex: str) -> tuple[tuple[str, str], ...]
     """Mesh sum at a vertex: application-order label pairs, sorted for display.
 
     For each solid a: vertex -> j the summand is (a, b) with b the unique
-    solid arrow from j to the vertex whose translate is ``vertex`` (the
-    translate itself, as every translation here is an involution);
-    coefficients are all 1.
+    solid arrow from j to the translate of ``vertex``; coefficients are all
+    1.  Vertices are strs, so any other value is an unknown vertex.
     """
     _expect(quiver, GradedQuiver, "quiver", DGAError)
-    vertex = str(vertex)
-    if vertex not in quiver.translation:
+    if not (isinstance(vertex, str) and vertex in quiver.translation):
         raise DGAError(
             f"unknown vertex {vertex!r}",
             precondition="vertex belongs to the quiver",
-            witness={"vertex": vertex},
+            witness={"vertex": vertex if isinstance(vertex, str) else repr(vertex)},
         )
     return _mesh(quiver, vertex, partial(_term_key, _label_key))
 

@@ -91,17 +91,19 @@ def _no_delattr(self, name):
     raise FrozenRecordError(f"cannot delete field {name!r}")
 
 
+def _values(self) -> list:
+    # a read-only view as its dict, which repr shows and copy and pickle take
+    values = [getattr(self, f) for f in self._fields]
+    return [dict(v) if v.__class__ is MappingProxyType else v for v in values]
+
+
 def _repr(self):
-    shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+    shown = ", ".join([f"{f}={v!r}" for f, v in zip(self._fields, _values(self))])
     return f"{self.__class__.__qualname__}({shown})"
 
 
 def _reduce(self):
-    # copy, deepcopy and pickle cannot take a read-only view: its dict goes
-    values = [getattr(self, f) for f in self._fields]
-    return self.__class__, tuple([
-        dict(v) if v.__class__ is MappingProxyType else v for v in values
-    ])
+    return self.__class__, tuple(_values(self))
 
 
 def _items(value) -> tuple:

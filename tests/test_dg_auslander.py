@@ -166,7 +166,7 @@ def test_tables_pass_the_public_constructor(family, rank, parity):
     q = dg_auslander(ADEType(family, rank), parity)
     checked = GradedQuiver(*(getattr(q, f) for f in GradedQuiver._fields))
     assert checked == q
-    for index in ("_solid_from", "_untranslate"):
+    for index in ("broken", "_solid_from"):
         assert getattr(checked, index) == getattr(q, index)
 
 
@@ -222,40 +222,69 @@ def test_no_table_repeats_an_arrow_label():
 
 
 @pytest.mark.parametrize(
-    "solid, broken",
+    "solid, label",
     [
-        ((), (Arrow("r", "1", "1"), Arrow("r", "1", "1"))),
-        ((Arrow("r", "1", "1"),), (Arrow("r", "1", "1"),)),
-        ([Arrow("a", "1", "1"), Arrow("r", "1", "1")], iter([Arrow("r", "1", "1")])),
+        ((Arrow("r", "1", "1"), Arrow("r", "1", "1")), "r"),
+        (iter([Arrow("a", "1", "1"), Arrow("r", "1", "1"), Arrow("r", "1", "1")]), "r"),
+        # the label of the broken arrow that the constructor derives at 1
+        ((Arrow("ρ_1", "1", "1"),), "ρ_1"),
+        ([Arrow("a", "1", "1"), Arrow("ρ_1", "1", "1")], "ρ_1"),
     ],
 )
-def test_a_repeated_arrow_label_is_refused(solid, broken):
+def test_a_repeated_arrow_label_is_refused(solid, label):
     with pytest.raises(DGAError) as info:
-        GradedQuiver("A", 1, "even", ("1",), solid, broken, {"1": "1"})
+        GradedQuiver("A", 1, "even", ("1",), solid, {"1": "1"})
     assert info.value.diagnostic() == {
-        "message": "arrow label 'r' is repeated",
+        "message": f"arrow label {label!r} is repeated",
         "precondition": "arrow labels are distinct",
-        "witness": {"label": "r"},
+        "witness": {"label": label},
     }
 
 
 @pytest.mark.parametrize(
-    "vertices, solid, broken, field, shape",
+    "translation",
     [
-        (5, (), (), "vertices", "a sequence of str"),
-        (("1",), 5, (), "solid", "a sequence of Arrow"),
-        (("1",), (), None, "broken", "a sequence of Arrow"),
-        # an element that is not an Arrow reads like a field that does not iterate
-        (("1",), [("a", "1", "1")], (), "solid", "a sequence of Arrow"),
-        (("1",), (), [Arrow("r", "1", "2")], "broken", "a sequence of Arrow"),
-        # the sequences are stored before any is checked
-        (("1", "1"), 5, (), "solid", "a sequence of Arrow"),
-        (("1", "1"), (), (), "vertices", "a sequence of distinct strs"),
+        {"1": "2", "2": "3", "3": "1"},  # the 3-cycle (1 2 3)
+        {"1": "1", "2": "2"},  # 3 has no translate
     ],
 )
-def test_a_malformed_sequence_field_is_refused_in_full(vertices, solid, broken, field, shape):
+def test_a_translation_that_is_not_an_involution_is_refused(translation):
     with pytest.raises(DGAError) as info:
-        GradedQuiver("A", 1, "even", vertices, solid, broken, {"1": "1"})
+        GradedQuiver("A", 3, "odd", ("1", "2", "3"), (), translation)
+    assert info.value.diagnostic() == {
+        "message": "translation is not an involution of the vertices",
+        "precondition": "translation is an involution of the vertices",
+        "witness": {"field": "translation"},
+    }
+
+
+def test_the_translation_is_owned_and_read_only():
+    given = {"1": "2", "2": "1"}
+    q = GradedQuiver("A", 1, "odd", ("1", "2"), (), given)
+    pristine = serialize_graded_quiver(q)
+    with pytest.raises(TypeError):
+        q.translation["1"] = "1"
+    given["1"] = given["2"] = "1"
+    assert q.translation == {"1": "2", "2": "1"}
+    assert serialize_graded_quiver(q) == pristine
+    assert [(r.source, r.target) for r in q.broken] == [("1", "2"), ("2", "1")]
+
+
+@pytest.mark.parametrize(
+    "vertices, solid, field, shape",
+    [
+        (5, (), "vertices", "a sequence of str"),
+        (("1",), 5, "solid", "a sequence of Arrow"),
+        # an element that is not an Arrow reads like a field that does not iterate
+        (("1",), [("a", "1", "1")], "solid", "a sequence of Arrow"),
+        # the sequences are stored before any is checked
+        (("1", "1"), 5, "solid", "a sequence of Arrow"),
+        (("1", "1"), (), "vertices", "a sequence of distinct strs"),
+    ],
+)
+def test_a_malformed_sequence_field_is_refused_in_full(vertices, solid, field, shape):
+    with pytest.raises(DGAError) as info:
+        GradedQuiver("A", 1, "even", vertices, solid, {"1": "1"})
     assert info.value.diagnostic() == {
         "message": f"{field} is not {shape}",
         "precondition": f"{field} is {shape}",
@@ -269,7 +298,6 @@ def test_a_label_ending_in_a_newline_is_not_an_alpha_label():
         "A", 3, "even", ("1", "2", "3"),
         (Arrow("α_1\n", "1", "2"), Arrow("α_2", "1", "3"),
          Arrow("z", "2", "1"), Arrow("w", "3", "1")),
-        tuple(Arrow(f"ρ_{v}", v, v) for v in "123"),
         {v: v for v in "123"},
     )
     assert differential(q)["ρ_1"] == mesh_image(q, "1") == (("α_2", "w"), ("α_1\n", "z"))
@@ -278,11 +306,11 @@ def test_a_label_ending_in_a_newline_is_not_an_alpha_label():
 
 def identity_quiver(*solid) -> GradedQuiver:
     """Even-parity quiver on the vertices the solid arrows use, identity
-    translation, one broken arrow per vertex."""
+    translation."""
     vertices = tuple(sorted({v for _, s, t in solid for v in (s, t)}))
     return GradedQuiver(
         "A", len(vertices), "even", vertices, tuple(Arrow(*a) for a in solid),
-        tuple(Arrow(f"ρ_{v}", v, v) for v in vertices), {v: v for v in vertices},
+        {v: v for v in vertices},
     )
 
 
@@ -406,6 +434,19 @@ class TestPinnedDifferentials:
         with pytest.raises(DGAError, match="unknown vertex"):
             mesh_image(q, "9")
 
+    @pytest.mark.parametrize("vertex", [1, b"1", ["1"]], ids=["int", "bytes", "list"])
+    def test_a_vertex_that_is_not_a_str_is_unknown(self, vertex):
+        # as ``solid_from`` has no arrows from it
+        q = dg_auslander("A3", "even")
+        assert q.solid_from(vertex) == []
+        with pytest.raises(DGAError) as info:
+            mesh_image(q, vertex)
+        assert info.value.diagnostic() == {
+            "message": f"unknown vertex {vertex!r}",
+            "precondition": "vertex belongs to the quiver",
+            "witness": {"vertex": repr(vertex)},
+        }
+
 
 class TestRendering:
     def test_repeated_arrow_renders_as_a_square(self):
@@ -478,7 +519,6 @@ class TestDifferentialMemo:
         q = GradedQuiver(
             "A", 2, "even", ("1", "2"),
             (Arrow("a", "1", "2"), Arrow("b", "2", "1"), Arrow("c", "2", "1")),
-            (Arrow("ρ_1", "1", "1"), Arrow("ρ_2", "2", "2")),
             {"1": "1", "2": "2"},
         )
         for _ in range(2):
@@ -508,13 +548,14 @@ class TestTypeHandling:
             check_ade_type("A3\n")
         assert info.value.message == "cannot parse ADE type 'A3\\n'"
 
-    @pytest.mark.parametrize("bad", [5, ("A", "x"), ("A",), (1, 7), None, ("A", True)])
+    @pytest.mark.parametrize("bad", [
+        5, ("A", "x"), ("A",), (1, 7), None, ("A", True), ("A", 7),
+        ADEType("A", "7"), ADEType(1, 7),
+    ])
     def test_malformed_type_objects(self, bad):
         with pytest.raises(DGAError) as info:
             dg_auslander(bad, "odd")
-        assert info.value.precondition == (
-            "type is a string like A7 or a (family, rank) pair"
-        )
+        assert info.value.precondition == "type is a string like A7 or an ADEType"
 
     def test_unknown_parity(self):
         with pytest.raises(DGAError, match="unknown parity"):

@@ -104,9 +104,9 @@ def samples():
             "Decomposition(blocks=(ADEType(family='A', rank=1),), component_vertices=(('1',),))",
         ),
         (
-            GradedQuiver("A", 1, "odd", ("1",), (), (Arrow("ρ_1", "1", "1"),), {"1": "1"}),
+            GradedQuiver("A", 1, "odd", ("1",), (), {"1": "1"}),
             "GradedQuiver(family='A', rank=1, parity='odd', vertices=('1',), solid=(), "
-            "broken=(Arrow(label='ρ_1', source='1', target='1'),), translation={'1': '1'})",
+            "translation={'1': '1'})",
         ),
         (
             Presentation(
@@ -170,7 +170,7 @@ DERIVED = {
     CriticalCycle: ("display", "name"),
     NodalProjective: ("_twist",),
     NodalString: ("_twist",),
-    GradedQuiver: ("_solid_from", "_untranslate", "_differential"),
+    GradedQuiver: ("broken", "_solid_from", "_differential"),
     Presentation: (
         "_by_label", "outgoing", "incoming", "successors", "predecessors", "relation_set",
     ),
@@ -211,14 +211,21 @@ def test_fields_live_in_slots(obj, shown):
         assert set(vars(obj)) == set(DERIVED.get(cls, ()))
 
 
-@pytest.mark.parametrize("how", COPIES)
-def test_a_copied_quiver_is_indexed_anew(how):
+@pytest.mark.parametrize("how", [*COPIES, "replace"])
+def test_a_copied_quiver_is_derived_and_indexed_anew(how):
     arrow = Arrow("a", "1", "2")
-    quiver = GradedQuiver("A", 1, "odd", ("1", "2"), (arrow,), (), {"1": "2", "2": "1"})
-    other = COPIES[how](quiver)
+    quiver = GradedQuiver("A", 1, "odd", ("1", "2"), (arrow,), {"1": "2", "2": "1"})
+    other = replace(quiver) if how == "replace" else COPIES[how](quiver)
     assert other._solid_from == {"1": [arrow]}
-    assert other._untranslate == {"2": "1", "1": "2"}
-    assert other._untranslate is not quiver._untranslate
+    assert other.broken == (Arrow("ρ_1", "1", "2"), Arrow("ρ_2", "2", "1"))
+    assert other.broken is not quiver.broken
+    assert other.translation is not quiver.translation
+
+
+def test_a_replaced_translation_redirects_the_broken_arrows():
+    quiver = GradedQuiver("A", 1, "odd", ("1", "2"), (), {"1": "2", "2": "1"})
+    other = replace(quiver, translation={"1": "1", "2": "2"})
+    assert other.broken == (Arrow("ρ_1", "1", "1"), Arrow("ρ_2", "2", "2"))
 
 
 CORPUS = FilePath(__file__).resolve().parent.parent / "corpus"
@@ -388,9 +395,9 @@ def test_a_path_takes_any_sequence_of_labels():
 
 def test_graded_quiver_keeps_what_an_iterator_gives():
     built = dg_auslander("A3", "odd")
-    fields = [built.family, built.rank, built.parity, built.vertices, built.solid, built.broken]
+    fields = [built.family, built.rank, built.parity, built.vertices, built.solid]
     once = GradedQuiver(*fields[:3], *map(iter, fields[3:]), built.translation)
-    assert (once.vertices, once.solid, once.broken) == tuple(fields[3:])
+    assert (once.vertices, once.solid, once.broken) == (*fields[3:], built.broken)
     assert once == built and repr(once) == repr(built)
     assert serialize_graded_quiver(once) == serialize_graded_quiver(built)
 
@@ -422,7 +429,7 @@ def test_the_sequence_fields_are_found():
         (StringComplex, "differentials"), (ARWindow, "vertices"), (ARWindow, "solid"),
         (ARWindow, "dashed"), (ProjectiveInjectives, "vertices"),
         (Decomposition, "blocks"), (Decomposition, "component_vertices"),
-        (GradedQuiver, "vertices"), (GradedQuiver, "solid"), (GradedQuiver, "broken"),
+        (GradedQuiver, "vertices"), (GradedQuiver, "solid"),
     }
 
 
@@ -453,8 +460,8 @@ def test_a_sequence_field_refuses_what_is_not_a_sequence(obj, field, value):
 
 
 def test_post_init_state_is_kept():
-    quiver = GradedQuiver("A", 1, "odd", ("1",), (), (), {"1": "1"})
-    assert quiver._untranslate == {"1": "1"}
+    quiver = GradedQuiver("A", 1, "odd", ("1",), (), {"1": "1"})
+    assert quiver.broken == (Arrow("ρ_1", "1", "1"),)
     assert quiver.solid_from("1") == []
 
 

@@ -322,34 +322,33 @@ def test_graded_quiver_functions(quiver, function):
     | wrong_types,
 )
 def test_graded_quiver(solid, translation):
-    accepts_or_refuses(GradedQuiver, "A", 1, "odd", ("1",), solid, (), translation)
+    accepts_or_refuses(GradedQuiver, "A", 1, "odd", ("1",), solid, translation)
 
 
 @pytest.mark.parametrize(
-    "vertices, solid, broken, translation, field",
+    "vertices, solid, translation, field",
     [
-        (("1",), None, (), {}, "solid"),
-        (("1",), [("a", "1", "1")], (), {"1": "1"}, "solid"),
-        (("1",), (), (), None, "translation"),
-        (("1",), (), (), {"1": []}, "translation"),
-        (None, (), (), {}, "vertices"),
-        ((1,), (), (), {1: 1}, "vertices"),
-        (("1", "1"), (), (), {"1": "1"}, "vertices"),
-        (("1",), (), None, {"1": "1"}, "broken"),
-        (("1",), (), [("r", "1", "1")], {"1": "1"}, "broken"),
-        (("1",), (), (Arrow("r", "1", "2"),), {"1": "1"}, "broken"),
-        (("1",), (Arrow(1, "1", "1"),), (), {"1": "1"}, "solid"),
-        (("1",), (Arrow("a", "1", "2"),), (), {"1": "1"}, "solid"),
-        (("1", "2"), (), (), {"1": "2"}, "translation"),
-        (("1",), (), (), {"1": "2"}, "translation"),
-        (("1", "2"), (), (), {"1": "1", "2": "1"}, "translation"),
+        (("1",), None, {}, "solid"),
+        (("1",), [("a", "1", "1")], {"1": "1"}, "solid"),
+        (("1",), (), None, "translation"),
+        (("1",), (), {"1": []}, "translation"),
+        (None, (), {}, "vertices"),
+        ((1,), (), {1: 1}, "vertices"),
+        (("1", "1"), (), {"1": "1"}, "vertices"),
+        (("1",), (Arrow(1, "1", "1"),), {"1": "1"}, "solid"),
+        (("1",), (Arrow("a", "1", "2"),), {"1": "1"}, "solid"),
+        (("1", "2"), (), {"1": "2"}, "translation"),
+        (("1",), (), {"1": "2"}, "translation"),
+        (("1", "2"), (), {"1": "1", "2": "1"}, "translation"),
+        # pairs are not a dict
+        (("1",), (), [("1", "1")], "translation"),
         # solid is checked before translation
-        (("1",), None, (), None, "solid"),
+        (("1",), None, None, "solid"),
     ],
 )
-def test_graded_quiver_names_the_wrong_field(vertices, solid, broken, translation, field):
+def test_graded_quiver_names_the_wrong_field(vertices, solid, translation, field):
     with pytest.raises(DGAError) as info:
-        GradedQuiver("A", 1, "odd", vertices, solid, broken, translation)
+        GradedQuiver("A", 1, "odd", vertices, solid, translation)
     assert info.value.witness == {"field": field}
     assert info.value.precondition.startswith(f"{field} is ")
 
